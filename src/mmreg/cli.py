@@ -35,12 +35,28 @@ def _default_seed() -> int:
 
 
 def _load_workload(path) -> list[WorkloadOp]:
+    """Read a workload file: a JSON list of {"op", "proc", "value"?,
+    "at-step"?} objects.  Raises SimError on any malformed entry."""
     with open(path, encoding="utf-8") as f:
         raw = json.load(f)
-    return [
-        WorkloadOp(d["op"], d["proc"], d.get("value"), d.get("at-step", 0))
-        for d in raw
-    ]
+    if not isinstance(raw, list):
+        raise SimError("workload must be a JSON list of operations")
+    ops = []
+    for i, d in enumerate(raw):
+        if not isinstance(d, dict):
+            raise SimError(f"workload entry {i} is not an object")
+        if d.get("op") not in ("write", "read"):
+            raise SimError(f"workload entry {i}: op must be \"write\" or \"read\"")
+        if type(d.get("proc")) is not int:  # bool is an int subclass
+            raise SimError(f"workload entry {i}: proc must be an integer")
+        value = d.get("value")
+        if value is not None and not isinstance(value, str):
+            raise SimError(f"workload entry {i}: value must be a string or null")
+        at_step = d.get("at-step", 0)
+        if type(at_step) is not int or at_step < 0:
+            raise SimError(f"workload entry {i}: at-step must be a non-negative integer")
+        ops.append(WorkloadOp(d["op"], d["proc"], value, at_step))
+    return ops
 
 
 def _parse_crash(text: str):

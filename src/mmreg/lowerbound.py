@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 from .checker import check_property1
 from .model import Bag, SystemSpec
 from .sim import Schedule, Simulator, WorkloadOp
-from .tolerance import reach_masks, smallest_failing_pair, t_bridge, verify_witness
+from .tolerance import reach_masks, require_covered, smallest_failing_pair, t_bridge, verify_witness
 
 
 class LowerBoundError(ValueError):
@@ -44,15 +44,16 @@ class WitnessPartition:
 
 def find_witness(bag: Bag, t: int) -> WitnessPartition:
     """The lexicographically smallest witness that t crashes break the
-    system.  Requires t above the threshold."""
-    threshold = t_bridge(bag).t
-    if t <= threshold:
-        raise LowerBoundError(f"t={t} <= t_L={threshold}: the system tolerates this many crashes")
+    system.  Requires t above the threshold: a failing pair of size n-t
+    exists exactly when t > t_L, so one witness search decides both, and
+    the threshold itself is computed only to word the error."""
+    require_covered(bag)
     if t > bag.n - 1:
         raise LowerBoundError(f"t={t} needs witness sides of size >= 1, so t <= n-1={bag.n - 1}")
-    size = bag.n - t
-    pair = smallest_failing_pair(bag.n, reach_masks(bag.n, bag.masks()), size)
-    assert pair is not None, "a witness must exist above the threshold"
+    pair = smallest_failing_pair(bag.n, reach_masks(bag.n, bag.masks()), bag.n - t)
+    if pair is None:
+        threshold = t_bridge(bag).t
+        raise LowerBoundError(f"t={t} <= t_L={threshold}: the system tolerates this many crashes")
     left, right = pair
     q = tuple(sorted(set(range(1, bag.n + 1)) - set(left) - set(right)))
     return WitnessPartition(left, right, q)

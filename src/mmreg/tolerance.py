@@ -2,9 +2,16 @@
 
 The threshold is the largest t such that every pair of (n-t)-sized
 process subsets either intersects or is bridged by a common sharing
-set.  Two independent routes compute it: a direct quantifier check over
-all subset pairs, and a max-min search on a derived bridge graph.  The
-test suite holds them equal on random inputs.
+set.  Two independent routes compute it: a direct check that tries the
+subset sizes in turn, testing each subset of a size as the left side of
+a failing pair, and a max-min search over every subset on a derived
+bridge graph.  The test suite holds them equal on random inputs.
+
+Both rest on one observation: for a left side A, the valid right sides
+are exactly the subsets of ``free(A)``, the processes that neither lie
+in A nor share a set with it.  So a failing pair with left side A
+exists iff ``|free(A)| >= size``, and one pass over the left sides
+decides a size.
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ from itertools import combinations
 
 from .model import Bag, Graph, graph_square, induce_uniform
 
-# Exhaustive pair enumeration is fine at desk scale only.
+# Subset enumeration is fine at desk scale only.
 DIRECT_LIMIT = 14
 BRIDGE_LIMIT = 20
 
@@ -42,7 +49,8 @@ def lower_bound_floor(n: int) -> int:
     return (n - 1) // 2
 
 
-def _require_covered(bag: Bag) -> None:
+def require_covered(bag: Bag) -> None:
+    """Raise ToleranceError unless every process lies in some set."""
     if not bag.covered():
         raise ToleranceError("bag must cover every process; normalize it first")
 
@@ -60,61 +68,53 @@ def reach_masks(n: int, set_masks: list[int]) -> list[int]:
     return reach
 
 
-def _subset_table(n: int, reach: list[int], size: int):
-    """All size-`size` subsets in lexicographic order, as (mask, reach-of-subset)."""
-    out = []
-    for combo in combinations(range(n), size):
-        mask = 0
-        r = 0
-        for i in combo:
-            mask |= 1 << i
-            r |= reach[i]
-        out.append((mask, r))
-    return out
-
-
-def _all_pairs_ok(n: int, reach: list[int], size: int) -> bool:
-    subs = _subset_table(n, reach, size)
-    for a in range(len(subs)):
-        ra = subs[a][1]
-        for b in range(a, len(subs)):  # relation is symmetric
-            if not ra & subs[b][0]:
-                return False
-    return True
-
-
 def smallest_failing_pair(n: int, reach: list[int], size: int) -> Witness | None:
     """Lexicographically smallest pair of size-`size` subsets that neither
-    intersect nor are bridged, or None if every pair is fine."""
-    if size < 1 or size > n:
+    intersect nor are bridged, or None if every pair is fine.
+
+    One pass over the left sides A in lexicographic order: the first A
+    whose free set holds `size` processes is the left side, and the
+    lowest `size` of them are the smallest right side.  Costs
+    C(n, size) * n at most.
+    """
+    if size < 1 or 2 * size > n:  # disjoint sides need 2 * size <= n
         return None
-    combos = list(combinations(range(n), size))
-    subs = _subset_table(n, reach, size)
-    for a in range(len(subs)):
-        ra = subs[a][1]
-        for b in range(len(subs)):
-            if not ra & subs[b][0]:
-                left = tuple(i + 1 for i in combos[a])
-                right = tuple(i + 1 for i in combos[b])
-                return (left, right)
+    full = (1 << n) - 1
+    for combo in combinations(range(n), size):
+        r = 0
+        for i in combo:
+            r |= reach[i]
+        free = full & ~r
+        if free.bit_count() >= size:
+            right = []
+            for _ in range(size):
+                low = free & -free
+                right.append(low.bit_length())
+                free ^= low
+            return (tuple(i + 1 for i in combo), tuple(right))
     return None
 
 
 def _scan(n: int, reach: list[int]) -> ToleranceResult:
     # The pair condition is monotone in subset size, so the first size
-    # that passes gives the threshold.
+    # with no failing pair gives the threshold, and the failing pair of
+    # the size below is the witness.
+    witness = None
     for size in range(1, n + 1):
-        if _all_pairs_ok(n, reach, size):
+        pair = smallest_failing_pair(n, reach, size)
+        if pair is None:
             t = n - size
-            witness = smallest_failing_pair(n, reach, size - 1)
             assert t >= lower_bound_floor(n)
             return ToleranceResult(t, witness)
+        witness = pair
     raise AssertionError("size n always passes: identical sets intersect")
 
 
 def t_direct(bag: Bag, limit: int = DIRECT_LIMIT) -> ToleranceResult:
-    """Threshold by exhaustive enumeration of all subset pairs."""
-    _require_covered(bag)
+    """Threshold by subset enumeration: for each size in turn, one pass
+    over the left sides looks for a failing pair.  Costs at most
+    2^n * n in all."""
+    require_covered(bag)
     if bag.n > limit:
         raise ToleranceError(f"n={bag.n} exceeds the exhaustive limit {limit}; use t_bridge")
     return _scan(bag.n, reach_masks(bag.n, bag.masks()))
@@ -140,7 +140,7 @@ def t_bridge(bag: Bag, limit: int = BRIDGE_LIMIT) -> ToleranceResult:
     the side's closed neighbourhood, so the other side is any subset of
     the untouched remainder.
     """
-    _require_covered(bag)
+    require_covered(bag)
     n = bag.n
     if n > limit:
         raise ToleranceError(f"n={n} exceeds the bridge search budget {limit}")

@@ -74,6 +74,38 @@ class TestSimulateCheckPipeline:
         trace = str(tmp_path / "trace.jsonl")
         assert main(["simulate", "--spec", msg3_file, "--workload", workload_file, "--trace", trace, "--crash", "oops"]) == 2
 
+    @pytest.mark.parametrize(
+        "workload",
+        [
+            {"op": "write", "proc": 1},
+            [1, 2],
+            [{"op": "read", "proc": "2"}],
+            [{"op": "read", "proc": True}],
+            [{"op": "fetch", "proc": 2}],
+            [{"op": "read", "proc": 2, "at-step": -1}],
+            [{"op": "read", "proc": 2, "at-step": 1.5}],
+            [{"op": "write", "proc": 1, "value": {"x": 1}}],
+            [{"op": "write", "proc": 1, "value": 7}],
+        ],
+        ids=[
+            "not-a-list",
+            "not-objects",
+            "proc-string",
+            "proc-bool",
+            "unknown-op",
+            "negative-at-step",
+            "fractional-at-step",
+            "value-dict",
+            "value-int",
+        ],
+    )
+    def test_bad_workload_is_usage_error(self, msg3_file, workload, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(workload))
+        trace = str(tmp_path / "trace.jsonl")
+        assert main(["simulate", "--spec", msg3_file, "--workload", str(path), "--trace", trace]) == 2
+        assert "error: workload" in capsys.readouterr().err
+
     def test_check_flags_doctored_trace(self, msg3_file, workload_file, tmp_path, capsys):
         trace = tmp_path / "trace.jsonl"
         main(["simulate", "--spec", msg3_file, "--workload", workload_file, "--trace", str(trace), "--seed", "11"])

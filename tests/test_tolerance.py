@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 
 import pytest
@@ -6,9 +7,11 @@ from hypothesis import given, settings, strategies as st
 from mmreg import (
     Bag,
     Graph,
+    LowerBoundError,
     ToleranceError,
     bag_of,
     bridge_graph,
+    find_witness,
     induce_uniform,
     lower_bound_floor,
     normalize_bag,
@@ -17,6 +20,7 @@ from mmreg import (
     t_uniform,
     verify_witness,
 )
+from mmreg.tolerance import reach_masks, smallest_failing_pair
 
 
 def naive_t(bag: Bag) -> int:
@@ -183,3 +187,77 @@ class TestWitnessValidity:
 
     def test_rejects_wrong_size(self, singleton5_spec):
         assert not verify_witness(singleton5_spec.bag, 2, ((1,), (3, 4)))
+
+
+# -- quadratic pair search, kept as an oracle for the linear one -----------
+
+
+def _subset_table(n, reach, size):
+    """All size-`size` subsets in lexicographic order, as (mask, reach-of-subset)."""
+    out = []
+    for combo in combinations(range(n), size):
+        mask = 0
+        r = 0
+        for i in combo:
+            mask |= 1 << i
+            r |= reach[i]
+        out.append((mask, r))
+    return out
+
+
+def oracle_all_pairs_ok(n, reach, size):
+    subs = _subset_table(n, reach, size)
+    for a in range(len(subs)):
+        ra = subs[a][1]
+        for b in range(a, len(subs)):  # relation is symmetric
+            if not ra & subs[b][0]:
+                return False
+    return True
+
+
+def oracle_smallest_failing_pair(n, reach, size):
+    if size < 1 or size > n:
+        return None
+    combos = list(combinations(range(n), size))
+    subs = _subset_table(n, reach, size)
+    for a in range(len(subs)):
+        ra = subs[a][1]
+        for b in range(len(subs)):
+            if not ra & subs[b][0]:
+                return (tuple(i + 1 for i in combos[a]), tuple(i + 1 for i in combos[b]))
+    return None
+
+
+def seeded_bags(seed, count, max_n):
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, max_n)
+        sets = [rng.sample(range(1, n + 1), rng.randint(1, min(n, 4))) for _ in range(rng.randint(0, n))]
+        yield normalize_bag(bag_of(n, *sets))
+
+
+class TestLinearSearchAgainstOracle:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_pair_search_at_every_size(self, seed):
+        for bag in seeded_bags(seed, 100, max_n=11):
+            n = bag.n
+            reach = reach_masks(n, bag.masks())
+            for size in range(0, n + 2):
+                pair = smallest_failing_pair(n, reach, size)
+                assert pair == oracle_smallest_failing_pair(n, reach, size), (bag, size)
+                if size >= 1:  # size 0 has no sides to pair
+                    assert (pair is None) == oracle_all_pairs_ok(n, reach, size), (bag, size)
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_find_witness_exactly_above_threshold(self, seed):
+        for bag in seeded_bags(100 + seed, 40, max_n=9):
+            t_l = t_bridge(bag).t
+            for t in range(0, t_l + 1):
+                with pytest.raises(LowerBoundError, match="tolerates"):
+                    find_witness(bag, t)
+            reach = reach_masks(bag.n, bag.masks())
+            for t in range(t_l + 1, bag.n):
+                w = find_witness(bag, t)
+                assert verify_witness(bag, t - 1, (w.p_side, w.p_prime))
+                assert (w.p_side, w.p_prime) == oracle_smallest_failing_pair(bag.n, reach, bag.n - t)
+                assert sorted(w.p_side + w.p_prime + w.q_side) == list(range(1, bag.n + 1))
