@@ -40,6 +40,10 @@ class Verdict:
     def merged(self, other: "Verdict") -> "Verdict":
         return Verdict.from_violations(self.violations + other.violations)
 
+    def as_dicts(self) -> list[dict]:
+        """The violations as JSON-ready {"prop", "ops", "reason"} records."""
+        return [{"prop": v.prop, "ops": list(v.ops), "reason": v.reason} for v in self.violations]
+
 
 def _validate(history) -> None:
     for h in history:
@@ -191,61 +195,28 @@ def check_completion(history, crashed, t: int | None = None) -> Verdict:
     return Verdict.from_violations(violations)
 
 
-def check_no_future(history) -> Verdict:
-    """No read returns a value whose write starts only after the read
-    responds."""
-    _validate(history)
-    writes = {w["value"][0]: w for w in _writes(history) if w["value"] is not None}
-    violations = []
-    for r in _completed_reads(history):
-        sn = r["value"][0]
-        if sn == 0:
-            continue
-        w = writes.get(sn)
-        if w is None or w["invoke"] >= r["response"]:
-            violations.append(
-                Violation(
-                    "NOFUT",
-                    (r["op"],),
-                    f"read {r['op']} returned sn={sn} not written before the read responded",
-                )
-            )
-    return Verdict.from_violations(violations)
+PROPERTIES = ("1", "2", "mono", "live")
 
 
-def check_write_read_order(history) -> Verdict:
-    """A read that a completed write precedes returns a value at least
-    as fresh as that write's."""
-    _validate(history)
-    violations = []
-    for w in _writes(history):
-        if w["value"] is None:
-            continue
-        k = w["value"][0]
-        for r in _completed_reads(history):
-            if _precedes(w, r) and r["value"][0] < k:
-                violations.append(
-                    Violation(
-                        "WRO",
-                        (w["op"], r["op"]),
-                        f"write of sn={k} precedes read {r['op']} returning sn={r['value'][0]}",
-                    )
-                )
-    return Verdict.from_violations(violations)
-
-
-def check_all(trace, history=None, crashed=None, t: int | None = None) -> Verdict:
-    """Property 1, Property 2, register monotonicity, and (when crash
-    information is supplied) completion, over one run."""
+def check_all(trace, history=None, crashed=None, t: int | None = None, props=PROPERTIES) -> Verdict:
+    """The selected properties over one run: "1" and "2" are Property 1
+    and Property 2, "mono" register monotonicity, and "live" completion,
+    with the crashed processes read from the trace unless supplied."""
     from .sim import crashed_from_trace, history_from_trace
 
+    if not props or not set(props) <= set(PROPERTIES):
+        raise HistoryError(f"properties {','.join(props)!r} not a selection from {','.join(PROPERTIES)}")
     if history is None:
         history = history_from_trace(trace)
-    verdict = check_property1(history)
-    verdict = verdict.merged(check_property2(history))
-    verdict = verdict.merged(check_monotonicity(trace))
-    if crashed is not None:
+    verdict = Verdict(True, ())
+    if "1" in props:
+        verdict = verdict.merged(check_property1(history))
+    if "2" in props:
+        verdict = verdict.merged(check_property2(history))
+    if "mono" in props:
+        verdict = verdict.merged(check_monotonicity(trace))
+    if "live" in props:
+        if crashed is None:
+            crashed = crashed_from_trace(trace)
         verdict = verdict.merged(check_completion(history, crashed, t))
-    elif trace:
-        verdict = verdict.merged(check_completion(history, crashed_from_trace(trace)))
     return verdict

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 from .checker import check_property1
 from .model import Bag, SystemSpec
-from .sim import Schedule, Simulator, WorkloadOp
+from .sim import Schedule, Simulator, WorkloadOp, history_from_trace
 from .tolerance import reach_masks, require_covered, smallest_failing_pair, t_bridge, verify_witness
 
 
@@ -165,7 +165,7 @@ def demo(spec: SystemSpec, t: int) -> dict:
     elif spec.writer not in witness.p_side:
         spec = replace(spec, writer=min(witness.p_side))
     run = build_e3(spec, t, witness)
-    history = run.sim.history()
+    history = history_from_trace(run.sim.trace)
     verdict = check_property1(history)
 
     write_rec, read_rec = run.sim.ops[0], run.sim.ops[1]
@@ -193,9 +193,7 @@ def demo(spec: SystemSpec, t: int) -> dict:
         "violation_certified": certified,
         "no_crashes": no_crashes,
         "isolation_ok": isolation_holds(run, witness),
-        "violations": [
-            {"prop": v.prop, "ops": list(v.ops), "reason": v.reason} for v in verdict.violations
-        ],
+        "violations": verdict.as_dicts(),
         "history": history,
         "trace": run.sim.trace,
     }

@@ -134,10 +134,13 @@ class Simulator:
             if op.kind not in ("write", "read"):
                 raise SimError(f"unknown op kind {op.kind!r}")
         self.crash_plan = sorted(crash_plan, key=lambda cs: (cs[1], cs[0]))
+        for p, step in self.crash_plan:
+            if not 1 <= p <= n:
+                raise SimError(f"crash of p{p} outside 1..{n}")
+            if step < 0:
+                raise SimError(f"crash of p{p} at negative step {step}")
         if len({p for p, _ in self.crash_plan}) != len(self.crash_plan):
             raise SimError("crash plan names a process twice")
-        if len(self.crash_plan) > n:
-            raise SimError("crash plan larger than the process set")
 
         self.step = 0
         self.trace: list[dict] = []
@@ -299,24 +302,6 @@ class Simulator:
                 raise SimError(f"step budget {max_steps} exceeded")
         return self
 
-    def history(self) -> list[dict]:
-        """Per-operation records for the atomicity checker."""
-        out = []
-        for rec in self.ops:
-            if rec.invoke_step is None:
-                continue
-            out.append(
-                {
-                    "op": rec.op_id,
-                    "kind": rec.kind,
-                    "proc": rec.proc,
-                    "invoke": rec.invoke_step,
-                    "response": rec.response_step,
-                    "value": list(rec.result) if rec.result is not None else None,
-                }
-            )
-        return out
-
 
 def _make_chooser(sim: Simulator, schedule: Schedule):
     if schedule.policy == "fifo":
@@ -382,7 +367,11 @@ def load_trace(path) -> list[dict]:
 
 
 def history_from_trace(trace) -> list[dict]:
-    """Rebuild operation records from invoke/respond trace events."""
+    """The run's operation records, rebuilt from its invoke and respond
+    events: op, kind, proc, invoke and response steps, and value (a
+    write's value is fixed at invocation, a read's at its response).
+    This is the one way a history is built, so the checker sees a run
+    and its emitted trace alike."""
     records: dict[int, dict] = {}
     for ev in trace:
         if ev["kind"] == "invoke":

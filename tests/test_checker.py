@@ -7,10 +7,9 @@ from mmreg import (
     check_all,
     check_completion,
     check_monotonicity,
-    check_no_future,
     check_property1,
     check_property2,
-    check_write_read_order,
+    history_from_trace,
     run_simulation,
 )
 from mmreg.checker import HistoryError
@@ -104,19 +103,27 @@ class TestCompletion:
 
 
 class TestDerivedChecks:
+    """With one sequential writer, Property 1 implies that no read
+    returns a future or never-written value and that no read returns a
+    value older than a write that precedes it."""
+
     def test_no_future_on_simulated_run(self, fig1_spec):
         wl = [WorkloadOp("write", 1, "a", 0), WorkloadOp("read", 3, None, 0)]
         sim = run_simulation(fig1_spec, 3, wl, Schedule("fair", seed=17))
-        history = sim.history()
-        assert check_no_future(history).ok
-        assert check_write_read_order(history).ok
+        assert check_property1(history_from_trace(sim.trace)).ok
+        assert check_all(sim.trace, crashed=sim.crashed, t=3).ok
 
     def test_no_future_flags_fabricated_value(self):
         history = [{"op": 0, "kind": "read", "proc": 1, "invoke": 0, "response": 5, "value": [7, "x"]}]
-        assert not check_no_future(history).ok
+        verdict = check_property1(history)
+        assert not verdict.ok
+        assert "never written (sn=7)" in verdict.violations[0].reason
 
     def test_write_read_order_flags_regression(self):
-        assert not check_write_read_order(fx.P1_BAD_STALE[:2] + [fx.P1_BAD_STALE[2]]).ok
+        # Write sn=2 precedes the read, which returns the older sn=1.
+        verdict = check_property1(fx.P1_BAD_STALE)
+        assert not verdict.ok
+        assert verdict.violations[0].ops == (0, 1, 2)
 
 
 class TestCheckAll:
@@ -129,3 +136,18 @@ class TestCheckAll:
         verdict = check_property1(fx.P1_BAD_INITIAL).merged(check_property2(fx.P2_BAD_ORDER))
         assert len(verdict.violations) == 2
         assert not verdict.ok
+
+    def test_selected_properties_only(self):
+        verdict = check_all([], history=fx.P1_BAD_INITIAL, crashed=set(), props=("2", "mono", "live"))
+        assert verdict.ok
+        assert [v.prop for v in check_all([], history=fx.P1_BAD_INITIAL, props=("1",)).violations] == ["P1"]
+
+    def test_liveness_reads_crashes_from_trace(self):
+        history = [{"op": 0, "kind": "read", "proc": 2, "invoke": 0, "response": None, "value": None}]
+        crash = {"step": 1, "kind": "crash", "actor": 2, "payload": {}}
+        assert not check_all([], history=history, props=("live",)).ok
+        assert check_all([crash], history=history, props=("live",)).ok
+
+    def test_empty_selection_rejected(self):
+        with pytest.raises(HistoryError, match="1,2,mono,live"):
+            check_all([], history=[], props=())

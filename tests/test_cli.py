@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from mmreg.cli import main
+from mmreg import checker, demo, emit_trace, load_spec
+from mmreg.cli import fuzz, main
 
 
 FIG1 = {"n": 5, "edges": [[1, 2], [2, 3], [3, 4], [3, 5]], "writer": 1}
@@ -70,9 +71,12 @@ class TestSimulateCheckPipeline:
         assert rc == 0
         assert json.loads(capsys.readouterr().out)["responded"] == 2
 
-    def test_bad_crash_spec_is_usage_error(self, msg3_file, workload_file, tmp_path):
+    def test_bad_crash_spec_is_usage_error(self, msg3_file, workload_file, tmp_path, capsys):
         trace = str(tmp_path / "trace.jsonl")
-        assert main(["simulate", "--spec", msg3_file, "--workload", workload_file, "--trace", trace, "--crash", "oops"]) == 2
+        for crash in ("oops", "x@3", "2@", "9@3", "0@3", "2@-5"):
+            rc = main(["simulate", "--spec", msg3_file, "--workload", workload_file, "--trace", trace, "--crash", crash])
+            assert rc == 2, crash
+            assert "error: crash" in capsys.readouterr().err, crash
 
     @pytest.mark.parametrize(
         "workload",
@@ -121,6 +125,24 @@ class TestSimulateCheckPipeline:
         out = json.loads(capsys.readouterr().out)
         assert not out["ok"] and out["violations"]
 
+    @pytest.mark.parametrize("properties", ["foo", "1,2,monotonic", ""])
+    def test_unknown_properties_are_usage_error(self, msg3_file, workload_file, tmp_path, capsys, properties):
+        trace = str(tmp_path / "trace.jsonl")
+        main(["simulate", "--spec", msg3_file, "--workload", workload_file, "--trace", trace])
+        capsys.readouterr()
+        assert main(["check", "--trace", trace, "--properties", properties]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "1,2,mono,live" in captured.err
+
+    def test_check_of_demo_trace_matches_demo_report(self, fig1_file, tmp_path, capsys):
+        report = demo(load_spec(fig1_file), 4)
+        trace = tmp_path / "demo.jsonl"
+        emit_trace(report["trace"], trace)
+        assert main(["check", "--trace", str(trace), "--properties", "1"]) == 1
+        out = json.loads(capsys.readouterr().out)
+        assert out["violations"] == report["violations"] != []
+
 
 class TestViolate:
     def test_above_threshold_certified(self, fig1_file, tmp_path, capsys):
@@ -141,6 +163,24 @@ class TestFuzz:
         assert main(["fuzz", "--spec", fig1_file, "--runs", "30", "--seed", "5"]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["runs"] == 30 and out["violations"] == 0 and out["starved"] == 0
+
+    @pytest.mark.parametrize(
+        "threshold, crashes, checked",
+        [(None, None, True), (1, 2, False), (4, 4, True), (3, 4, False)],
+    )
+    def test_liveness_checked_iff_crashes_within_threshold(self, fig1_file, monkeypatch, threshold, crashes, checked):
+        calls = []
+        original = checker.check_completion
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(checker, "check_completion", counted)
+        summary = fuzz(load_spec(fig1_file), 20, 3, crashes=crashes, t=threshold)
+        assert len(calls) == (20 if checked else 0)
+        assert summary["starved"] == 0
+        assert not any(v["prop"] == "LIVE" for issue in summary["violations"] for v in issue["violations"])
 
     def test_report_file(self, msg3_file, tmp_path, capsys):
         out_path = tmp_path / "fuzz.json"

@@ -8,6 +8,7 @@ from mmreg import (
     check_property1,
     demo,
     find_witness,
+    history_from_trace,
     isolation_holds,
     make_spec,
     run_simulation,
@@ -57,7 +58,7 @@ class TestBuildE3:
         witness = find_witness(fig1_spec.bag, 4)
         run = build_e3(fig1_spec, 4, witness)
         replay = run_simulation(fig1_spec, 4, run.workload, run.schedule)
-        assert replay.history() == run.sim.history()
+        assert history_from_trace(replay.trace) == history_from_trace(run.sim.trace)
 
     def test_isolation_during_split_phases(self, fig1_spec):
         witness = find_witness(fig1_spec.bag, 4)

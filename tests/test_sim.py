@@ -146,12 +146,28 @@ class TestTraceRoundTrip:
         replay = run_simulation(
             fig1_spec, 3, wl, Schedule("scripted", script=script, crash_plan=((2, 30),))
         )
-        assert replay.history() == original.history()
+        assert history_from_trace(replay.trace) == history_from_trace(original.trace)
         assert trace_lines(replay.trace) == trace_lines(original.trace)
 
-    def test_history_matches_trace_projection(self, msg3_spec):
-        sim = run_simulation(msg3_spec, 1, write_then_read(), Schedule("fair", seed=4))
-        assert history_from_trace(sim.trace) == sim.history()
+    def test_history_matches_trace_projection(self, fig1_spec):
+        wl = [
+            WorkloadOp("write", 1, "a", 0),
+            WorkloadOp("read", 4, None, 0),
+            WorkloadOp("write", 1, "b", 0),
+            WorkloadOp("read", 2, None, 0),
+            WorkloadOp("read", 2, None, 0),
+        ]
+        sim = run_simulation(fig1_spec, 3, wl, Schedule("fair", seed=1, crash_plan=((1, 20),)))
+        history = history_from_trace(sim.trace)
+        invoked = [r for r in sim.ops if r.invoke_step is not None]
+        # The writer's crash leaves its first write pending and its second never invoked.
+        assert invoked[0].kind == "write" and invoked[0].response_step is None
+        assert len(invoked) == len(sim.ops) - 1
+        assert [h["op"] for h in history] == [r.op_id for r in invoked]
+        for h, r in zip(history, invoked):
+            assert (h["kind"], h["proc"]) == (r.kind, r.proc)
+            assert (h["invoke"], h["response"]) == (r.invoke_step, r.response_step)
+            assert h["value"] == (list(r.result) if r.result is not None else None)
 
     def test_bogus_script_event_rejected(self, msg3_spec):
         sim = Simulator(msg3_spec, 1, write_then_read())
