@@ -64,11 +64,14 @@ def _parse_crash(text: str):
 
 # -- fuzzing ---------------------------------------------------------------
 
+# A random workload has 1 to this many operations.
+MAX_FUZZ_OPS = 10
 
-def random_workload(spec, rng: random.Random, max_ops: int = 10) -> list[WorkloadOp]:
+
+def random_workload(spec, rng: random.Random) -> list[WorkloadOp]:
     ops = []
     wseq = 0
-    for _ in range(rng.randint(1, max_ops)):
+    for _ in range(rng.randint(1, MAX_FUZZ_OPS)):
         if rng.random() < 0.4:
             wseq += 1
             ops.append(WorkloadOp("write", spec.writer, f"w{wseq}", rng.randint(0, 60)))
@@ -87,6 +90,8 @@ def fuzz(spec, runs: int, base_seed: int, crashes: int | None = None, t: int | N
     monotonicity, and for completion when the run crashes at most as
     many processes as the t it runs with.  Crash plans stay within the
     tolerated budget unless overridden."""
+    if runs < 0:
+        raise SimError(f"runs must be >= 0, got {runs}")
     t_l = t_bridge(spec.bag).t
     threshold = t_l if t is None else t
     issues = []
@@ -170,6 +175,7 @@ def cmd_check(args) -> int:
 def cmd_violate(args) -> int:
     spec = load_spec(args.spec)
     report = demo(spec, args.t)
+    report["t_L"] = t_bridge(spec.bag).t
     if args.out:
         with open(args.out, "w", encoding="utf-8") as f:
             json.dump(report, f)

@@ -13,6 +13,9 @@ smaller ack quorum n - t, an adversary can then:
 
 No process ever crashes, yet the read returns the initial value after
 the write completed: a certified atomicity violation, from delay alone.
+
+The construction needs only the witness search and the simulator's event
+surface; it never computes the threshold itself.
 """
 
 from __future__ import annotations
@@ -21,8 +24,10 @@ from dataclasses import dataclass, replace
 
 from .checker import check_property1
 from .model import Bag, SystemSpec
-from .sim import Schedule, Simulator, WorkloadOp, history_from_trace
-from .tolerance import reach_masks, require_covered, smallest_failing_pair, t_bridge, verify_witness
+from .sim import Schedule, Simulator, WorkloadOp, history_from_trace, schedule_from_trace
+from .tolerance import reach_masks, require_covered, smallest_failing_pair, verify_witness
+
+PAYLOAD = "v-new"  # the value the adversarial write stores
 
 
 class LowerBoundError(ValueError):
@@ -45,15 +50,16 @@ class WitnessPartition:
 def find_witness(bag: Bag, t: int) -> WitnessPartition:
     """The lexicographically smallest witness that t crashes break the
     system.  Requires t above the threshold: a failing pair of size n-t
-    exists exactly when t > t_L, so one witness search decides both, and
-    the threshold itself is computed only to word the error."""
+    exists exactly when t > t_L, so one witness search decides both."""
     require_covered(bag)
     if t > bag.n - 1:
         raise LowerBoundError(f"t={t} needs witness sides of size >= 1, so t <= n-1={bag.n - 1}")
     pair = smallest_failing_pair(bag.n, reach_masks(bag.n, bag.masks()), bag.n - t)
     if pair is None:
-        threshold = t_bridge(bag).t
-        raise LowerBoundError(f"t={t} <= t_L={threshold}: the system tolerates this many crashes")
+        raise LowerBoundError(
+            f"t={t} <= t_L: every two disjoint sides of size n-t={bag.n - t} share a set, "
+            "so the system tolerates this many crashes"
+        )
     left, right = pair
     q = tuple(sorted(set(range(1, bag.n + 1)) - set(left) - set(right)))
     return WitnessPartition(left, right, q)
@@ -67,11 +73,10 @@ class E3Run:
     schedule: Schedule
     sim: Simulator
     reader: int
-    phase1_end: int
     phase2_end: int
 
 
-def build_e3(spec: SystemSpec, t: int, witness: WitnessPartition, payload: str = "v-new") -> E3Run:
+def build_e3(spec: SystemSpec, t: int, witness: WitnessPartition) -> E3Run:
     """Script and execute the three-phase adversarial run.
 
     The writer must lie in P (it has to reach its quorum inside P), and
@@ -88,19 +93,16 @@ def build_e3(spec: SystemSpec, t: int, witness: WitnessPartition, payload: str =
     reader = min(pp_set)
 
     workload = [
-        WorkloadOp("write", spec.writer, payload, 0),
+        WorkloadOp("write", spec.writer, PAYLOAD, 0),
         WorkloadOp("read", reader, None, 0),
     ]
     sim = Simulator(spec, t, workload)
-    script: list[tuple] = []
 
     def drain(allowed, done):
         while not done():
-            evs = sim.enabled()
-            ev = next((e for e in evs if allowed(e)), None)
+            ev = next((e for e in sim.enabled() if allowed(e)), None)
             if ev is None:
                 raise LowerBoundError("construction stuck: no permitted event is enabled")
-            script.append(ev)
             sim.apply(ev)
 
     def inside(side, ev):
@@ -116,7 +118,6 @@ def build_e3(spec: SystemSpec, t: int, witness: WitnessPartition, payload: str =
         lambda ev: ev == ("invoke", 0) or inside(p_set, ev),
         lambda: sim.ops[0].response_step is not None,
     )
-    phase1_end = sim.step
 
     # Phase 2: the read completes inside P'.
     drain(
@@ -126,14 +127,10 @@ def build_e3(spec: SystemSpec, t: int, witness: WitnessPartition, payload: str =
     phase2_end = sim.step
 
     # Phase 3: release everything, deterministically, to quiescence.
-    while True:
-        evs = sim.enabled()
-        if not evs:
-            break
-        script.append(evs[0])
-        sim.apply(evs[0])
+    sim.run(Schedule("fifo"))
 
-    return E3Run(workload, Schedule("scripted", script=tuple(script)), sim, reader, phase1_end, phase2_end)
+    schedule = Schedule("scripted", script=schedule_from_trace(sim.trace))
+    return E3Run(workload, schedule, sim, reader, phase2_end)
 
 
 def isolation_holds(run: E3Run, witness: WitnessPartition) -> bool:
@@ -182,7 +179,6 @@ def demo(spec: SystemSpec, t: int) -> dict:
     return {
         "n": spec.n,
         "t": t,
-        "t_L": t_bridge(spec.bag).t,
         "writer": spec.writer,
         "reader": run.reader,
         "witness": {

@@ -198,18 +198,30 @@ def access_maps(spec: SystemSpec):
     return readable, writable
 
 
+def _int_lists(d: dict, key: str) -> list[list[int]]:
+    """Field `key` of a spec file, which must be a list of lists of integers."""
+    value = d[key]
+    if not isinstance(value, list) or not all(
+        isinstance(item, list) and all(type(v) is int for v in item) for item in value
+    ):
+        raise ModelError(f'spec field "{key}" must be a list of lists of integers')
+    return value
+
+
 def spec_from_dict(d: dict) -> SystemSpec:
+    """The spec a spec file describes; ModelError for any malformed field."""
+    if not isinstance(d, dict):
+        raise ModelError("spec file must be a JSON object")
     if "bag" in d and "edges" in d:
         raise ModelError('spec file must contain exactly one of "bag"/"edges"')
-    try:
-        n = int(d["n"])
-        writer = int(d["writer"])
-    except (KeyError, TypeError, ValueError) as e:
-        raise ModelError(f"bad spec file: {e}") from e
+    for key in ("n", "writer"):
+        if type(d.get(key)) is not int:  # bool is an int subclass
+            raise ModelError(f'spec field "{key}" must be an integer, got {d.get(key)!r}')
+    n, writer = d["n"], d["writer"]
     if "bag" in d:
-        return make_spec(bag=bag_of(n, *d["bag"]), writer=writer)
+        return make_spec(bag=bag_of(n, *_int_lists(d, "bag")), writer=writer)
     if "edges" in d:
-        return make_spec(graph=Graph.from_edges(n, [tuple(e) for e in d["edges"]]), writer=writer)
+        return make_spec(graph=Graph.from_edges(n, _int_lists(d, "edges")), writer=writer)
     raise ModelError('spec file needs a "bag" or "edges" field')
 
 

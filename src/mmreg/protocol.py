@@ -179,7 +179,8 @@ class ProcessCore:
     def reg_step(self, store):
         """Execute one atomic register access of the active scan.
 
-        Emits the acknowledgement once the scan is exhausted.
+        Returns the sends: the acknowledgement once the scan is
+        exhausted, else nothing.
         """
         scan = self.scan
         if scan is None:
@@ -197,13 +198,13 @@ class ProcessCore:
                     scan.pending_write = reg
             if not scan.regs and scan.pending_write is None:
                 self.scan = None
-                return [Message(ACK_W, self.pid, scan.msg.sender, scan.msg.sn)], None
-            return [], None
+                return [Message(ACK_W, self.pid, scan.msg.sender, scan.msg.sn)]
+            return []
 
         reg = scan.regs.pop(0)
         current = store.read(reg, self.pid)
         scan.best = current if scan.best is None else max_tagged([scan.best, current])
         if not scan.regs:
             self.scan = None
-            return [Message(ACK_R, self.pid, scan.msg.sender, scan.msg.sn, scan.best)], None
-        return [], None
+            return [Message(ACK_R, self.pid, scan.msg.sender, scan.msg.sn, scan.best)]
+        return []

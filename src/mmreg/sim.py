@@ -19,7 +19,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .model import SystemSpec
+from .model import SystemSpec, access_maps
 from .protocol import (
     ACK_R,
     ACK_W,
@@ -31,6 +31,9 @@ from .protocol import (
     W,
     ack_quorum,
 )
+
+# A run that takes more steps than this raises SimError.
+MAX_STEPS = 500_000
 
 
 class SimError(Exception):
@@ -87,7 +90,7 @@ class RegisterStore:
     """
 
     def __init__(self, spec: SystemSpec, trace_hook):
-        self._readers = {reg: spec.set_members(reg[0]) for reg in spec.registers}
+        self._readers, self._writer = access_maps(spec)
         self.values = {reg: INITIAL_VALUE for reg in spec.registers}
         self._hook = trace_hook
 
@@ -99,7 +102,7 @@ class RegisterStore:
         return value
 
     def write(self, reg, by: int, value: TaggedValue) -> None:
-        if reg not in self.values or by != reg[1]:
+        if self._writer.get(reg) != by:
             raise AccessError(f"p{by} cannot write R_{reg[0]}[p{reg[1]}]")
         self.values[reg] = value
         self._hook("reg-write", by, {"register": list(reg), "value": list(value)})
@@ -198,14 +201,18 @@ class Simulator:
         return evs
 
     def apply(self, ev: tuple) -> None:
+        """Fire one event; raises ScriptError unless enabled() lists it."""
+        if ev not in self.enabled():
+            raise ScriptError(f"event {ev!r} not enabled at step {self.step}")
+        self._fire(ev)
+
+    def _fire(self, ev: tuple) -> None:
+        """The transition of an event that enabled() lists; unchecked."""
         kind = ev[0]
         if kind == "invoke":
             idx = ev[1]
             op = self.workload[idx]
-            q = self._queue[op.proc]
-            if not q or q[0] != idx or op.proc in self.crashed or not self.procs[op.proc].idle:
-                raise ScriptError(f"invoke of op {idx} not enabled at step {self.step}")
-            q.popleft()
+            self._queue[op.proc].popleft()
             rec = self.ops[idx]
             rec.invoke_step = self.step
             core = self.procs[op.proc]
@@ -225,17 +232,10 @@ class Simulator:
             )
             self._route(sends)
         elif kind == "hstep":
-            p = ev[1]
-            if p in self.crashed or self.procs[p].scan is None:
-                raise ScriptError(f"handler step of p{p} not enabled at step {self.step}")
-            sends, _ = self.procs[p].reg_step(self.store)
-            self._route(sends)
-        elif kind == "deliver":
+            self._route(self.procs[ev[1]].reg_step(self.store))
+        else:  # deliver
             mid = ev[1]
-            msg = self.network.get(mid)
-            if msg is None or msg.dest in self.crashed or self.procs[msg.dest].scan is not None:
-                raise ScriptError(f"delivery of {mid} not enabled at step {self.step}")
-            del self.network[mid]
+            msg = self.network.pop(mid)
             del self._sent_at[mid]
             self._record("deliver", msg.dest, {"id": mid, **_msg_fields(msg)})
             sends, response = self.procs[msg.dest].deliver(msg)
@@ -246,8 +246,6 @@ class Simulator:
                 rec.response_step = self.step
                 rec.result = value
                 self._record("respond", msg.dest, {"op": op_id, "value": list(value)})
-        else:
-            raise ScriptError(f"unknown event {ev!r}")
 
     def _crash(self, p: int) -> None:
         if p in self.crashed:
@@ -283,7 +281,7 @@ class Simulator:
 
     # -- driving -----------------------------------------------------------
 
-    def run(self, schedule: Schedule, max_steps: int = 500_000) -> "Simulator":
+    def run(self, schedule: Schedule) -> "Simulator":
         chooser = _make_chooser(self, schedule)
         while True:
             self._due_crashes()
@@ -297,9 +295,9 @@ class Simulator:
             ev = chooser(evs)
             if ev not in evs:
                 raise ScriptError(f"event {ev!r} not enabled at step {self.step}")
-            self.apply(ev)
-            if self.step > max_steps:
-                raise SimError(f"step budget {max_steps} exceeded")
+            self._fire(ev)
+            if self.step > MAX_STEPS:
+                raise SimError(f"step budget {MAX_STEPS} exceeded")
         return self
 
 
@@ -334,11 +332,9 @@ def _make_chooser(sim: Simulator, schedule: Schedule):
     raise SimError(f"unknown policy {schedule.policy!r}")
 
 
-def run_simulation(
-    spec: SystemSpec, t: int, workload, schedule: Schedule, max_steps: int = 500_000
-) -> Simulator:
+def run_simulation(spec: SystemSpec, t: int, workload, schedule: Schedule) -> Simulator:
     sim = Simulator(spec, t, workload, crash_plan=schedule.crash_plan)
-    return sim.run(schedule, max_steps=max_steps)
+    return sim.run(schedule)
 
 
 # -- trace serialization ---------------------------------------------------

@@ -110,28 +110,17 @@ def _scan(n: int, reach: list[int]) -> ToleranceResult:
     raise AssertionError("size n always passes: identical sets intersect")
 
 
-def t_direct(bag: Bag, limit: int = DIRECT_LIMIT) -> ToleranceResult:
+def t_direct(bag: Bag) -> ToleranceResult:
     """Threshold by subset enumeration: for each size in turn, one pass
     over the left sides looks for a failing pair.  Costs at most
     2^n * n in all."""
     require_covered(bag)
-    if bag.n > limit:
-        raise ToleranceError(f"n={bag.n} exceeds the exhaustive limit {limit}; use t_bridge")
+    if bag.n > DIRECT_LIMIT:
+        raise ToleranceError(f"n={bag.n} exceeds the exhaustive limit {DIRECT_LIMIT}; use t_bridge")
     return _scan(bag.n, reach_masks(bag.n, bag.masks()))
 
 
-def bridge_graph(bag: Bag) -> Graph:
-    """Edge {p,q} iff some set contains both p and q."""
-    edges = set()
-    for s in bag.sets:
-        members = sorted(s)
-        for i, a in enumerate(members):
-            for b in members[i + 1:]:
-                edges.add((a, b))
-    return Graph(bag.n, frozenset(edges))
-
-
-def t_bridge(bag: Bag, limit: int = BRIDGE_LIMIT) -> ToleranceResult:
+def t_bridge(bag: Bag) -> ToleranceResult:
     """Threshold via the bridge graph.
 
     Finds s*, the largest s for which two disjoint size-s sides exist
@@ -142,8 +131,8 @@ def t_bridge(bag: Bag, limit: int = BRIDGE_LIMIT) -> ToleranceResult:
     """
     require_covered(bag)
     n = bag.n
-    if n > limit:
-        raise ToleranceError(f"n={n} exceeds the bridge search budget {limit}")
+    if n > BRIDGE_LIMIT:
+        raise ToleranceError(f"n={n} exceeds the bridge search budget {BRIDGE_LIMIT}")
     reach = reach_masks(n, bag.masks())
     closure = [0] * (1 << n)  # subset -> subset plus all its bridge neighbours
     for mask in range(1, 1 << n):
@@ -160,12 +149,12 @@ def t_bridge(bag: Bag, limit: int = BRIDGE_LIMIT) -> ToleranceResult:
     return ToleranceResult(t, witness)
 
 
-def t_uniform(g: Graph, limit: int = DIRECT_LIMIT) -> ToleranceResult:
+def t_uniform(g: Graph) -> ToleranceResult:
     """Threshold for the uniform system of a graph, using square-graph
     adjacency as the bridging condition.  Equals t_direct on the induced
     bag."""
-    if g.n > limit:
-        raise ToleranceError(f"n={g.n} exceeds the exhaustive limit {limit}")
+    if g.n > DIRECT_LIMIT:
+        raise ToleranceError(f"n={g.n} exceeds the exhaustive limit {DIRECT_LIMIT}")
     g2 = graph_square(g)
     reach = [0] * g.n
     for p in range(1, g.n + 1):

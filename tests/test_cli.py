@@ -54,6 +54,27 @@ class TestTolerance:
         assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "spec, runs",
+    [
+        ({"n": 3, "bag": "x", "writer": 1}, 1),
+        ({"n": 3, "bag": [1, 2], "writer": 1}, 1),
+        ({**FIG1, "edges": [[1, "a"]]}, 1),
+        ({**FIG1, "n": 5.7}, 1),
+        ({"n": True, "bag": [[1]], "writer": 1}, 1),
+        (FIG1, -5),
+    ],
+    ids=["bag-string", "bag-of-ints", "edge-string", "n-fractional", "n-bool", "negative-runs"],
+)
+def test_bad_input_is_usage_error(tmp_path, capsys, spec, runs):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert main(["fuzz", "--spec", str(path), "--runs", str(runs)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 class TestSimulateCheckPipeline:
     def test_clean_run_checks_out(self, msg3_file, workload_file, tmp_path, capsys):
         trace = str(tmp_path / "trace.jsonl")
@@ -149,9 +170,19 @@ class TestViolate:
         out_path = str(tmp_path / "report.json")
         assert main(["violate", "--spec", fig1_file, "--t", "4", "--out", out_path]) == 0
         summary = json.loads(capsys.readouterr().out)
-        assert summary["violation_certified"] and summary["no_crashes"]
+        assert summary == {
+            "n": 5,
+            "t": 4,
+            "t_L": 3,
+            "writer": 1,
+            "reader": 4,
+            "witness": {"P": [1], "P_prime": [4], "Q": [2, 3, 5]},
+            "violation_certified": True,
+            "no_crashes": True,
+            "isolation_ok": True,
+        }
         report = json.loads(open(out_path).read())
-        assert report["witness"]["P"] == [1]
+        assert report["witness"]["P"] == [1] and report["t_L"] == 3
 
     def test_tolerated_t_is_input_error(self, fig1_file, capsys):
         assert main(["violate", "--spec", fig1_file, "--t", "3"]) == 2

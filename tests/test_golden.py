@@ -1,20 +1,37 @@
 """Golden digests: pinned outputs that any change to the scheduler, the
-fuzz driver or the threshold search must keep byte for byte.
+fuzz driver, the threshold search or the adversarial run must keep byte
+for byte.
 
 The acceptance gate's determinism criterion compares repeated runs in
 one process, so a change that alters every run alike would still pass
 it.  These values were computed before the witness search became
-linear and have not changed since; a deliberate change of output must
-update them and say so in CHANGES.md.
+linear and have not changed since; the e3 digests were computed while
+build_e3 still kept its own copy of the script.  A deliberate change of
+output must update them and say so in CHANGES.md.
 """
 
 import hashlib
 import json
 import random
+from dataclasses import replace
 
-from mmreg import Bag, Graph, Schedule, bag_of, induce_uniform, make_spec, normalize_bag, run_simulation, t_bridge
+from mmreg import (
+    Bag,
+    Graph,
+    Schedule,
+    WitnessPartition,
+    bag_of,
+    build_e3,
+    demo,
+    induce_uniform,
+    make_spec,
+    normalize_bag,
+    run_simulation,
+    t_bridge,
+)
 from mmreg.cli import fuzz
 from mmreg.sim import WorkloadOp, trace_lines
+from test_acceptance import random_bag
 
 
 def sha256(data: bytes) -> str:
@@ -68,6 +85,12 @@ BRIDGE_RESULTS = [
 ]
 
 
+# The e3 script and trace lines of the adversarial run: for the README
+# system at t=4, and for every (bag, t) case of acceptance criterion 6.
+E3_README_SHA256 = "4ffa6e5e55ee47c96dffa79b5faf3a6ed0d0b15b0d39ac34f07add8ad4b76faf"
+E3_CRITERION_6_SHA256 = "27aa8efa0db2c4bd43ebb9b1fc96f3bfa207e6484a996135364fbbd549814a46"
+
+
 def bridge_corpus():
     """20 bags at n = 8..14 in turn, each of n sets of 1 to 4 processes."""
     rng = random.Random(20190601)
@@ -97,3 +120,27 @@ def test_bridge_thresholds_and_witnesses():
         res = t_bridge(bag)
         got.append((bag.n, res.t, res.witness))
     assert got == BRIDGE_RESULTS
+
+
+def e3_lines(spec, t):
+    """The script and the trace lines of demo(spec, t)'s adversarial run,
+    rebuilt with the writer and the witness that the report names."""
+    report = demo(spec, t)
+    w = report["witness"]
+    witness = WitnessPartition(tuple(w["P"]), tuple(w["P_prime"]), tuple(w["Q"]))
+    run = build_e3(replace(spec, writer=report["writer"]), t, witness)
+    return [json.dumps(run.schedule.script)] + trace_lines(run.sim.trace)
+
+
+def test_e3_readme_system():
+    assert sha256("\n".join(e3_lines(readme_spec(), 4)).encode()) == E3_README_SHA256
+
+
+def test_e3_criterion_6_corpus():
+    rng = random.Random(4242)
+    lines = []
+    for bag in [random_bag(rng, max_n=7) for _ in range(50)]:
+        spec = make_spec(bag=bag, writer=1)
+        for t in range(t_bridge(bag).t + 1, bag.n):
+            lines += e3_lines(spec, t)
+    assert sha256("\n".join(lines).encode()) == E3_CRITERION_6_SHA256

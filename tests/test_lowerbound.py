@@ -88,7 +88,7 @@ class TestDemo:
         assert report["violation_certified"]
         assert report["no_crashes"]
         assert report["isolation_ok"]
-        assert report["t_L"] == 3
+        assert "t_L" not in report
         assert report["witness"] == {"P": [1], "P_prime": [4], "Q": [2, 3, 5]}
         assert not check_property1(report["history"]).ok
 
@@ -112,6 +112,17 @@ class TestDemo:
         report = demo(spec, 4)
         assert report["writer"] == 1
         assert report["violation_certified"]
+
+    def test_needs_no_threshold(self, fig1_spec, monkeypatch):
+        def refuse(bag):
+            raise AssertionError("the lower-bound layer computed the threshold")
+
+        monkeypatch.setattr("mmreg.tolerance.t_bridge", refuse)
+        monkeypatch.setattr("mmreg.lowerbound.t_bridge", refuse, raising=False)
+        assert find_witness(fig1_spec.bag, 4) == WitnessPartition((1,), (4,), (2, 3, 5))
+        with pytest.raises(LowerBoundError, match="tolerates"):
+            find_witness(fig1_spec.bag, 3)
+        assert demo(fig1_spec, 4)["violation_certified"]
 
     def test_every_t_above_threshold(self, singleton5_spec):
         for t in (3, 4):

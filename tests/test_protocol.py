@@ -13,7 +13,7 @@ def drain_scan(core, store):
     """Run all register steps of the active handler, return its emissions."""
     sends = []
     while core.scan is not None:
-        out, _ = core.reg_step(store)
+        out = core.reg_step(store)
         sends.extend(out)
     return sends
 
@@ -82,9 +82,9 @@ class TestWriteHandler:
         store = RegisterStore(msg3_spec, lambda kind, *a: steps.append(kind))
         core = ProcessCore(2, msg3_spec, quorum=2)
         core.deliver(Message(W, 1, 2, 1, TaggedValue(1, "a")))
-        out, _ = core.reg_step(store)
+        out = core.reg_step(store)
         assert steps == ["reg-read"] and out == []
-        out, _ = core.reg_step(store)
+        out = core.reg_step(store)
         assert steps == ["reg-read", "reg-write"]
         assert out[0].kind == ACK_W
 

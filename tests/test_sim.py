@@ -169,6 +169,18 @@ class TestTraceRoundTrip:
             assert (h["invoke"], h["response"]) == (r.invoke_step, r.response_step)
             assert h["value"] == (list(r.result) if r.result is not None else None)
 
+    @pytest.mark.parametrize(
+        "ev",
+        [("invoke", 0), ("hstep", 9), ("invoke", 5), ("deliver", "9.9")],
+        ids=["invoke-before-at-step", "hstep-unknown-process", "invoke-unknown-op", "deliver-unknown-message"],
+    )
+    def test_apply_rejects_what_enabled_does_not_list(self, msg3_spec, ev):
+        sim = Simulator(msg3_spec, 1, [WorkloadOp("write", 1, "a", 100)])
+        assert sim.enabled() == []
+        with pytest.raises(ScriptError, match="not enabled"):
+            sim.apply(ev)
+        assert sim.trace == []
+
     def test_bogus_script_event_rejected(self, msg3_spec):
         sim = Simulator(msg3_spec, 1, write_then_read())
         with pytest.raises(ScriptError):

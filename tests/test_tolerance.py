@@ -10,7 +10,6 @@ from mmreg import (
     LowerBoundError,
     ToleranceError,
     bag_of,
-    bridge_graph,
     find_witness,
     induce_uniform,
     lower_bound_floor,
@@ -121,16 +120,6 @@ class TestBridge:
     def test_fig1(self, fig1_spec):
         res = t_bridge(fig1_spec.bag)
         assert res.t == 3
-
-    def test_bridge_graph_fig1_non_edges(self, fig1_spec):
-        h = bridge_graph(fig1_spec.bag)
-        non_edges = {
-            (u, v)
-            for u in range(1, 6)
-            for v in range(u + 1, 6)
-            if (u, v) not in h.edges
-        }
-        assert non_edges == {(1, 4), (1, 5)}
 
     def test_refuses_above_budget(self):
         bag = normalize_bag(Bag(21, ()))
