@@ -76,7 +76,6 @@ class PendingOp:
     """The one in-flight local operation of a process."""
 
     op_id: int
-    kind: str  # write | read
     phase: str  # write-quorum | read-quorum | write-back
     sn: int  # sequence number the awaited acks must echo
     value: TaggedValue | None
@@ -125,14 +124,14 @@ class ProcessCore:
             raise ProtocolError(f"p{self.pid}: operation invoked while another is pending")
         self.sn_w += 1
         value = TaggedValue(self.sn_w, payload)
-        self.pending = PendingOp(op_id, "write", "write-quorum", value.sn, value)
+        self.pending = PendingOp(op_id, "write-quorum", value.sn, value)
         return self._fan_out(W, value.sn, value)
 
     def invoke_read(self, op_id: int):
         if self.pending is not None:
             raise ProtocolError(f"p{self.pid}: operation invoked while another is pending")
         self.sn_r += 1
-        self.pending = PendingOp(op_id, "read", "read-quorum", self.sn_r, None)
+        self.pending = PendingOp(op_id, "read-quorum", self.sn_r, None)
         return self._fan_out(R, self.sn_r)
 
     def deliver(self, msg: Message):

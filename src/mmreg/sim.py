@@ -16,21 +16,11 @@ from __future__ import annotations
 import json
 import random
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .model import SystemSpec, access_maps
-from .protocol import (
-    ACK_R,
-    ACK_W,
-    INITIAL_VALUE,
-    Message,
-    ProcessCore,
-    R,
-    TaggedValue,
-    W,
-    ack_quorum,
-)
+from .protocol import INITIAL_VALUE, Message, ProcessCore, TaggedValue, ack_quorum
 
 # A run that takes more steps than this raises SimError.
 MAX_STEPS = 500_000
@@ -63,7 +53,8 @@ class Schedule:
     policy: "fair" (seeded uniform choice with aging so every pending
     message is eventually delivered), "fifo" (deterministic, delivery in
     send order), or "scripted" (replay an explicit event list).
-    crash_plan entries are (process, step).
+    crash_plan entries are (process, step): `Simulator.run` crashes each
+    named process once the step counter reaches its step.
     """
 
     policy: str = "fair"
@@ -123,11 +114,10 @@ class Simulator:
     ("invoke", op_index), ("hstep", pid), ("deliver", msg_id).
     """
 
-    def __init__(self, spec: SystemSpec, t: int, workload, crash_plan=()):
+    def __init__(self, spec: SystemSpec, t: int, workload):
         n = spec.n
+        quorum = ack_quorum(n, t)
         self.spec = spec
-        self.t = t
-        self.quorum = ack_quorum(n, t)
         self.workload = list(workload)
         for op in self.workload:
             if not 1 <= op.proc <= n:
@@ -136,18 +126,10 @@ class Simulator:
                 raise SimError(f"write assigned to p{op.proc}, but the writer is p{spec.writer}")
             if op.kind not in ("write", "read"):
                 raise SimError(f"unknown op kind {op.kind!r}")
-        self.crash_plan = sorted(crash_plan, key=lambda cs: (cs[1], cs[0]))
-        for p, step in self.crash_plan:
-            if not 1 <= p <= n:
-                raise SimError(f"crash of p{p} outside 1..{n}")
-            if step < 0:
-                raise SimError(f"crash of p{p} at negative step {step}")
-        if len({p for p, _ in self.crash_plan}) != len(self.crash_plan):
-            raise SimError("crash plan names a process twice")
 
         self.step = 0
         self.trace: list[dict] = []
-        self.procs = {p: ProcessCore(p, spec, self.quorum) for p in range(1, n + 1)}
+        self.procs = {p: ProcessCore(p, spec, quorum) for p in range(1, n + 1)}
         self.store = RegisterStore(spec, self._record)
         self.network: dict[str, Message] = {}  # insertion order = send order
         self._send_seq = {p: 0 for p in range(1, n + 1)}
@@ -157,7 +139,6 @@ class Simulator:
         for i, op in enumerate(self.workload):
             self._queue[op.proc].append(i)
         self.crashed: set[int] = set()
-        self._crash_cursor = 0
 
     # -- trace -------------------------------------------------------------
 
@@ -179,19 +160,9 @@ class Simulator:
         """Enabled events in a fixed deterministic order: workload
         invocations, then handler steps by process, then deliveries in
         send order."""
-        evs: list[tuple] = []
-        invokes = []
-        for p in range(1, self.spec.n + 1):
-            q = self._queue[p]
-            if (
-                q
-                and p not in self.crashed
-                and self.procs[p].idle
-                and self.step >= self.workload[q[0]].at_step
-            ):
-                invokes.append(("invoke", q[0]))
-        invokes.sort(key=lambda e: e[1])
-        evs.extend(invokes)
+        evs: list[tuple] = [
+            ("invoke", i) for i in sorted(self._ready_ops()) if self.workload[i].at_step <= self.step
+        ]
         for p in range(1, self.spec.n + 1):
             if p not in self.crashed and self.procs[p].scan is not None:
                 evs.append(("hstep", p))
@@ -218,18 +189,15 @@ class Simulator:
             core = self.procs[op.proc]
             payload = {"op": idx, "kind": op.kind}
             if op.kind == "write":
+                sends = core.invoke_write(idx, op.payload)
                 # The written tuple is fixed at invocation; record it now so
                 # a crash-interrupted write still explains the value readers
                 # may have observed.
-                value = TaggedValue(core.sn_w + 1, op.payload)
-                rec.result = value
-                payload["value"] = list(value)
+                rec.result = core.pending.value
+                payload["value"] = list(rec.result)
+            else:
+                sends = core.invoke_read(idx)
             self._record("invoke", op.proc, payload)
-            sends = (
-                core.invoke_write(idx, op.payload)
-                if op.kind == "write"
-                else core.invoke_read(idx)
-            )
             self._route(sends)
         elif kind == "hstep":
             self._route(self.procs[ev[1]].reg_step(self.store))
@@ -247,34 +215,15 @@ class Simulator:
                 rec.result = value
                 self._record("respond", msg.dest, {"op": op_id, "value": list(value)})
 
-    def _crash(self, p: int) -> None:
-        if p in self.crashed:
-            return
-        self.crashed.add(p)
-        self.procs[p].scan = None
-        self._record("crash", p, {})
-
-    def _due_crashes(self) -> None:
-        while (
-            self._crash_cursor < len(self.crash_plan)
-            and self.crash_plan[self._crash_cursor][1] <= self.step
-        ):
-            p, _ = self.crash_plan[self._crash_cursor]
-            self._crash_cursor += 1
-            self._crash(p)
+    def _ready_ops(self) -> list[int]:
+        """The next op index of each live idle process that has one."""
+        return [q[0] for p, q in self._queue.items() if q and p not in self.crashed and self.procs[p].idle]
 
     def _future_invoke(self):
         """Smallest at_step of an invocation that mere passage of logical
         time would enable, or None."""
-        future = [
-            self.workload[q[0]].at_step
-            for p, q in self._queue.items()
-            if q
-            and p not in self.crashed
-            and self.procs[p].idle
-            and self.workload[q[0]].at_step > self.step
-        ]
-        return min(future) if future else None
+        future = [self.workload[i].at_step for i in self._ready_ops()]
+        return min((s for s in future if s > self.step), default=None)
 
     def is_quiescent(self) -> bool:
         return not self.enabled() and self._future_invoke() is None
@@ -282,9 +231,26 @@ class Simulator:
     # -- driving -----------------------------------------------------------
 
     def run(self, schedule: Schedule) -> "Simulator":
+        """Drive the run under the schedule's policy, crashing each
+        process of its crash plan once the step counter reaches the
+        planned step."""
+        n = self.spec.n
+        for p, step in schedule.crash_plan:
+            if not 1 <= p <= n:
+                raise SimError(f"crash of p{p} outside 1..{n}")
+            if step < 0:
+                raise SimError(f"crash of p{p} at negative step {step}")
+            if p in self.crashed:  # a second run on the same simulator
+                raise SimError(f"crash of p{p}, which has already crashed")
+        if len({p for p, _ in schedule.crash_plan}) != len(schedule.crash_plan):
+            raise SimError("crash plan names a process twice")
+        crashes = deque(sorted(schedule.crash_plan, key=lambda cs: (cs[1], cs[0])))
         chooser = _make_chooser(self, schedule)
         while True:
-            self._due_crashes()
+            while crashes and crashes[0][1] <= self.step:
+                p, _ = crashes.popleft()
+                self.crashed.add(p)
+                self._record("crash", p, {})
             evs = self.enabled()
             if not evs:
                 nxt = self._future_invoke()
@@ -333,8 +299,7 @@ def _make_chooser(sim: Simulator, schedule: Schedule):
 
 
 def run_simulation(spec: SystemSpec, t: int, workload, schedule: Schedule) -> Simulator:
-    sim = Simulator(spec, t, workload, crash_plan=schedule.crash_plan)
-    return sim.run(schedule)
+    return Simulator(spec, t, workload).run(schedule)
 
 
 # -- trace serialization ---------------------------------------------------

@@ -149,6 +149,12 @@ def t_bridge(bag: Bag) -> ToleranceResult:
     return ToleranceResult(t, witness)
 
 
+def t_bridge_or_none(bag: Bag) -> int | None:
+    """t_bridge's threshold, or None where n exceeds the bridge search
+    budget, for callers that report the threshold but do not need it."""
+    return t_bridge(bag).t if bag.n <= BRIDGE_LIMIT else None
+
+
 def t_uniform(g: Graph) -> ToleranceResult:
     """Threshold for the uniform system of a graph, using square-graph
     adjacency as the bridging condition.  Equals t_direct on the induced

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -181,8 +182,16 @@ class TestViolate:
             "no_crashes": True,
             "isolation_ok": True,
         }
-        report = json.loads(open(out_path).read())
+        report = json.loads(Path(out_path).read_text())
         assert report["witness"]["P"] == [1] and report["t_L"] == 3
+
+    def test_beyond_bridge_limit_reports_null_threshold(self, tmp_path, capsys):
+        # n = 21 is past the bridge search, but the run needs only a witness.
+        path = tmp_path / "n21.json"
+        path.write_text(json.dumps({"n": 21, "bag": [], "writer": 1}))
+        assert main(["violate", "--spec", str(path), "--t", "15"]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["violation_certified"] is True and summary["t_L"] is None
 
     def test_tolerated_t_is_input_error(self, fig1_file, capsys):
         assert main(["violate", "--spec", fig1_file, "--t", "3"]) == 2

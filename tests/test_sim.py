@@ -106,9 +106,23 @@ class TestCrashes:
         sim = run_simulation(fig1_spec, 3, wl, Schedule("fair", seed=1, crash_plan=((1, 1000),)))
         assert sim.ops[1].result is not None
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_run_fires_the_schedule_crash_plan(self, fig1_spec, seed):
+        schedule = Schedule("fair", seed=seed, crash_plan=((2, 0),))
+        wl = write_then_read(4)
+        sim = Simulator(fig1_spec, 3, wl).run(schedule)
+        assert sim.crashed == {2}
+        assert trace_lines(sim.trace) == trace_lines(run_simulation(fig1_spec, 3, wl, schedule).trace)
+
     def test_duplicate_crash_entry_rejected(self, msg3_spec):
         with pytest.raises(SimError, match="twice"):
-            Simulator(msg3_spec, 1, [], crash_plan=((1, 0), (1, 5)))
+            run_simulation(msg3_spec, 1, [], Schedule(crash_plan=((1, 0), (1, 5))))
+
+    def test_second_run_cannot_crash_a_process_again(self, fig1_spec):
+        schedule = Schedule("fair", seed=1, crash_plan=((2, 0),))
+        sim = Simulator(fig1_spec, 3, write_then_read(4)).run(schedule)
+        with pytest.raises(SimError, match="already crashed"):
+            sim.run(schedule)
 
 
 class TestAccessControl:

@@ -19,7 +19,7 @@ from mmreg import (
     t_uniform,
     verify_witness,
 )
-from mmreg.tolerance import reach_masks, smallest_failing_pair
+from mmreg.tolerance import BRIDGE_LIMIT, reach_masks, smallest_failing_pair, t_bridge_or_none
 
 
 def naive_t(bag: Bag) -> int:
@@ -125,6 +125,10 @@ class TestBridge:
         bag = normalize_bag(Bag(21, ()))
         with pytest.raises(ToleranceError, match="budget"):
             t_bridge(bag)
+
+    def test_or_none_is_none_exactly_above_budget(self, fig1_spec):
+        assert t_bridge_or_none(fig1_spec.bag) == t_bridge(fig1_spec.bag).t == 3
+        assert t_bridge_or_none(normalize_bag(Bag(BRIDGE_LIMIT + 1, ()))) is None
 
     @settings(max_examples=60, deadline=None)
     @given(covered_bags())
