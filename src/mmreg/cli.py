@@ -87,7 +87,7 @@ def fuzz(spec, runs: int, base_seed: int, crashes: int | None = None, t: int | N
     tolerated budget unless overridden."""
     if runs < 0:
         raise SimError(f"runs must be >= 0, got {runs}")
-    t_l = t_bridge(spec.bag).t
+    t_l = t_bridge(spec.bag).t if t is None or crashes is None else None
     threshold = t_l if t is None else t
     issues = []
     starved = 0

@@ -318,12 +318,17 @@ def emit_trace(trace, path) -> None:
 
 
 def load_trace(path) -> list[dict]:
+    """The events of a JSONL trace file.  Raises SimError on a line that
+    is not a JSON object."""
     out = []
     with open(Path(path), encoding="utf-8") as f:
-        for line in f:
+        for lineno, line in enumerate(f, 1):
             line = line.strip()
             if line:
-                out.append(json.loads(line))
+                ev = json.loads(line)
+                if not isinstance(ev, dict):
+                    raise SimError(f"trace line {lineno} is not a JSON object")
+                out.append(ev)
     return out
 
 
@@ -332,22 +337,30 @@ def history_from_trace(trace) -> list[dict]:
     events: op, kind, proc, invoke and response steps, and value (a
     write's value is fixed at invocation, a read's at its response).
     This is the one way a history is built, so the checker sees a run
-    and its emitted trace alike."""
+    and its emitted trace alike.  Raises SimError on an invoke or respond
+    event with a non-integer step, and on a respond with no invoke."""
     records: dict[int, dict] = {}
     for ev in trace:
-        if ev["kind"] == "invoke":
-            records[ev["payload"]["op"]] = {
-                "op": ev["payload"]["op"],
+        kind = ev["kind"]
+        if kind not in ("invoke", "respond"):
+            continue
+        op, step = ev["payload"]["op"], ev["step"]
+        if type(step) is not int:
+            raise SimError(f"{kind} event of op {op} has step {step!r}, not an integer")
+        if kind == "invoke":
+            records[op] = {
+                "op": op,
                 "kind": ev["payload"]["kind"],
                 "proc": ev["actor"],
-                "invoke": ev["step"],
+                "invoke": step,
                 "response": None,
                 "value": ev["payload"].get("value"),
             }
-        elif ev["kind"] == "respond":
-            rec = records[ev["payload"]["op"]]
-            rec["response"] = ev["step"]
-            rec["value"] = ev["payload"]["value"]
+        elif op not in records:
+            raise SimError(f"op {op} responds but was never invoked")
+        else:
+            records[op]["response"] = step
+            records[op]["value"] = ev["payload"]["value"]
     return [records[k] for k in sorted(records)]
 
 

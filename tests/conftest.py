@@ -1,6 +1,11 @@
 import pytest
+from hypothesis import settings
 
 from mmreg import Graph, bag_of, make_spec
+
+# The same examples on every machine and run, whatever .hypothesis/ holds.
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture

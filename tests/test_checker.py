@@ -1,5 +1,12 @@
-import pytest
+import copy
+import random
+import re
+from bisect import bisect_right
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import checker_oracle as oracle
 import fixtures as fx
 from mmreg import (
     Schedule,
@@ -59,6 +66,25 @@ class TestProperty1:
     def test_response_before_invoke_rejected(self):
         with pytest.raises(HistoryError):
             check_property1([{"op": 0, "kind": "read", "proc": 1, "invoke": 9, "response": 5, "value": [0, None]}])
+
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"invoke": "a"}, "invoke step 'a'"),
+            ({"response": 7.5}, "response step 7.5"),
+            ({"invoke": True}, "invoke step True"),
+            ({"value": 5}, "value 5"),
+            ({"value": []}, "value []"),
+            ({"value": ["1", "a"]}, "value ['1', 'a']"),
+            ({"value": None}, "completed read 0 has no value"),
+        ],
+    )
+    def test_malformed_fields_rejected(self, fields, message):
+        history = [{"op": 0, "kind": "read", "proc": 1, "invoke": 1, "response": 5, "value": [0, None], **fields}]
+        for check in (check_property1, check_property2, lambda h: check_completion(h, set())):
+            with pytest.raises(HistoryError, match=re.escape(message)):
+                check(history)
 
 
 class TestProperty2:
@@ -151,3 +177,104 @@ class TestCheckAll:
     def test_empty_selection_rejected(self):
         with pytest.raises(HistoryError, match="1,2,mono,live"):
             check_all([], history=[], props=())
+
+
+def _outcome(check, history):
+    """A check's Verdict, or the message of the HistoryError it raised."""
+    try:
+        return check(copy.deepcopy(history))
+    except HistoryError as e:
+        return f"HistoryError: {e}"
+
+
+@st.composite
+def small_histories(draw):
+    """0-12 ops, some pending, with writes numbered 1, 2, ... and reads
+    returning sn 0 to one past the last write.  In half the histories
+    each write is invoked no earlier than the one before it responds.
+    Three histories in seven then get one fault: a write's sn replaced
+    (a duplicate or 0), a completed read with no value, or a response
+    at or before its invocation."""
+    kinds = draw(st.lists(st.sampled_from(["write", "read"]), max_size=12))
+    n_writes = kinds.count("write")
+    sequential = draw(st.booleans())
+    history, clock, written = [], 0, 0
+    for op, kind in enumerate(kinds):
+        invoke = clock + draw(st.integers(0, 5)) if kind == "write" and sequential else draw(st.integers(0, 30))
+        response = None if draw(st.integers(0, 4)) == 0 else invoke + draw(st.integers(1, 15))
+        if kind == "write":
+            clock = invoke if response is None else response
+            written += 1
+            sn = written
+        else:
+            sn = draw(st.integers(0, n_writes + 1))
+        history.append({"op": op, "kind": kind, "proc": 1 if kind == "write" else 2, "invoke": invoke, "response": response, "value": [sn, f"v{sn}"]})
+    fault = draw(st.sampled_from([None, None, None, None, "sn", "no-value", "not-after"]))
+    if fault and history:
+        h = history[draw(st.integers(0, len(history) - 1))]
+        if fault == "sn":
+            sn = draw(st.integers(0, n_writes))
+            h["value"] = [sn, f"v{sn}"]
+        elif fault == "no-value":
+            h["value"] = None
+        else:
+            h["response"] = h["invoke"] - draw(st.integers(0, 2))
+    return history
+
+
+class TestAgainstOracle:
+    """The sorted-order checks return exactly the pairwise definitions'
+    verdicts: the same violations, in the same order, and the same
+    HistoryError messages."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(small_histories())
+    def test_small_histories(self, history):
+        assert _outcome(check_property1, history) == _outcome(oracle.check_property1, history)
+        assert _outcome(check_property2, history) == _outcome(oracle.check_property2, history)
+
+    def test_long_history_with_injected_violations(self):
+        history = _linearizable_history(random.Random(2024), 2000)
+        assert check_property1(history).ok and check_property2(history).ok
+
+        reads = [h for h in history if h["kind"] == "read"]
+        writes = {h["value"][0]: h for h in history if h["kind"] == "write"}
+        # Stale read: two later writes both complete before the read starts.
+        stale = next(r for r in reads if r["value"][0] >= 3 and writes[r["value"][0]]["response"] < r["invoke"])
+        stale["value"] = [stale["value"][0] - 2, "stale"]
+        # Read inversion: two reads inside one write, the earlier one
+        # returning its value and the later one the value before it.
+        w = next(w for w in writes.values() if w["value"][0] >= 2 and w["response"] - w["invoke"] >= 4)
+        sn = w["value"][0]
+        history.append({"op": len(history), "kind": "read", "proc": 3, "invoke": w["invoke"], "response": w["invoke"] + 1, "value": [sn, "new"]})
+        history.append({"op": len(history), "kind": "read", "proc": 4, "invoke": w["invoke"] + 2, "response": w["response"], "value": [sn - 1, "old"]})
+
+        p1, p2 = check_property1(history), check_property2(history)
+        assert p1 == oracle.check_property1(history)
+        assert p2 == oracle.check_property2(history)
+        assert stale["op"] in p1.violations[0].ops
+        assert (len(history) - 2, len(history) - 1) in [v.ops for v in p2.violations]
+
+
+def _linearizable_history(rng, n_ops):
+    """A single-writer history of n_ops operations, 30 % writes, that is
+    atomic by construction: every op takes effect at a point inside its
+    interval, a write at its invocation, and a read returns the last
+    write whose point is not after its own."""
+    n_writes = n_ops * 3 // 10
+    history, write_invokes, clock = [], [], 0
+    for sn in range(1, n_writes + 1):
+        invoke = clock + rng.randint(1, 5)
+        clock = invoke + rng.randint(1, 10)
+        write_invokes.append(invoke)
+        history.append({"op": 0, "kind": "write", "proc": 1, "invoke": invoke, "response": clock, "value": [sn, f"w{sn}"]})
+    for _ in range(n_ops - n_writes):
+        invoke = rng.randint(0, clock)
+        response = invoke + rng.randint(1, 30)
+        point = rng.randint(invoke, response)
+        sn = bisect_right(write_invokes, point)
+        history.append({"op": 0, "kind": "read", "proc": rng.randint(2, 6), "invoke": invoke, "response": response, "value": [sn, f"w{sn}" if sn else None]})
+    history.sort(key=lambda h: h["invoke"])
+    for i, h in enumerate(history):
+        h["op"] = i
+    return history

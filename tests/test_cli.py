@@ -10,6 +10,9 @@ from mmreg.cli import fuzz, main
 FIG1 = {"n": 5, "edges": [[1, 2], [2, 3], [3, 4], [3, 5]], "writer": 1}
 SINGLETONS = {"n": 3, "bag": [[1], [2], [3]], "writer": 1}
 
+READ_INVOKE = {"step": 0, "kind": "invoke", "actor": 2, "payload": {"op": 0, "kind": "read"}}
+READ_RESPOND = {"step": 4, "kind": "respond", "actor": 2, "payload": {"op": 0, "value": [0, None]}}
+
 
 @pytest.fixture
 def fig1_file(tmp_path):
@@ -147,6 +150,25 @@ class TestSimulateCheckPipeline:
         out = json.loads(capsys.readouterr().out)
         assert not out["ok"] and out["violations"]
 
+    @pytest.mark.parametrize(
+        "lines, message",
+        [
+            ([json.dumps(READ_INVOKE), "[1, 2]"], "trace line 2 is not a JSON object"),
+            (["5"], "trace line 1 is not a JSON object"),
+            ([json.dumps(READ_INVOKE), json.dumps({**READ_RESPOND, "payload": {"op": 0, "value": 5}})], "op 0 has value 5"),
+            ([json.dumps({**READ_INVOKE, "step": "a"}), json.dumps(READ_RESPOND)], "has step 'a'"),
+            ([json.dumps(READ_RESPOND)], "op 0 responds but was never invoked"),
+        ],
+        ids=["list-line", "scalar-line", "value-int", "step-string", "respond-without-invoke"],
+    )
+    def test_malformed_trace_is_usage_error(self, tmp_path, capsys, lines, message):
+        trace = tmp_path / "bad.jsonl"
+        trace.write_text("\n".join(lines) + "\n")
+        assert main(["check", "--trace", str(trace)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("properties", ["foo", "1,2,monotonic", ""])
     def test_unknown_properties_are_usage_error(self, msg3_file, workload_file, tmp_path, capsys, properties):
         trace = str(tmp_path / "trace.jsonl")
@@ -221,6 +243,12 @@ class TestFuzz:
         assert len(calls) == (20 if checked else 0)
         assert summary["starved"] == 0
         assert not any(v["prop"] == "LIVE" for issue in summary["violations"] for v in issue["violations"])
+
+    def test_given_threshold_and_crashes_past_the_bridge_budget(self, tmp_path, capsys):
+        path = tmp_path / "n21.json"
+        path.write_text(json.dumps({"n": 21, "bag": [], "writer": 1}))
+        assert main(["fuzz", "--spec", str(path), "--runs", "1", "--threshold", "10", "--crashes", "2"]) == 0
+        assert json.loads(capsys.readouterr().out)["threshold"] == 10
 
     def test_report_file(self, msg3_file, tmp_path, capsys):
         out_path = tmp_path / "fuzz.json"
