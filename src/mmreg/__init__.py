@@ -26,17 +26,8 @@ from .tolerance import (
     t_uniform,
     verify_witness,
 )
-from .sim import (
-    Schedule,
-    SimError,
-    Simulator,
-    WorkloadOp,
-    emit_trace,
-    history_from_trace,
-    load_trace,
-    run_simulation,
-    schedule_from_trace,
-)
+from .sim import Schedule, SimError, Simulator, WorkloadOp, run_simulation
+from .trace import emit_trace, history_from_trace, load_trace, schedule_from_trace
 from .checker import (
     Verdict,
     Violation,

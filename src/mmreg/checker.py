@@ -25,6 +25,8 @@ from dataclasses import dataclass
 from itertools import accumulate
 from math import inf
 
+from .trace import crashed_from_trace, history_from_trace, register_writes
+
 
 class HistoryError(ValueError):
     """Malformed history input."""
@@ -195,19 +197,14 @@ def check_monotonicity(trace) -> Verdict:
     """Per register, successive written sequence numbers never decrease."""
     last: dict[tuple, int] = {}
     violations = []
-    for ev in trace:
-        if ev["kind"] != "reg-write":
-            continue
-        reg = tuple(ev["payload"]["register"])
-        sn = ev["payload"]["value"][0]
+    for step, _, reg, sn in register_writes(trace):
         prev = last.get(reg)
         if prev is not None and sn < prev:
             violations.append(
                 Violation(
                     "MONO",
                     (),
-                    f"register R_{reg[0]}[p{reg[1]}] went from sn={prev} to sn={sn} "
-                    f"at step {ev['step']}",
+                    f"register R_{reg[0]}[p{reg[1]}] went from sn={prev} to sn={sn} at step {step}",
                 )
             )
         last[reg] = sn
@@ -240,8 +237,6 @@ def check_all(trace, history=None, crashed=None, t: int | None = None, props=PRO
     """The selected properties over one run: "1" and "2" are Property 1
     and Property 2, "mono" register monotonicity, and "live" completion,
     with the crashed processes read from the trace unless supplied."""
-    from .sim import crashed_from_trace, history_from_trace
-
     if not props or not set(props) <= set(PROPERTIES):
         raise HistoryError(f"properties {','.join(props)!r} not a selection from {','.join(PROPERTIES)}")
     if history is None:

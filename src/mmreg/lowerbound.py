@@ -24,8 +24,9 @@ from dataclasses import dataclass, replace
 
 from .checker import check_property1
 from .model import Bag, SystemSpec
-from .sim import Schedule, Simulator, WorkloadOp, history_from_trace, schedule_from_trace
+from .sim import Schedule, Simulator, WorkloadOp
 from .tolerance import reach_masks, require_covered, smallest_failing_pair, verify_witness
+from .trace import crashed_from_trace, history_from_trace, register_writes, schedule_from_trace
 
 PAYLOAD = "v-new"  # the value the adversarial write stores
 
@@ -140,12 +141,11 @@ def isolation_holds(run: E3Run, witness: WitnessPartition) -> bool:
     readable_by_pp = set()
     for p in witness.p_prime:
         readable_by_pp.update(run.sim.spec.readable_registers(p))
-    for ev in run.sim.trace:
-        if ev["step"] >= run.phase2_end:
+    for step, actor, reg, _ in register_writes(run.sim.trace):
+        if step >= run.phase2_end:
             break
-        if ev["kind"] == "reg-write" and ev["actor"] in p_set:
-            if tuple(ev["payload"]["register"]) in readable_by_pp:
-                return False
+        if actor in p_set and reg in readable_by_pp:
+            return False
     return True
 
 
@@ -174,7 +174,7 @@ def demo(spec: SystemSpec, t: int) -> dict:
         and read_rec.result is not None
         and read_rec.result.sn == 0
     )
-    no_crashes = not any(ev["kind"] == "crash" for ev in run.sim.trace)
+    no_crashes = not crashed_from_trace(run.sim.trace)
 
     return {
         "n": spec.n,

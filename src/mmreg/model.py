@@ -145,7 +145,6 @@ class SystemSpec:
 
     bag: Bag
     writer: int
-    graph: Graph | None = None
 
     def __post_init__(self):
         if not (1 <= self.writer <= self.bag.n):
@@ -188,7 +187,7 @@ def make_spec(bag: Bag | None = None, graph: Graph | None = None, writer: int = 
         raise ModelError("exactly one of bag/graph must be given")
     if graph is not None:
         bag = induce_uniform(graph)
-    return SystemSpec(normalize_bag(bag), writer, graph)
+    return SystemSpec(normalize_bag(bag), writer)
 
 
 def access_maps(spec: SystemSpec):
@@ -221,30 +220,14 @@ def spec_from_dict(d: dict) -> SystemSpec:
     if "bag" in d:
         return make_spec(bag=bag_of(n, *_int_lists(d, "bag")), writer=writer)
     if "edges" in d:
-        return make_spec(graph=Graph.from_edges(n, _int_lists(d, "edges")), writer=writer)
+        edges = _int_lists(d, "edges")
+        if any(len(e) != 2 for e in edges):
+            raise ModelError('spec field "edges" must be a list of [u, v] pairs of integers')
+        return make_spec(graph=Graph.from_edges(n, edges), writer=writer)
     raise ModelError('spec file needs a "bag" or "edges" field')
-
-
-def spec_to_dict(spec: SystemSpec) -> dict:
-    if spec.graph is not None:
-        return {
-            "n": spec.n,
-            "edges": [list(e) for e in sorted(spec.graph.edges)],
-            "writer": spec.writer,
-        }
-    return {
-        "n": spec.n,
-        "bag": [sorted(s) for s in spec.bag.sets],
-        "writer": spec.writer,
-    }
 
 
 def load_spec(path) -> SystemSpec:
     with open(Path(path), encoding="utf-8") as f:
         return spec_from_dict(json.load(f))
 
-
-def dump_spec(spec: SystemSpec, path) -> None:
-    with open(Path(path), "w", encoding="utf-8") as f:
-        json.dump(spec_to_dict(spec), f)
-        f.write("\n")

@@ -13,14 +13,16 @@ and writable by the survivors.
 
 from __future__ import annotations
 
-import json
 import random
 from collections import deque
 from dataclasses import dataclass
-from pathlib import Path
 
 from .model import SystemSpec, access_maps
 from .protocol import INITIAL_VALUE, Message, ProcessCore, TaggedValue, ack_quorum
+
+# Bound here only for callers that reach them on this module by name:
+# bench/ calls and wraps them, and tests/test_golden.py imports trace_lines.
+from .trace import emit_trace, history_from_trace, trace_lines  # noqa: F401
 
 # A run that takes more steps than this raises SimError.
 MAX_STEPS = 500_000
@@ -258,10 +260,7 @@ class Simulator:
                     break
                 self.step = nxt  # idle tick until the next timed invocation
                 continue
-            ev = chooser(evs)
-            if ev not in evs:
-                raise ScriptError(f"event {ev!r} not enabled at step {self.step}")
-            self._fire(ev)
+            self._fire(chooser(evs))
             if self.step > MAX_STEPS:
                 raise SimError(f"step budget {MAX_STEPS} exceeded")
         return self
@@ -290,9 +289,12 @@ def _make_chooser(sim: Simulator, schedule: Schedule):
 
         def scripted(evs):
             try:
-                return tuple(next(it))
+                ev = tuple(next(it))
             except StopIteration:
                 raise ScriptError("script ended with events still enabled") from None
+            if ev not in evs:
+                raise ScriptError(f"event {ev!r} not enabled at step {sim.step}")
+            return ev
 
         return scripted
     raise SimError(f"unknown policy {schedule.policy!r}")
@@ -301,82 +303,3 @@ def _make_chooser(sim: Simulator, schedule: Schedule):
 def run_simulation(spec: SystemSpec, t: int, workload, schedule: Schedule) -> Simulator:
     return Simulator(spec, t, workload).run(schedule)
 
-
-# -- trace serialization ---------------------------------------------------
-
-
-def trace_lines(trace) -> list[str]:
-    return [json.dumps(ev, separators=(",", ":")) for ev in trace]
-
-
-def emit_trace(trace, path) -> None:
-    """Newline-delimited JSON, one event per line, stable field order."""
-    with open(Path(path), "w", encoding="utf-8") as f:
-        for line in trace_lines(trace):
-            f.write(line)
-            f.write("\n")
-
-
-def load_trace(path) -> list[dict]:
-    """The events of a JSONL trace file.  Raises SimError on a line that
-    is not a JSON object."""
-    out = []
-    with open(Path(path), encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.strip()
-            if line:
-                ev = json.loads(line)
-                if not isinstance(ev, dict):
-                    raise SimError(f"trace line {lineno} is not a JSON object")
-                out.append(ev)
-    return out
-
-
-def history_from_trace(trace) -> list[dict]:
-    """The run's operation records, rebuilt from its invoke and respond
-    events: op, kind, proc, invoke and response steps, and value (a
-    write's value is fixed at invocation, a read's at its response).
-    This is the one way a history is built, so the checker sees a run
-    and its emitted trace alike.  Raises SimError on an invoke or respond
-    event with a non-integer step, and on a respond with no invoke."""
-    records: dict[int, dict] = {}
-    for ev in trace:
-        kind = ev["kind"]
-        if kind not in ("invoke", "respond"):
-            continue
-        op, step = ev["payload"]["op"], ev["step"]
-        if type(step) is not int:
-            raise SimError(f"{kind} event of op {op} has step {step!r}, not an integer")
-        if kind == "invoke":
-            records[op] = {
-                "op": op,
-                "kind": ev["payload"]["kind"],
-                "proc": ev["actor"],
-                "invoke": step,
-                "response": None,
-                "value": ev["payload"].get("value"),
-            }
-        elif op not in records:
-            raise SimError(f"op {op} responds but was never invoked")
-        else:
-            records[op]["response"] = step
-            records[op]["value"] = ev["payload"]["value"]
-    return [records[k] for k in sorted(records)]
-
-
-def crashed_from_trace(trace) -> set[int]:
-    return {ev["actor"] for ev in trace if ev["kind"] == "crash"}
-
-
-def schedule_from_trace(trace) -> tuple:
-    """The replayable choice sequence of a completed trace."""
-    script = []
-    for ev in trace:
-        kind = ev["kind"]
-        if kind == "invoke":
-            script.append(("invoke", ev["payload"]["op"]))
-        elif kind == "deliver":
-            script.append(("deliver", ev["payload"]["id"]))
-        elif kind in ("reg-read", "reg-write"):
-            script.append(("hstep", ev["actor"]))
-    return tuple(script)

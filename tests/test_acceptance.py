@@ -30,7 +30,8 @@ from mmreg import (
     t_uniform,
 )
 from mmreg.cli import fuzz
-from mmreg.sim import WorkloadOp, trace_lines
+from mmreg.sim import WorkloadOp
+from mmreg.trace import trace_lines
 
 
 def report(num, label, ok):

@@ -1,10 +1,17 @@
+import copy
+import io
 import json
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from mmreg import checker, demo, emit_trace, load_spec
+from mmreg import Schedule, WorkloadOp, checker, demo, emit_trace, load_spec, run_simulation
 from mmreg.cli import fuzz, main
+from mmreg.model import spec_from_dict
+from mmreg.trace import KINDS, trace_lines
 
 
 FIG1 = {"n": 5, "edges": [[1, 2], [2, 3], [3, 4], [3, 5]], "writer": 1}
@@ -12,6 +19,7 @@ SINGLETONS = {"n": 3, "bag": [[1], [2], [3]], "writer": 1}
 
 READ_INVOKE = {"step": 0, "kind": "invoke", "actor": 2, "payload": {"op": 0, "kind": "read"}}
 READ_RESPOND = {"step": 4, "kind": "respond", "actor": 2, "payload": {"op": 0, "value": [0, None]}}
+REG_WRITE = {"step": 0, "kind": "reg-write", "actor": 1, "payload": {"register": [1, 1], "value": [1, "a"]}}
 
 
 @pytest.fixture
@@ -57,25 +65,34 @@ class TestTolerance:
         assert main(["tolerance", "--spec", str(tmp_path / "nope.json")]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_both_past_the_exhaustive_limit_uses_the_bridge(self, tmp_path, capsys):
+        path = tmp_path / "n16.json"
+        path.write_text(json.dumps({"n": 16, "bag": [], "writer": 1}))
+        assert main(["tolerance", "--spec", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["t"] == 7
+        assert main(["tolerance", "--spec", str(path), "--method", "direct"]) == 2
+        assert "exhaustive limit" in capsys.readouterr().err
+
 
 @pytest.mark.parametrize(
-    "spec, runs",
+    "spec, runs, message",
     [
-        ({"n": 3, "bag": "x", "writer": 1}, 1),
-        ({"n": 3, "bag": [1, 2], "writer": 1}, 1),
-        ({**FIG1, "edges": [[1, "a"]]}, 1),
-        ({**FIG1, "n": 5.7}, 1),
-        ({"n": True, "bag": [[1]], "writer": 1}, 1),
-        (FIG1, -5),
+        ({"n": 3, "bag": "x", "writer": 1}, 1, '"bag"'),
+        ({"n": 3, "bag": [1, 2], "writer": 1}, 1, '"bag"'),
+        ({**FIG1, "edges": [[1, "a"]]}, 1, '"edges"'),
+        ({**FIG1, "n": 5.7}, 1, '"n"'),
+        ({"n": True, "bag": [[1]], "writer": 1}, 1, '"n"'),
+        (FIG1, -5, "runs"),
+        ({"n": 3, "edges": [[1, 2, 3]], "writer": 1}, 1, '"edges"'),
     ],
-    ids=["bag-string", "bag-of-ints", "edge-string", "n-fractional", "n-bool", "negative-runs"],
+    ids=["bag-string", "bag-of-ints", "edge-string", "n-fractional", "n-bool", "negative-runs", "edge-triple"],
 )
-def test_bad_input_is_usage_error(tmp_path, capsys, spec, runs):
+def test_bad_input_is_usage_error(tmp_path, capsys, spec, runs, message):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
     assert main(["fuzz", "--spec", str(path), "--runs", str(runs)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ")
+    assert err.startswith("error: ") and message in err
     assert "Traceback" not in err
 
 
@@ -158,8 +175,37 @@ class TestSimulateCheckPipeline:
             ([json.dumps(READ_INVOKE), json.dumps({**READ_RESPOND, "payload": {"op": 0, "value": 5}})], "op 0 has value 5"),
             ([json.dumps({**READ_INVOKE, "step": "a"}), json.dumps(READ_RESPOND)], "has step 'a'"),
             ([json.dumps(READ_RESPOND)], "op 0 responds but was never invoked"),
+            ([json.dumps(REG_WRITE), json.dumps({**REG_WRITE, "payload": {"register": [1, 1], "value": 5}})],
+             "reg-write event 2 has value 5"),
+            ([json.dumps({**REG_WRITE, "payload": {"register": 5, "value": [1, "a"]}})], "reg-write event 1 has register 5"),
+            ([json.dumps({**READ_INVOKE, "payload": [0, "read"]})], "invoke event 1 has payload [0, 'read']"),
+            ([json.dumps(READ_INVOKE), json.dumps({k: v for k, v in READ_RESPOND.items() if k != "kind"})],
+             "trace event 2 has kind None"),
+            ([json.dumps({**READ_INVOKE, "payload": {"op": [0], "kind": "read"}})], "invoke event 1 has op [0]"),
+            ([json.dumps(READ_INVOKE), json.dumps({**READ_INVOKE, "step": 1})], "op 0 is invoked twice"),
+            ([json.dumps({**READ_INVOKE, "payload": {"op": 0, "kind": "banana"}})], "op 0 has kind 'banana'"),
+            ([json.dumps({"step": 0, "kind": "crash", "actor": [1], "payload": {}})], "crash event 1 has actor [1]"),
+            ([json.dumps(READ_INVOKE), json.dumps(READ_RESPOND), json.dumps({**READ_RESPOND, "step": 5})],
+             "op 0 responds twice"),
+            ([json.dumps(READ_INVOKE), json.dumps({**READ_RESPOND, "payload": {"op": 0}})], "op 0 responds with no value"),
         ],
-        ids=["list-line", "scalar-line", "value-int", "step-string", "respond-without-invoke"],
+        ids=[
+            "list-line",
+            "scalar-line",
+            "value-int",
+            "step-string",
+            "respond-without-invoke",
+            "reg-write-value-int",
+            "reg-write-register-int",
+            "payload-list",
+            "no-kind",
+            "op-list",
+            "invoked-twice",
+            "kind-banana",
+            "crash-actor-list",
+            "responds-twice",
+            "respond-without-value",
+        ],
     )
     def test_malformed_trace_is_usage_error(self, tmp_path, capsys, lines, message):
         trace = tmp_path / "bad.jsonl"
@@ -186,6 +232,81 @@ class TestSimulateCheckPipeline:
         assert main(["check", "--trace", str(trace), "--properties", "1"]) == 1
         out = json.loads(capsys.readouterr().out)
         assert out["violations"] == report["violations"] != []
+
+
+# -- malformed input never escapes as a traceback ---------------------------
+
+WORKLOAD = [
+    {"op": "write", "proc": 1, "value": "a", "at-step": 0},
+    {"op": "read", "proc": 2, "at-step": 5},
+    {"op": "write", "proc": 1, "value": "b", "at-step": 30},
+    {"op": "read", "proc": 4, "at-step": 40},
+]
+# A README-system run with a crash, so every event kind is there to mutate.
+README_TRACE = run_simulation(
+    spec_from_dict(FIG1),
+    3,
+    [WorkloadOp(d["op"], d["proc"], d.get("value"), d["at-step"]) for d in WORKLOAD],
+    Schedule("fair", seed=2, crash_plan=((5, 25),)),
+).trace
+# Replacement values; integers stay <= 8 so that a mutated spec stays small.
+JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-2, 8),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.text(max_size=3),
+    st.lists(st.integers(-2, 8), max_size=3),
+    st.dictionaries(st.sampled_from(["op", "kind", "value", "x"]), st.integers(-2, 8), max_size=2),
+)
+
+
+def mutated(data, doc):
+    """A copy of the JSON document with one node, reached by a short
+    random walk from the root, dropped (a key of an object) or replaced
+    by a junk value."""
+    doc = copy.deepcopy(doc)
+    parent, key, node = None, None, doc
+    for _ in range(data.draw(st.integers(0, 3))):
+        if not isinstance(node, (dict, list)) or not node:
+            break
+        key = data.draw(st.sampled_from(sorted(node) if isinstance(node, dict) else range(len(node))))
+        parent, node = node, node[key]
+    if parent is None:
+        return data.draw(JUNK)
+    if isinstance(parent, dict) and data.draw(st.booleans()):
+        del parent[key]
+    else:
+        parent[key] = data.draw(JUNK)
+    return doc
+
+
+@settings(max_examples=100, deadline=None)
+@given(target=st.sampled_from(["trace", "spec", "workload"]), data=st.data())
+def test_mutated_input_is_a_verdict_or_a_usage_error(target, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        spec, workload, trace = tmp / "spec.json", tmp / "wl.json", tmp / "trace.jsonl"
+        spec.write_text(json.dumps(mutated(data, FIG1) if target == "spec" else FIG1))
+        workload.write_text(json.dumps(mutated(data, WORKLOAD) if target == "workload" else WORKLOAD))
+        if target == "trace":
+            # One line, of a kind drawn first so that each kind is as likely.
+            kind = data.draw(st.sampled_from(KINDS))
+            i = data.draw(st.sampled_from([j for j, ev in enumerate(README_TRACE) if ev["kind"] == kind]))
+            lines = trace_lines(README_TRACE)
+            lines[i] = json.dumps(mutated(data, README_TRACE[i]))
+            trace.write_text("\n".join(lines) + "\n")
+            argv = ["check", "--trace", str(trace)]
+        elif target == "spec" and data.draw(st.booleans()):
+            argv = ["tolerance", "--spec", str(spec)]
+        else:
+            argv = ["simulate", "--spec", str(spec), "--workload", str(workload), "--trace", str(trace)]
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            rc = main(argv)
+        assert rc in (0, 1, 2)
+        if rc == 2:
+            assert err.getvalue().startswith("error: ")
 
 
 class TestViolate:

@@ -13,7 +13,8 @@ from mmreg import (
     run_simulation,
     schedule_from_trace,
 )
-from mmreg.sim import AccessError, RegisterStore, ScriptError, trace_lines
+from mmreg.sim import AccessError, RegisterStore, ScriptError
+from mmreg.trace import KINDS, trace_lines
 
 
 def write_then_read(reader=2):
@@ -138,11 +139,16 @@ class TestAccessControl:
 
 
 class TestTraceRoundTrip:
-    def test_emit_and_load(self, tmp_path, msg3_spec):
-        sim = run_simulation(msg3_spec, 1, write_then_read(), Schedule("fifo"))
-        path = tmp_path / "trace.jsonl"
-        emit_trace(sim.trace, path)
-        assert load_trace(path) == sim.trace
+    def test_emit_and_load(self, tmp_path, msg3_spec, fig1_spec):
+        runs = [
+            run_simulation(msg3_spec, 1, write_then_read(), Schedule("fifo")),
+            run_simulation(fig1_spec, 3, write_then_read(4), Schedule("fair", seed=3, crash_plan=((2, 10),))),
+        ]
+        assert {ev["kind"] for ev in runs[1].trace} == set(KINDS)
+        for i, sim in enumerate(runs):
+            path = tmp_path / f"trace{i}.jsonl"
+            emit_trace(sim.trace, path)
+            assert load_trace(path) == sim.trace
 
     def test_emitted_bytes_stable(self, tmp_path, msg3_spec):
         paths = []
