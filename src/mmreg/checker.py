@@ -41,16 +41,14 @@ class Violation:
 
 @dataclass(frozen=True)
 class Verdict:
-    ok: bool
     violations: tuple[Violation, ...]
 
-    @staticmethod
-    def from_violations(violations) -> "Verdict":
-        vs = tuple(violations)
-        return Verdict(not vs, vs)
+    @property
+    def ok(self) -> bool:
+        return not self.violations
 
     def merged(self, other: "Verdict") -> "Verdict":
-        return Verdict.from_violations(self.violations + other.violations)
+        return Verdict(self.violations + other.violations)
 
     def as_dicts(self) -> list[dict]:
         """The violations as JSON-ready {"prop", "ops", "reason"} records."""
@@ -77,10 +75,6 @@ def _validate(history) -> None:
 
 def _precedes(a: dict, b: dict) -> bool:
     return a["response"] is not None and a["response"] < b["invoke"]
-
-
-def _concurrent(a: dict, b: dict) -> bool:
-    return not _precedes(a, b) and not _precedes(b, a)
 
 
 def _writes(history):
@@ -149,7 +143,7 @@ def check_property1(history) -> Verdict:
                         "fully separates that write from the read",
                     )
                 )
-        elif not _concurrent(w, r):
+        elif _precedes(r, w):
             violations.append(
                 Violation(
                     "P1",
@@ -157,7 +151,7 @@ def check_property1(history) -> Verdict:
                     f"read {r['op']} returned sn={sn}, written only after the read completed",
                 )
             )
-    return Verdict.from_violations(violations)
+    return Verdict(tuple(violations))
 
 
 def check_property2(history) -> Verdict:
@@ -183,13 +177,15 @@ def check_property2(history) -> Verdict:
         if k and prefix_max[k - 1] > sns[j]:
             pairs.extend((i, j) for i in by_response[:k] if sns[i] > sns[j])
     pairs.sort()
-    return Verdict.from_violations(
-        Violation(
-            "P2",
-            (reads[i]["op"], reads[j]["op"]),
-            f"read {reads[i]['op']} returned sn={sns[i]} but the later read {reads[j]['op']} returned sn={sns[j]}",
+    return Verdict(
+        tuple(
+            Violation(
+                "P2",
+                (reads[i]["op"], reads[j]["op"]),
+                f"read {reads[i]['op']} returned sn={sns[i]} but the later read {reads[j]['op']} returned sn={sns[j]}",
+            )
+            for i, j in pairs
         )
-        for i, j in pairs
     )
 
 
@@ -208,7 +204,7 @@ def check_monotonicity(trace) -> Verdict:
                 )
             )
         last[reg] = sn
-    return Verdict.from_violations(violations)
+    return Verdict(tuple(violations))
 
 
 def check_completion(history, crashed, t: int | None = None) -> Verdict:
@@ -227,7 +223,7 @@ def check_completion(history, crashed, t: int | None = None) -> Verdict:
                     f"op {h['op']} by surviving p{h['proc']} never responded",
                 )
             )
-    return Verdict.from_violations(violations)
+    return Verdict(tuple(violations))
 
 
 PROPERTIES = ("1", "2", "mono", "live")
@@ -241,7 +237,7 @@ def check_all(trace, history=None, crashed=None, t: int | None = None, props=PRO
         raise HistoryError(f"properties {','.join(props)!r} not a selection from {','.join(PROPERTIES)}")
     if history is None:
         history = history_from_trace(trace)
-    verdict = Verdict(True, ())
+    verdict = Verdict(())
     if "1" in props:
         verdict = verdict.merged(check_property1(history))
     if "2" in props:

@@ -68,9 +68,9 @@ def find_witness(bag: Bag, t: int) -> WitnessPartition:
 
 @dataclass
 class E3Run:
-    """One executed adversarial run plus its replayable schedule."""
+    """One executed adversarial run plus its replayable schedule; the
+    workload is `sim.workload`."""
 
-    workload: list
     schedule: Schedule
     sim: Simulator
     reader: int
@@ -93,11 +93,7 @@ def build_e3(spec: SystemSpec, t: int, witness: WitnessPartition) -> E3Run:
         raise LowerBoundError(f"writer p{spec.writer} must belong to the witness side P")
     reader = min(pp_set)
 
-    workload = [
-        WorkloadOp("write", spec.writer, PAYLOAD, 0),
-        WorkloadOp("read", reader, None, 0),
-    ]
-    sim = Simulator(spec, t, workload)
+    sim = Simulator(spec, t, [WorkloadOp("write", spec.writer, PAYLOAD, 0), WorkloadOp("read", reader, None, 0)])
 
     def drain(allowed, done):
         while not done():
@@ -131,7 +127,7 @@ def build_e3(spec: SystemSpec, t: int, witness: WitnessPartition) -> E3Run:
     sim.run(Schedule("fifo"))
 
     schedule = Schedule("scripted", script=schedule_from_trace(sim.trace))
-    return E3Run(workload, schedule, sim, reader, phase2_end)
+    return E3Run(schedule, sim, reader, phase2_end)
 
 
 def isolation_holds(run: E3Run, witness: WitnessPartition) -> bool:
@@ -165,14 +161,13 @@ def demo(spec: SystemSpec, t: int) -> dict:
     history = history_from_trace(run.sim.trace)
     verdict = check_property1(history)
 
-    write_rec, read_rec = run.sim.ops[0], run.sim.ops[1]
+    write, read = history  # ops 0 and 1, both invoked by the construction
     certified = (
         not verdict.ok
-        and write_rec.response_step is not None
-        and read_rec.response_step is not None
-        and write_rec.response_step < read_rec.invoke_step
-        and read_rec.result is not None
-        and read_rec.result.sn == 0
+        and write["response"] is not None
+        and read["response"] is not None
+        and write["response"] < read["invoke"]
+        and read["value"][0] == 0
     )
     no_crashes = not crashed_from_trace(run.sim.trace)
 

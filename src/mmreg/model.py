@@ -45,10 +45,6 @@ class Bag:
                     f"set S_{idx} mentions processes outside 1..{self.n}: {bad}"
                 )
 
-    @property
-    def m(self) -> int:
-        return len(self.sets)
-
     def covered(self) -> bool:
         """True iff every process appears in at least one set."""
         seen: set[int] = set()
@@ -164,9 +160,6 @@ class SystemSpec:
             for p in sorted(s)
         )
 
-    def set_members(self, i: int) -> frozenset[int]:
-        return self.bag.sets[i - 1]
-
     def writable_registers(self, p: int) -> tuple[RegisterId, ...]:
         """Registers p owns, ascending by set index."""
         return tuple((i, p) for i, s in enumerate(self.bag.sets, start=1) if p in s)
@@ -192,7 +185,7 @@ def make_spec(bag: Bag | None = None, graph: Graph | None = None, writer: int = 
 
 def access_maps(spec: SystemSpec):
     """Materialized access rule: who may read and write each register."""
-    readable = {reg: tuple(sorted(spec.set_members(reg[0]))) for reg in spec.registers}
+    readable = {reg: tuple(sorted(spec.bag.sets[reg[0] - 1])) for reg in spec.registers}
     writable = {reg: reg[1] for reg in spec.registers}
     return readable, writable
 

@@ -67,12 +67,12 @@ class Schedule:
 
 @dataclass
 class OpRecord:
-    op_id: int
+    """An op's timing; its value is recorded only in the trace."""
+
     kind: str
     proc: int
     invoke_step: int | None = None
     response_step: int | None = None
-    result: TaggedValue | None = None
 
 
 class RegisterStore:
@@ -136,7 +136,7 @@ class Simulator:
         self.network: dict[str, Message] = {}  # insertion order = send order
         self._send_seq = {p: 0 for p in range(1, n + 1)}
         self._sent_at: dict[str, int] = {}
-        self.ops = [OpRecord(i, op.kind, op.proc) for i, op in enumerate(self.workload)]
+        self.ops = [OpRecord(op.kind, op.proc) for op in self.workload]
         self._queue: dict[int, deque] = {p: deque() for p in range(1, n + 1)}
         for i, op in enumerate(self.workload):
             self._queue[op.proc].append(i)
@@ -186,8 +186,7 @@ class Simulator:
             idx = ev[1]
             op = self.workload[idx]
             self._queue[op.proc].popleft()
-            rec = self.ops[idx]
-            rec.invoke_step = self.step
+            self.ops[idx].invoke_step = self.step
             core = self.procs[op.proc]
             payload = {"op": idx, "kind": op.kind}
             if op.kind == "write":
@@ -195,8 +194,7 @@ class Simulator:
                 # The written tuple is fixed at invocation; record it now so
                 # a crash-interrupted write still explains the value readers
                 # may have observed.
-                rec.result = core.pending.value
-                payload["value"] = list(rec.result)
+                payload["value"] = list(core.pending.value)
             else:
                 sends = core.invoke_read(idx)
             self._record("invoke", op.proc, payload)
@@ -212,9 +210,7 @@ class Simulator:
             self._route(sends)
             if response is not None:
                 op_id, value = response
-                rec = self.ops[op_id]
-                rec.response_step = self.step
-                rec.result = value
+                self.ops[op_id].response_step = self.step
                 self._record("respond", msg.dest, {"op": op_id, "value": list(value)})
 
     def _ready_ops(self) -> list[int]:

@@ -3,7 +3,11 @@ definitions, as the checker computed them before it moved to sorted
 order queries.  Quadratic; the differential tests in test_checker.py
 hold the library's checks to exactly these verdicts."""
 
-from mmreg.checker import HistoryError, Verdict, Violation, _completed_reads, _concurrent, _precedes, _validate, _writes
+from mmreg.checker import HistoryError, Verdict, Violation, _completed_reads, _precedes, _validate, _writes
+
+
+def _concurrent(a: dict, b: dict) -> bool:
+    return not _precedes(a, b) and not _precedes(b, a)
 
 
 def check_property1(history) -> Verdict:
@@ -65,7 +69,7 @@ def check_property1(history) -> Verdict:
                     f"read {r['op']} returned sn={sn}, written only after the read completed",
                 )
             )
-    return Verdict.from_violations(violations)
+    return Verdict(tuple(violations))
 
 
 def check_property2(history) -> Verdict:
@@ -87,4 +91,4 @@ def check_property2(history) -> Verdict:
                         f"read {r2['op']} returned sn={r2['value'][0]}",
                     )
                 )
-    return Verdict.from_violations(violations)
+    return Verdict(tuple(violations))

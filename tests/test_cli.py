@@ -1,14 +1,18 @@
 import copy
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mmreg import Schedule, WorkloadOp, checker, demo, emit_trace, load_spec, run_simulation
+from mmreg import Schedule, WorkloadOp, checker, demo, emit_trace, load_spec, run_simulation, t_direct
 from mmreg.cli import fuzz, main
 from mmreg.model import spec_from_dict
 from mmreg.trace import KINDS, trace_lines
@@ -73,24 +77,57 @@ class TestTolerance:
         assert main(["tolerance", "--spec", str(path), "--method", "direct"]) == 2
         assert "exhaustive limit" in capsys.readouterr().err
 
+    def test_direct_and_bridge_disagreeing_is_an_error(self, fig1_file, monkeypatch, capsys):
+        def one_less(bag):
+            res = t_direct(bag)
+            return replace(res, t=res.t - 1)
+
+        monkeypatch.setattr("mmreg.cli.t_direct", one_less)
+        assert main(["tolerance", "--spec", fig1_file]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "direct and bridge disagree: 2 vs 3" in captured.err
+
+    def test_witness_past_the_exhaustive_limit_is_the_bridges(self, tmp_path, capsys):
+        path = tmp_path / "n16.json"
+        path.write_text(json.dumps({"n": 16, "bag": [], "writer": 1}))
+        assert main(["tolerance", "--spec", str(path), "--witness"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["witness"] == [list(range(1, 9)), list(range(9, 17))]
+
+
+FUZZ_ONE = ["fuzz", "--runs", "1"]
+SIMULATE_P9 = ["simulate", "--workload", "p9.json", "--trace", "trace.jsonl"]
+
 
 @pytest.mark.parametrize(
-    "spec, runs, message",
+    "spec, command, message",
     [
-        ({"n": 3, "bag": "x", "writer": 1}, 1, '"bag"'),
-        ({"n": 3, "bag": [1, 2], "writer": 1}, 1, '"bag"'),
-        ({**FIG1, "edges": [[1, "a"]]}, 1, '"edges"'),
-        ({**FIG1, "n": 5.7}, 1, '"n"'),
-        ({"n": True, "bag": [[1]], "writer": 1}, 1, '"n"'),
-        (FIG1, -5, "runs"),
-        ({"n": 3, "edges": [[1, 2, 3]], "writer": 1}, 1, '"edges"'),
+        ({"n": 3, "bag": "x", "writer": 1}, FUZZ_ONE, '"bag"'),
+        ({"n": 3, "bag": [1, 2], "writer": 1}, FUZZ_ONE, '"bag"'),
+        ({**FIG1, "edges": [[1, "a"]]}, FUZZ_ONE, '"edges"'),
+        ({**FIG1, "n": 5.7}, FUZZ_ONE, '"n"'),
+        ({"n": True, "bag": [[1]], "writer": 1}, FUZZ_ONE, '"n"'),
+        (FIG1, ["fuzz", "--runs", "-5"], "runs"),
+        ({"n": 3, "edges": [[1, 2, 3]], "writer": 1}, FUZZ_ONE, '"edges"'),
+        (FIG1, SIMULATE_P9, "workload process p9 outside 1..5"),
     ],
-    ids=["bag-string", "bag-of-ints", "edge-string", "n-fractional", "n-bool", "negative-runs", "edge-triple"],
+    ids=[
+        "bag-string",
+        "bag-of-ints",
+        "edge-string",
+        "n-fractional",
+        "n-bool",
+        "negative-runs",
+        "edge-triple",
+        "workload-process-outside",
+    ],
 )
-def test_bad_input_is_usage_error(tmp_path, capsys, spec, runs, message):
-    path = tmp_path / "spec.json"
-    path.write_text(json.dumps(spec))
-    assert main(["fuzz", "--spec", str(path), "--runs", str(runs)]) == 2
+def test_bad_input_is_usage_error(tmp_path, monkeypatch, capsys, spec, command, message):
+    monkeypatch.chdir(tmp_path)
+    Path("spec.json").write_text(json.dumps(spec))
+    Path("p9.json").write_text(json.dumps([{"op": "read", "proc": 9}]))
+    assert main([command[0], "--spec", "spec.json", *command[1:]]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert "Traceback" not in err
@@ -371,8 +408,53 @@ class TestFuzz:
         assert main(["fuzz", "--spec", str(path), "--runs", "1", "--threshold", "10", "--crashes", "2"]) == 0
         assert json.loads(capsys.readouterr().out)["threshold"] == 10
 
+    def test_threshold_above_t_l_reports_the_violating_seed(self, msg3_file, capsys):
+        # Singletons have t_L = 1: at t = 2 a read may return the initial
+        # value after a write completed, with no process crashed.
+        argv = ["fuzz", "--spec", msg3_file, "--runs", "50", "--threshold", "2", "--crashes", "0"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["violations"] == 1
+        assert "violating seed: 10" in captured.err
+        summary = fuzz(load_spec(msg3_file), 50, 0, crashes=0, t=2)
+        assert [issue["seed"] for issue in summary["violations"]] == [10]
+        (violation,) = summary["violations"][0]["violations"]
+        assert violation["prop"] == "P1" and violation["ops"] == [0, 1]
+        assert "initial value" in violation["reason"]
+
     def test_report_file(self, msg3_file, tmp_path, capsys):
         out_path = tmp_path / "fuzz.json"
         assert main(["fuzz", "--spec", msg3_file, "--runs", "10", "--out", str(out_path)]) == 0
         report = json.loads(out_path.read_text())
         assert report["runs"] == 10 and report["violations"] == []
+
+
+class TestEntryPoint:
+    """The console script's process exit codes, from `python -m mmreg.cli`."""
+
+    @staticmethod
+    def mmreg(*argv, cwd):
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        return subprocess.run(
+            [sys.executable, "-m", "mmreg.cli", *argv], cwd=cwd, env=env, capture_output=True, text=True, timeout=60
+        )
+
+    def test_exit_codes(self, fig1_file, tmp_path):
+        assert self.mmreg("tolerance", "--spec", fig1_file, cwd=tmp_path).returncode == 0
+
+        # The read returns the initial value after the write completed.
+        trace = tmp_path / "p1.jsonl"
+        events = [
+            {"step": 0, "kind": "invoke", "actor": 1, "payload": {"op": 0, "kind": "write", "value": [1, "a"]}},
+            {"step": 1, "kind": "respond", "actor": 1, "payload": {"op": 0, "value": [1, "a"]}},
+            {"step": 2, "kind": "invoke", "actor": 2, "payload": {"op": 1, "kind": "read"}},
+            {"step": 3, "kind": "respond", "actor": 2, "payload": {"op": 1, "value": [0, None]}},
+        ]
+        emit_trace(events, trace)
+        checked = self.mmreg("check", "--trace", str(trace), cwd=tmp_path)
+        assert checked.returncode == 1
+        assert json.loads(checked.stdout)["violations"][0]["prop"] == "P1"
+
+        missing = self.mmreg("tolerance", "--spec", str(tmp_path / "nope.json"), cwd=tmp_path)
+        assert missing.returncode == 2
+        assert missing.stderr.startswith("error:") and "Traceback" not in missing.stderr

@@ -46,24 +46,29 @@ class TestBuildE3:
     def test_fig1_run_shape(self, fig1_spec):
         witness = find_witness(fig1_spec.bag, 4)
         run = build_e3(fig1_spec, 4, witness)
-        write, read = run.sim.ops
+        write, read = history_from_trace(run.sim.trace)
         # Write completes before the read is even invoked ...
-        assert write.response_step is not None
-        assert write.response_step < read.invoke_step
+        assert write["response"] is not None
+        assert write["response"] < read["invoke"]
         # ... yet the read returns the initial value.
-        assert read.result is not None and read.result.sn == 0
+        assert read["value"] == [0, None]
         assert run.sim.is_quiescent()
 
     def test_schedule_is_replayable(self, fig1_spec):
         witness = find_witness(fig1_spec.bag, 4)
         run = build_e3(fig1_spec, 4, witness)
-        replay = run_simulation(fig1_spec, 4, run.workload, run.schedule)
+        replay = run_simulation(fig1_spec, 4, run.sim.workload, run.schedule)
         assert history_from_trace(replay.trace) == history_from_trace(run.sim.trace)
 
     def test_isolation_during_split_phases(self, fig1_spec):
         witness = find_witness(fig1_spec.bag, 4)
         run = build_e3(fig1_spec, 4, witness)
         assert isolation_holds(run, witness)
+
+    def test_isolation_fails_for_a_side_that_reads_the_writer(self, fig1_spec):
+        run = build_e3(fig1_spec, 4, find_witness(fig1_spec.bag, 4))
+        # p1 writes R_1[1] in phase 1, and p2 shares S_1 = {1, 2}.
+        assert not isolation_holds(run, WitnessPartition((1,), (2,), (3, 4, 5)))
 
     def test_writer_outside_p_rejected(self, fig1_spec):
         witness = find_witness(fig1_spec.bag, 4)  # P = {1}

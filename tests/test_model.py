@@ -7,6 +7,7 @@ from mmreg import (
     Bag,
     Graph,
     ModelError,
+    SystemSpec,
     access_maps,
     bag_of,
     graph_square,
@@ -47,7 +48,7 @@ class TestBag:
 
     def test_keeps_duplicates_and_order(self):
         bag = bag_of(3, [1, 2], [1, 2], [3])
-        assert bag.m == 3
+        assert len(bag.sets) == 3
         assert bag.sets[0] == bag.sets[1]
 
 
@@ -92,13 +93,13 @@ class TestInduceUniform:
     def test_complete_k3(self):
         bag = induce_uniform(Graph.from_edges(3, [(1, 2), (1, 3), (2, 3)]))
         assert all(sorted(s) == [1, 2, 3] for s in bag.sets)
-        assert bag.m == 3
+        assert len(bag.sets) == 3
 
     @given(small_graphs())
     def test_always_covered_with_n_sets(self, g):
         bag = induce_uniform(g)
         assert bag.covered()
-        assert bag.m == g.n
+        assert len(bag.sets) == g.n
         for p in range(1, g.n + 1):
             assert p in bag.sets[p - 1]
 
@@ -188,6 +189,22 @@ class TestSystemSpec:
     def test_writer_validated(self):
         with pytest.raises(ModelError):
             make_spec(bag=bag_of(2, [1], [2]), writer=3)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Bag(0, ()), "process count must be >= 1"),
+        (lambda: Graph(3, frozenset({(1, 4)})), r"edge \(1,4\) outside 1\.\.3"),
+        (lambda: Graph(3, frozenset({(2, 1)})), "must be ordered u < v"),
+        (lambda: SystemSpec(bag_of(3, [1, 2]), 1), "normalize first"),
+        (lambda: make_spec(), "exactly one of bag/graph"),
+    ],
+    ids=["no-processes", "edge-outside", "edge-unordered", "uncovered-spec", "neither-bag-nor-graph"],
+)
+def test_bad_model_input_raises(build, message):
+    with pytest.raises(ModelError, match=message):
+        build()
 
 
 class TestSpecFiles:

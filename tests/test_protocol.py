@@ -95,6 +95,19 @@ class TestWriteHandler:
             core.deliver(Message(R, 3, 2, 1))
 
 
+@pytest.mark.parametrize(
+    "act, message",
+    [
+        (lambda core, store: core.reg_step(store), "p2: no handler in progress"),
+        (lambda core, store: core.deliver(Message("PING", 1, 2, 1)), "unknown message kind 'PING'"),
+    ],
+    ids=["reg-step-with-no-scan", "unknown-message-kind"],
+)
+def test_bad_step_raises(msg3_spec, act, message):
+    with pytest.raises(ProtocolError, match=message):
+        act(ProcessCore(2, msg3_spec, quorum=2), quiet_store(msg3_spec))
+
+
 class TestReadHandler:
     def test_initial_state_reports_initial_value(self, msg3_spec):
         store = quiet_store(msg3_spec)

@@ -27,14 +27,14 @@ def write_then_read(reader=2):
 class TestBasicRuns:
     def test_read_sees_completed_write(self, msg3_spec):
         sim = run_simulation(msg3_spec, 1, write_then_read(), Schedule("fifo"))
-        write, read = sim.ops
-        assert write.response_step is not None
-        assert read.result == TaggedValue(1, "a")
+        write, read = history_from_trace(sim.trace)
+        assert write["response"] is not None
+        assert read["value"] == [1, "a"]
         assert sim.is_quiescent()
 
     def test_fresh_read_returns_initial_value(self, msg3_spec):
         sim = run_simulation(msg3_spec, 1, [WorkloadOp("read", 3, None, 0)], Schedule("fifo"))
-        assert sim.ops[0].result == TaggedValue(0, None)
+        assert history_from_trace(sim.trace)[0]["value"] == [0, None]
 
     def test_empty_workload_immediately_quiescent(self, msg3_spec):
         sim = Simulator(msg3_spec, 1, [])
@@ -105,7 +105,8 @@ class TestCrashes:
         # Writer's registers remain readable after the writer crashes.
         wl = [WorkloadOp("write", 1, "a", 0), WorkloadOp("read", 2, None, 2000)]
         sim = run_simulation(fig1_spec, 3, wl, Schedule("fair", seed=1, crash_plan=((1, 1000),)))
-        assert sim.ops[1].result is not None
+        read = history_from_trace(sim.trace)[1]
+        assert read["response"] is not None and read["value"] is not None
 
     @pytest.mark.parametrize("seed", range(3))
     def test_run_fires_the_schedule_crash_plan(self, fig1_spec, seed):
@@ -183,11 +184,20 @@ class TestTraceRoundTrip:
         # The writer's crash leaves its first write pending and its second never invoked.
         assert invoked[0].kind == "write" and invoked[0].response_step is None
         assert len(invoked) == len(sim.ops) - 1
-        assert [h["op"] for h in history] == [r.op_id for r in invoked]
+        assert [h["op"] for h in history] == [i for i, r in enumerate(sim.ops) if r.invoke_step is not None]
         for h, r in zip(history, invoked):
             assert (h["kind"], h["proc"]) == (r.kind, r.proc)
             assert (h["invoke"], h["response"]) == (r.invoke_step, r.response_step)
-            assert h["value"] == (list(r.result) if r.result is not None else None)
+        # A write's value is [k, payload] for the k-th write; a completed
+        # read returns the initial value or a written one.
+        writes = [h for h in history if h["kind"] == "write"]
+        for k, h in enumerate(writes, 1):
+            assert h["value"] == [k, wl[h["op"]].payload]
+        written = [[0, None]] + [h["value"] for h in writes]
+        reads = [h for h in history if h["kind"] == "read"]
+        assert all(h["response"] is not None for h in reads)
+        for h in reads:
+            assert h["value"] in written
 
     @pytest.mark.parametrize(
         "ev",
@@ -205,6 +215,27 @@ class TestTraceRoundTrip:
         sim = Simulator(msg3_spec, 1, write_then_read())
         with pytest.raises(ScriptError):
             sim.run(Schedule("scripted", script=(("deliver", "9.9"),)))
+
+    @pytest.mark.parametrize(
+        "start, message",
+        [
+            (lambda spec: Simulator(spec, 1, [WorkloadOp("banana", 2)]), "unknown op kind"),
+            (lambda spec: run_simulation(spec, 1, [], Schedule("lifo")), "unknown policy"),
+            (
+                lambda spec: run_simulation(spec, 1, write_then_read(), Schedule("scripted")),
+                "script ended with events still enabled",
+            ),
+        ],
+        ids=["unknown-op-kind", "unknown-policy", "script-ends-early"],
+    )
+    def test_bad_run_input_raises(self, msg3_spec, start, message):
+        with pytest.raises(SimError, match=message):
+            start(msg3_spec)
+
+    def test_step_budget_enforced(self, msg3_spec, monkeypatch):
+        monkeypatch.setattr("mmreg.sim.MAX_STEPS", 10)
+        with pytest.raises(SimError, match="step budget 10 exceeded"):
+            run_simulation(msg3_spec, 1, write_then_read(), Schedule("fifo"))
 
 
 class TestReliability:

@@ -164,6 +164,10 @@ class TestUniform:
         g = Graph.from_edges(4, [(u, v) for u in range(1, 5) for v in range(u + 1, 5)])
         assert t_uniform(g).t == 3
 
+    def test_refuses_above_limit(self):
+        with pytest.raises(ToleranceError, match="exhaustive limit"):
+            t_uniform(Graph.from_edges(15, []))
+
     @settings(max_examples=60, deadline=None)
     @given(small_graphs())
     def test_equals_direct_on_induced_bag(self, g):
