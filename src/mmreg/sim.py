@@ -14,6 +14,7 @@ and writable by the survivors.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass
 
@@ -108,12 +109,39 @@ def _msg_fields(msg: Message) -> dict:
     return out
 
 
+# A process's mode, as the indexes last saw it: open (live, no scan in
+# progress: its messages are deliverable), scanning, or crashed.
+_OPEN, _SCAN, _DOWN = "open", "scan", "down"
+
+
 class Simulator:
     """One deterministic run of the protocol over a system spec.
 
     The scheduler-facing surface is `enabled()` / `apply(event)`; `run`
     drives them under a policy.  Events are small tuples:
     ("invoke", op_index), ("hstep", pid), ("deliver", msg_id).
+
+    The enabled events are kept in three indexes, each in `enabled()`
+    order, which `_sync` updates for the one process an event or a
+    crash changed:
+
+    - `_invokes`: the ready ops whose at_step has come, ascending.  An
+      op is ready when it is the next op of a live idle process;
+      `_timed` holds the other ready ops as (at_step, op), ascending,
+      and `_due` moves them into `_invokes` once the step counter
+      reaches their at_step;
+    - `_scanning`: the live processes with a scan in progress, ascending;
+    - `_deliverable`: the send numbers of the undelivered messages
+      whose destination is live with no scan in progress, ascending.
+      `_inbox[p]` holds the send numbers of every undelivered message to
+      p, so a scan start, a scan end or a crash moves them out or in.
+
+    Invariant: after `_due()`, enabled() is the invokes, then the
+    hsteps, then the deliveries of these lists.  An event re-indexes one
+    process by bisection, moving its inbox only when its scan starts or
+    ends or it crashes; nothing walks all processes or the messages
+    stranded at crashed ones.  `network` keeps every undelivered
+    message, stranded ones included.
     """
 
     def __init__(self, spec: SystemSpec, t: int, workload):
@@ -135,12 +163,23 @@ class Simulator:
         self.store = RegisterStore(spec, self._record)
         self.network: dict[str, Message] = {}  # insertion order = send order
         self._send_seq = {p: 0 for p in range(1, n + 1)}
-        self._sent_at: dict[str, int] = {}
+        self._sends: list[tuple[str, int]] = []  # by send number: (message id, step sent)
+        self._send_no: dict[str, int] = {}  # message id -> send number, while undelivered
+        self._inbox: dict[int, dict[int, None]] = {p: {} for p in range(1, n + 1)}
         self.ops = [OpRecord(op.kind, op.proc) for op in self.workload]
         self._queue: dict[int, deque] = {p: deque() for p in range(1, n + 1)}
         for i, op in enumerate(self.workload):
             self._queue[op.proc].append(i)
         self.crashed: set[int] = set()
+
+        self._mode: dict[int, str | None] = {p: None for p in range(1, n + 1)}
+        self._ready: dict[int, int] = {}  # process -> its ready op
+        self._invokes: list[int] = []
+        self._timed: list[tuple[int, int]] = []
+        self._scanning: list[int] = []
+        self._deliverable: list[int] = []
+        for p in self.procs:
+            self._sync(p)
 
     # -- trace -------------------------------------------------------------
 
@@ -152,9 +191,76 @@ class Simulator:
         for msg in msgs:
             self._send_seq[msg.sender] += 1
             mid = f"{msg.sender}.{self._send_seq[msg.sender]}"
+            no = len(self._sends)
+            self._sends.append((mid, self.step))
             self.network[mid] = msg
-            self._sent_at[mid] = self.step
+            self._send_no[mid] = no
+            self._inbox[msg.dest][no] = None
+            if self._mode[msg.dest] == _OPEN:
+                self._deliverable.append(no)  # the newest send sorts last
             self._record("send", msg.sender, {"id": mid, **_msg_fields(msg)})
+
+    # -- indexes -----------------------------------------------------------
+
+    def _sync(self, p: int) -> None:
+        """Bring p's entries in the indexes in line with its state: the
+        one statement of which of p's events are enabled."""
+        core = self.procs[p]
+        mode = _DOWN if p in self.crashed else _OPEN if core.scan is None else _SCAN
+        old = self._mode[p]
+        if mode != old:
+            self._mode[p] = mode
+            deliverable = self._deliverable
+            if old == _OPEN:
+                for no in self._inbox[p]:
+                    del deliverable[bisect_left(deliverable, no)]
+            elif old == _SCAN:
+                self._scanning.remove(p)
+            if mode == _OPEN:
+                for no in self._inbox[p]:
+                    insort(deliverable, no)
+            elif mode == _SCAN:
+                insort(self._scanning, p)
+
+        # The next op of each live idle process is ready.
+        q = self._queue[p]
+        op = q[0] if q and mode == _OPEN and core.pending is None else None
+        old_op = self._ready.get(p)
+        if op == old_op:
+            return
+        if old_op is not None:
+            del self._ready[p]
+            i = bisect_left(self._invokes, old_op)
+            if i < len(self._invokes) and self._invokes[i] == old_op:
+                del self._invokes[i]
+            else:
+                self._timed.remove((self.workload[old_op].at_step, old_op))
+        if op is not None:
+            self._ready[p] = op
+            at = self.workload[op].at_step
+            if at <= self.step:
+                insort(self._invokes, op)
+            else:
+                insort(self._timed, (at, op))
+
+    def _due(self) -> None:
+        """Move the timed ready ops whose at_step has come into _invokes."""
+        timed = self._timed
+        while timed and timed[0][0] <= self.step:
+            insort(self._invokes, timed.pop(0)[1])
+
+    def _is_enabled(self, ev) -> bool:
+        """Whether enabled() lists ev, tested against the indexes."""
+        if not (isinstance(ev, tuple) and len(ev) == 2):
+            return False
+        kind, x = ev
+        if kind == "invoke":
+            return x in self._invokes
+        if kind == "hstep":
+            return x in self._scanning
+        if kind == "deliver":
+            return isinstance(x, str) and x in self.network and self._mode[self.network[x].dest] == _OPEN
+        return False
 
     # -- event surface -----------------------------------------------------
 
@@ -162,20 +268,13 @@ class Simulator:
         """Enabled events in a fixed deterministic order: workload
         invocations, then handler steps by process, then deliveries in
         send order."""
-        evs: list[tuple] = [
-            ("invoke", i) for i in sorted(self._ready_ops()) if self.workload[i].at_step <= self.step
-        ]
-        for p in range(1, self.spec.n + 1):
-            if p not in self.crashed and self.procs[p].scan is not None:
-                evs.append(("hstep", p))
-        for mid, msg in self.network.items():
-            if msg.dest not in self.crashed and self.procs[msg.dest].scan is None:
-                evs.append(("deliver", mid))
-        return evs
+        self._due()
+        return list(_EnabledView(self))
 
     def apply(self, ev: tuple) -> None:
         """Fire one event; raises ScriptError unless enabled() lists it."""
-        if ev not in self.enabled():
+        self._due()
+        if not self._is_enabled(ev):
             raise ScriptError(f"event {ev!r} not enabled at step {self.step}")
         self._fire(ev)
 
@@ -197,34 +296,39 @@ class Simulator:
                 payload["value"] = list(core.pending.value)
             else:
                 sends = core.invoke_read(idx)
+            self._sync(op.proc)
             self._record("invoke", op.proc, payload)
             self._route(sends)
         elif kind == "hstep":
-            self._route(self.procs[ev[1]].reg_step(self.store))
+            p = ev[1]
+            sends = self.procs[p].reg_step(self.store)
+            self._sync(p)
+            self._route(sends)
         else:  # deliver
             mid = ev[1]
             msg = self.network.pop(mid)
-            del self._sent_at[mid]
+            no = self._send_no.pop(mid)
+            del self._inbox[msg.dest][no]
+            deliverable = self._deliverable
+            del deliverable[bisect_left(deliverable, no)]
             self._record("deliver", msg.dest, {"id": mid, **_msg_fields(msg)})
             sends, response = self.procs[msg.dest].deliver(msg)
+            self._sync(msg.dest)
             self._route(sends)
             if response is not None:
                 op_id, value = response
                 self.ops[op_id].response_step = self.step
                 self._record("respond", msg.dest, {"op": op_id, "value": list(value)})
 
-    def _ready_ops(self) -> list[int]:
-        """The next op index of each live idle process that has one."""
-        return [q[0] for p, q in self._queue.items() if q and p not in self.crashed and self.procs[p].idle]
-
-    def _future_invoke(self):
-        """Smallest at_step of an invocation that mere passage of logical
-        time would enable, or None."""
-        future = [self.workload[i].at_step for i in self._ready_ops()]
-        return min((s for s in future if s > self.step), default=None)
+    def _crash(self, p: int) -> None:
+        """Crash p now: it takes no further step."""
+        self.crashed.add(p)
+        self._record("crash", p, {})
+        self._sync(p)
 
     def is_quiescent(self) -> bool:
-        return not self.enabled() and self._future_invoke() is None
+        """Nothing is enabled, and no timed invocation is still to come."""
+        return not (self._invokes or self._scanning or self._deliverable or self._timed)
 
     # -- driving -----------------------------------------------------------
 
@@ -244,22 +348,54 @@ class Simulator:
             raise SimError("crash plan names a process twice")
         crashes = deque(sorted(schedule.crash_plan, key=lambda cs: (cs[1], cs[0])))
         chooser = _make_chooser(self, schedule)
+        evs = _EnabledView(self)
         while True:
             while crashes and crashes[0][1] <= self.step:
-                p, _ = crashes.popleft()
-                self.crashed.add(p)
-                self._record("crash", p, {})
-            evs = self.enabled()
+                self._crash(crashes.popleft()[0])
+            self._due()
             if not evs:
-                nxt = self._future_invoke()
-                if nxt is None:
+                if not self._timed:
                     break
-                self.step = nxt  # idle tick until the next timed invocation
+                self.step = self._timed[0][0]  # idle tick until the next timed invocation
                 continue
             self._fire(chooser(evs))
             if self.step > MAX_STEPS:
                 raise SimError(f"step budget {MAX_STEPS} exceeded")
         return self
+
+
+class _EnabledView:
+    """`enabled()` as a read-only sequence over the simulator's indexes,
+    without building the list; current until the next event fires or
+    the step counter moves.  Indexes run from 0 to len() - 1:
+    `random.Random.choice` reads only len() and [i]."""
+
+    __slots__ = ("_sim",)
+
+    def __init__(self, sim: Simulator):
+        self._sim = sim
+
+    def __len__(self) -> int:
+        sim = self._sim
+        return len(sim._invokes) + len(sim._scanning) + len(sim._deliverable)
+
+    def __getitem__(self, i: int) -> tuple:
+        sim = self._sim
+        if i < len(sim._invokes):
+            return ("invoke", sim._invokes[i])
+        i -= len(sim._invokes)
+        if i < len(sim._scanning):
+            return ("hstep", sim._scanning[i])
+        return ("deliver", sim._sends[sim._deliverable[i - len(sim._scanning)]][0])
+
+    def __iter__(self):
+        sim = self._sim
+        for i in sim._invokes:
+            yield ("invoke", i)
+        for p in sim._scanning:
+            yield ("hstep", p)
+        for no in sim._deliverable:
+            yield ("deliver", sim._sends[no][0])
 
 
 def _make_chooser(sim: Simulator, schedule: Schedule):
@@ -272,11 +408,10 @@ def _make_chooser(sim: Simulator, schedule: Schedule):
         def choose(evs):
             # Aging: force the oldest deliverable message once it has
             # waited too long, so every message eventually arrives.
-            for ev in evs:
-                if ev[0] == "deliver":
-                    if sim.step - sim._sent_at[ev[1]] > age_limit:
-                        return ev
-                    break
+            if sim._deliverable:
+                mid, sent = sim._sends[sim._deliverable[0]]
+                if sim.step - sent > age_limit:
+                    return ("deliver", mid)
             return rng.choice(evs)
 
         return choose
@@ -288,7 +423,7 @@ def _make_chooser(sim: Simulator, schedule: Schedule):
                 ev = tuple(next(it))
             except StopIteration:
                 raise ScriptError("script ended with events still enabled") from None
-            if ev not in evs:
+            if not sim._is_enabled(ev):
                 raise ScriptError(f"event {ev!r} not enabled at step {sim.step}")
             return ev
 

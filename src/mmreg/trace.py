@@ -22,8 +22,14 @@ class TraceError(ValueError):
     """Malformed trace input."""
 
 
+# One encoder for every event: json.dumps with non-default separators
+# builds a new JSONEncoder on each call.
+_ENCODER = json.JSONEncoder(separators=(",", ":"))
+
+
 def trace_lines(trace) -> list[str]:
-    return [json.dumps(ev, separators=(",", ":")) for ev in trace]
+    encode = _ENCODER.encode
+    return [encode(ev) for ev in trace]
 
 
 def emit_trace(trace, path) -> None:

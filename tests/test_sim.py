@@ -1,15 +1,23 @@
-import pytest
+import re
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import mmreg.sim as sim_module
+import sim_oracle as oracle
 from mmreg import (
+    Graph,
     Schedule,
     SimError,
     Simulator,
     TaggedValue,
     WorkloadOp,
+    bag_of,
     check_all,
     emit_trace,
     history_from_trace,
     load_trace,
+    make_spec,
     run_simulation,
     schedule_from_trace,
 )
@@ -211,6 +219,29 @@ class TestTraceRoundTrip:
             sim.apply(ev)
         assert sim.trace == []
 
+    # msg3: p1 writes "a" and p2 reads at step 0, p3 reads at step 100.
+    # Invoking op 0 records steps 0-3 (invoke, sends 1.1-1.3 to p1-p3),
+    # op 1 steps 4-7 (sends 2.1-2.3); delivering W 1.2 makes p2 scan its
+    # one register in two handler steps, the second also sending the ack.
+    @pytest.mark.parametrize(
+        "script, crash_plan, step",
+        [
+            ([("invoke", 0), ("invoke", 1), ("deliver", "1.1"), ("deliver", "2.1")], (), 9),
+            ([("invoke", 0), ("deliver", "1.3")], ((3, 0),), 5),
+            ([("invoke", 0), ("deliver", "1.2"), ("hstep", 2), ("hstep", 2), ("deliver", "1.2")], (), 8),
+            ([("invoke", 0), ("invoke", 2)], (), 4),
+            ([("invoke", 0), ("hstep", 3)], (), 4),
+        ],
+        ids=["deliver-to-mid-scan", "deliver-to-crashed", "deliver-twice", "invoke-before-at-step", "hstep-of-idle"],
+    )
+    def test_scripted_run_rejects_what_enabled_does_not_list(self, msg3_spec, script, crash_plan, step):
+        wl = [WorkloadOp("write", 1, "a", 0), WorkloadOp("read", 2, None, 0), WorkloadOp("read", 3, None, 100)]
+        sim = Simulator(msg3_spec, 1, wl)
+        bad = script[-1]
+        with pytest.raises(ScriptError, match=re.escape(f"event {bad!r} not enabled at step {step}")):
+            sim.run(Schedule("scripted", script=tuple(script), crash_plan=crash_plan))
+        assert len(sim.trace) == sim.step == step
+
     def test_bogus_script_event_rejected(self, msg3_spec):
         sim = Simulator(msg3_spec, 1, write_then_read())
         with pytest.raises(ScriptError):
@@ -253,3 +284,142 @@ class TestReliability:
         assert all(
             ev["payload"]["to"] != 5 for ev in sim.trace if ev["kind"] == "deliver"
         )
+
+
+# -- the incremental indexes against the from-scratch rebuild ---------------
+
+
+def _apply_gate(sim, listed, candidates):
+    """`apply` raises ScriptError, and changes nothing, for exactly the
+    candidates that `listed` lacks.  The transition itself is stubbed
+    out, so an accepted event is recorded, not fired."""
+    fired = []
+    sim._fire = fired.append  # shadows the method for this check only
+    try:
+        for ev in candidates:
+            before = (sim.step, len(sim.trace))
+            if ev in listed:
+                sim.apply(ev)
+                assert fired[-1] == ev
+            else:
+                with pytest.raises(ScriptError):
+                    sim.apply(ev)
+            assert (sim.step, len(sim.trace)) == before
+    finally:
+        del sim._fire
+
+
+def checked_run(spec, t, workload, schedule):
+    """Run `schedule`, asserting before every choice that the chooser's
+    view, `enabled()` and `is_quiescent()` equal the rebuild's, and that
+    `apply` accepts exactly the listed events.  Returns the simulator
+    and every event that was ever enabled."""
+    real = sim_module._make_chooser
+    seen: set = set()
+
+    def make(sim, sched):
+        choose = real(sim, sched)
+
+        def checked(evs):
+            expected = oracle.enabled(sim)
+            assert list(evs) == [evs[i] for i in range(len(evs))] == sim.enabled() == expected
+            assert sim.is_quiescent() is oracle.is_quiescent(sim) is False
+            bogus = {("invoke", -1), ("invoke", len(sim.workload)), ("hstep", 0), ("hstep", sim.spec.n + 1), ("deliver", "9.9"), ("noop", 1), ("invoke",)}
+            mine = {("invoke", i) for i in range(len(sim.workload))} | {("hstep", p) for p in sim.procs}
+            network = {("deliver", mid) for mid in sim.network}
+            delivered = {("deliver", ev["payload"]["id"]) for ev in sim.trace[-12:] if ev["kind"] == "deliver"}
+            _apply_gate(sim, expected, sorted(bogus | mine | network | delivered, key=repr))
+            seen.update(expected)
+            return choose(evs)
+
+        return checked
+
+    sim = Simulator(spec, t, workload)
+    assert sim.enabled() == oracle.enabled(sim)
+    assert sim.is_quiescent() is oracle.is_quiescent(sim)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sim_module, "_make_chooser", make)
+        sim.run(schedule)
+    assert sim.enabled() == oracle.enabled(sim) == []
+    assert sim.is_quiescent() and oracle.is_quiescent(sim)
+    return sim, seen
+
+
+@st.composite
+def sim_cases(draw):
+    """A system of n <= 6 processes from a bag or a graph, up to six ops
+    (some invoked only at a later step, so the run idles until then), a
+    crash plan and the fair or fifo policy."""
+    n = draw(st.integers(1, 6))
+    writer = draw(st.integers(1, n))
+    if draw(st.booleans()):
+        sets = draw(st.lists(st.sets(st.integers(1, n), min_size=1), max_size=5))
+        spec = make_spec(bag=bag_of(n, *sets), writer=writer)
+    else:
+        pairs = draw(st.lists(st.tuples(st.integers(1, n), st.integers(1, n)), max_size=8))
+        spec = make_spec(graph=Graph.from_edges(n, [(u, v) for u, v in pairs if u != v]), writer=writer)
+    ops = draw(st.lists(st.tuples(st.booleans(), st.integers(1, n), st.sampled_from([0, 0, 5, 40, 120])), max_size=6))
+    workload = [
+        WorkloadOp("write", writer, f"v{i}", at) if write else WorkloadOp("read", p, None, at)
+        for i, (write, p, at) in enumerate(ops)
+    ]
+    victims = draw(st.lists(st.integers(1, n), unique=True, max_size=n))
+    plan = tuple((p, draw(st.integers(0, 150))) for p in victims)
+    policy = draw(st.sampled_from(["fair", "fifo"]))
+    return spec, draw(st.integers(0, n - 1)), workload, Schedule(policy, seed=draw(st.integers(0, 2**16)), crash_plan=plan)
+
+
+class TestIndexesAgainstRebuild:
+    @settings(max_examples=150, deadline=None)
+    @given(sim_cases())
+    def test_random_runs(self, case):
+        spec, t, workload, schedule = case
+        sim, _ = checked_run(spec, t, workload, schedule)
+        assert trace_lines(sim.trace) == trace_lines(run_simulation(spec, t, workload, schedule).trace)
+
+    @pytest.mark.parametrize("policy", ["fair", "fifo"])
+    @pytest.mark.parametrize("when", ["step-0", "mid-scan", "in-flight"])
+    def test_crash_plans(self, fig1_spec, policy, when):
+        """p3 crashes before any step, while it scans, or while W
+        messages to it are in flight; the crash step comes from a
+        crash-free run, whose choices the crashed run repeats until
+        then."""
+        wl = [*write_then_read(4), WorkloadOp("read", 3, None, 0), WorkloadOp("write", 1, "b", 60)]
+        schedule = Schedule(policy, seed=3)
+        dry = run_simulation(fig1_spec, 3, wl, schedule).trace
+        to_p3 = [ev["step"] for ev in dry if ev["kind"] in ("send", "deliver") and ev["payload"]["to"] == 3]
+        step = {"step-0": 0, "mid-scan": next(s for s in to_p3 if dry[s]["kind"] == "deliver"), "in-flight": to_p3[0]}[when] + (when != "step-0")
+        sim, seen = checked_run(fig1_spec, 3, wl, Schedule(policy, seed=3, crash_plan=((3, step),)))
+        if when == "mid-scan":
+            assert sim.procs[3].scan is not None  # nothing steps a crashed process
+        if when == "in-flight":
+            sent = {ev["payload"]["id"] for ev in sim.trace if ev["kind"] == "send" and ev["step"] < step}
+            assert any(mid in sent for mid, msg in sim.network.items() if msg.dest == 3)
+
+    def test_self_addressed_ack_indexed_once(self, msg3_spec):
+        """A scan's end and its ack to the scanning process itself come
+        in one event; the ack must be listed once."""
+        sim = Simulator(msg3_spec, 1, [WorkloadOp("write", 1, "a", 0)])
+        sim.apply(("invoke", 0))
+        sim.apply(("deliver", "1.1"))
+        while ("hstep", 1) in sim.enabled():
+            sim.apply(("hstep", 1))
+        (ack,) = [mid for mid, msg in sim.network.items() if msg.kind == "ACK-W"]
+        assert sim.network[ack].dest == 1
+        assert sim.enabled().count(("deliver", ack)) == 1
+        assert sim.enabled() == oracle.enabled(sim)
+
+    def test_apply_sees_a_timed_invocation_come_due(self, msg3_spec):
+        sim = Simulator(msg3_spec, 1, [WorkloadOp("write", 1, "a", 0), WorkloadOp("read", 2, None, 3)])
+        sim.apply(("invoke", 0))  # steps 0-3: the invocation and three sends
+        sim.apply(("invoke", 1))
+        assert sim.ops[1].invoke_step == 4
+
+    def test_stranded_messages_stay_in_network(self, fig1_spec):
+        plan = ((5, 0), (4, 30))
+        sim, seen = checked_run(fig1_spec, 3, write_then_read(2), Schedule("fair", seed=2, crash_plan=plan))
+        sent_to_crashed = {ev["payload"]["id"] for ev in sim.trace if ev["kind"] == "send" and ev["payload"]["to"] in (4, 5)}
+        delivered = {ev["payload"]["id"] for ev in sim.trace if ev["kind"] == "deliver"}
+        assert set(sim.network) == sent_to_crashed - delivered
+        assert {msg.dest for msg in sim.network.values()} == {4, 5}
+        assert not {("deliver", mid) for mid in sim.network} & seen
