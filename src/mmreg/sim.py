@@ -320,12 +320,6 @@ class Simulator:
                 self.ops[op_id].response_step = self.step
                 self._record("respond", msg.dest, {"op": op_id, "value": list(value)})
 
-    def _crash(self, p: int) -> None:
-        """Crash p now: it takes no further step."""
-        self.crashed.add(p)
-        self._record("crash", p, {})
-        self._sync(p)
-
     def is_quiescent(self) -> bool:
         """Nothing is enabled, and no timed invocation is still to come."""
         return not (self._invokes or self._scanning or self._deliverable or self._timed)
@@ -351,7 +345,10 @@ class Simulator:
         evs = _EnabledView(self)
         while True:
             while crashes and crashes[0][1] <= self.step:
-                self._crash(crashes.popleft()[0])
+                p, _ = crashes.popleft()
+                self.crashed.add(p)
+                self._record("crash", p, {})
+                self._sync(p)
             self._due()
             if not evs:
                 if not self._timed:
