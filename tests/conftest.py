@@ -1,3 +1,5 @@
+import warnings
+
 import pytest
 from hypothesis import settings
 
@@ -6,6 +8,15 @@ from mmreg import Graph, bag_of, make_spec
 # The same examples on every machine and run, whatever .hypothesis/ holds.
 settings.register_profile("deterministic", derandomize=True, database=None)
 settings.load_profile("deterministic")
+
+# Hypothesis imports this module to report a failing example, and its
+# import raises a DeprecationWarning (from mypy_extensions.TypedDict).
+# Under filterwarnings = ["error"] that warning, raised inside a report
+# hook, stops the whole session; importing it here once, with the
+# warning ignored, lets a failing property test fail on its own.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    import hypothesis.extra._patching  # noqa: F401
 
 
 @pytest.fixture

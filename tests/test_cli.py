@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 from mmreg import Schedule, WorkloadOp, checker, demo, emit_trace, load_spec, run_simulation, t_direct
 from mmreg.cli import fuzz, main
 from mmreg.model import spec_from_dict
+from mmreg.tolerance import BRIDGE_LIMIT
 from mmreg.trace import KINDS, trace_lines
 
 
@@ -366,12 +367,20 @@ class TestViolate:
         assert report["witness"]["P"] == [1] and report["t_L"] == 3
 
     def test_beyond_bridge_limit_reports_null_threshold(self, tmp_path, capsys):
-        # n = 21 is past the bridge search, but the run needs only a witness.
+        # Past the bridge search's limit, but the run needs only a witness.
+        path = tmp_path / "past_limit.json"
+        path.write_text(json.dumps({"n": BRIDGE_LIMIT + 1, "bag": [], "writer": 1}))
+        assert main(["violate", "--spec", str(path), "--t", "15"]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["violation_certified"] is True and summary["t_L"] is None
+
+    def test_threshold_past_twenty_processes(self, tmp_path, capsys):
+        # 21 singletons: the pure message-passing threshold, floor(20 / 2).
         path = tmp_path / "n21.json"
         path.write_text(json.dumps({"n": 21, "bag": [], "writer": 1}))
         assert main(["violate", "--spec", str(path), "--t", "15"]) == 0
         summary = json.loads(capsys.readouterr().out)
-        assert summary["violation_certified"] is True and summary["t_L"] is None
+        assert summary["violation_certified"] is True and summary["t_L"] == 10
 
     def test_tolerated_t_is_input_error(self, fig1_file, capsys):
         assert main(["violate", "--spec", fig1_file, "--t", "3"]) == 2
@@ -403,8 +412,8 @@ class TestFuzz:
         assert not any(v["prop"] == "LIVE" for issue in summary["violations"] for v in issue["violations"])
 
     def test_given_threshold_and_crashes_past_the_bridge_budget(self, tmp_path, capsys):
-        path = tmp_path / "n21.json"
-        path.write_text(json.dumps({"n": 21, "bag": [], "writer": 1}))
+        path = tmp_path / "past_limit.json"
+        path.write_text(json.dumps({"n": BRIDGE_LIMIT + 1, "bag": [], "writer": 1}))
         assert main(["fuzz", "--spec", str(path), "--runs", "1", "--threshold", "10", "--crashes", "2"]) == 0
         assert json.loads(capsys.readouterr().out)["threshold"] == 10
 

@@ -4,6 +4,8 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import mmreg.tolerance as tolerance
+import tolerance_oracle as oracle
 from mmreg import (
     Bag,
     Graph,
@@ -66,6 +68,51 @@ def small_graphs(max_n=6):
     )
 
 
+@st.composite
+def bridge_bags(draw, max_n):
+    """Covered bags at n <= max_n: the uniform system of a random graph;
+    random sets of any size from 1 to n, some of them repeated; or equal
+    disjoint blocks under a random labelling plus up to two random sets,
+    whose ties between equal reaches are where an off-by-one cut shows."""
+    n = draw(st.integers(1, max_n))
+    kind = draw(st.sampled_from(["graph", "sets", "blocks"]))
+    if kind == "graph":
+        pairs = draw(st.lists(st.tuples(st.integers(1, n), st.integers(1, n)), max_size=n))
+        return induce_uniform(Graph.from_edges(n, [(u, v) for u, v in pairs if u != v]))
+    if kind == "blocks":
+        perm = draw(st.permutations(range(1, n + 1)))
+        b = draw(st.integers(1, max(1, n // 2)))
+        sets = [perm[i : i + b] for i in range(0, n, b)]
+        for _ in range(draw(st.integers(0, 2))):
+            sets.append(draw(st.permutations(range(1, n + 1)))[: draw(st.integers(1, n))])
+        return bag_of(n, *sets)
+    cap = draw(st.integers(1, n))  # most bags mix small sets with a few large ones
+    sets = [
+        draw(st.permutations(range(1, n + 1)))[: draw(st.integers(1, cap))]
+        for _ in range(draw(st.integers(0, n)))
+    ]
+    if sets:
+        sets += draw(st.lists(st.sampled_from(sets), max_size=3))
+    return normalize_bag(bag_of(n, *sets))
+
+
+def disjoint_sets(k, b):
+    """k disjoint sharing sets of b processes each."""
+    return bag_of(k * b, *(range(i * b + 1, (i + 1) * b + 1) for i in range(k)))
+
+
+class CountingReach(list):
+    """A reach list that counts its lookups.  The bridge search reads
+    each entry once to order the processes, then one entry per left
+    side it grows."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+
 class TestFloor:
     @pytest.mark.parametrize("n,expected", [(5, 2), (1, 0), (6, 2), (2, 0), (9, 4)])
     def test_values(self, n, expected):
@@ -122,7 +169,7 @@ class TestBridge:
         assert res.t == 3
 
     def test_refuses_above_budget(self):
-        bag = normalize_bag(Bag(21, ()))
+        bag = normalize_bag(Bag(BRIDGE_LIMIT + 1, ()))
         with pytest.raises(ToleranceError, match="budget"):
             t_bridge(bag)
 
@@ -151,6 +198,53 @@ class TestBridge:
             return
         bigger = Bag(bag.n, bag.sets + (extra,))
         assert t_direct(bigger).t >= t_direct(bag).t
+
+
+class TestBridgeSearch:
+    @settings(max_examples=150, deadline=None)
+    @given(bridge_bags(max_n=16))
+    def test_matches_the_subset_table(self, bag):
+        assert t_bridge(bag) == oracle.t_bridge(bag)
+
+    # Singletons at n = 21..24, (k, b) = (12, 2), (8, 3), (6, 4), and one set.
+    @pytest.mark.parametrize("k,b", [(21, 1), (22, 1), (23, 1), (24, 1), (12, 2), (8, 3), (6, 4), (1, 24)])
+    def test_disjoint_sets_closed_form(self, monkeypatch, k, b):
+        # The limit bounds the witness pass's time on random bags; on
+        # these bags both the search and the witness are immediate.
+        monkeypatch.setattr(tolerance, "BRIDGE_LIMIT", 24)
+        bag = disjoint_sets(k, b)
+        n = k * b
+        res = t_bridge(bag)
+        assert res.t == n - b * (k // 2) - 1
+        if k == 1:
+            assert res.witness is None
+        else:
+            assert verify_witness(bag, res.t, res.witness)
+        # The balanced bound keeps the search linear on these bags, odd
+        # n included; without it, 23 singletons take millions of steps.
+        reach = CountingReach(reach_masks(n, bag.masks()))
+        assert tolerance._max_unbridged_side(n, reach) == n - res.t - 1
+        assert reach.reads <= 2 * n
+
+    def test_search_work_on_random_bags(self):
+        # n sets of 1 to 4 processes at n = 22: largest reach first grows
+        # about 4 000 left sides over these 20 bags, smallest reach first
+        # over 200 000, for the same s*.
+        rng = random.Random(0)
+        n = 22
+        reads = 0
+        for _ in range(20):
+            bag = normalize_bag(bag_of(n, *(rng.sample(range(1, n + 1), rng.randint(1, 4)) for _ in range(n))))
+            reach = CountingReach(reach_masks(n, bag.masks()))
+            tolerance._max_unbridged_side(n, reach)
+            reads += reach.reads
+        assert reads <= 20_000
+
+    @settings(max_examples=60, deadline=None)
+    @given(bridge_bags(max_n=14), st.data())
+    def test_adding_a_set_never_lowers_t(self, bag, data):
+        extra = frozenset(data.draw(st.sets(st.integers(1, bag.n), min_size=1)))
+        assert t_bridge(Bag(bag.n, bag.sets + (extra,))).t >= t_bridge(bag).t
 
 
 class TestUniform:
