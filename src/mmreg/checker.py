@@ -12,20 +12,26 @@ still justify a read's value as a concurrent write.
 
 Property 1 and Property 2 answer these precedence questions from sorted
 orders, a prefix maximum and a suffix minimum, in O((R+W) log(R+W)) for
-R reads and W writes; only naming the operations of a violation found
-costs a further linear pass.  Their output is identical to the pairwise
-definitions (kept as the test oracle in tests/checker_oracle.py): the
-same violations, in the same order, with the same messages.
+R reads and W writes.  Naming the operations of a violation costs
+Property 1 a further pass over the writes, and Property 2 O(log R) per
+pair listed.  Their output is identical to the pairwise definitions
+(kept as the test oracle in tests/checker_oracle.py): the same
+violations, in the same order, with the same messages.
+
+`check_all` reads a trace once, through `trace.project`, for whatever
+of the history, the register writes and the crashed set it is not
+given, so a trace file is checked as it is read.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from heapq import heappush
 from itertools import accumulate
 from math import inf
 
-from .trace import crashed_from_trace, history_from_trace, register_writes
+from .trace import project
 
 
 class HistoryError(ValueError):
@@ -162,8 +168,9 @@ def check_property2(history) -> Verdict:
     sequence number of each prefix: the reads that precede r2 are the
     prefix found by one bisect on r2's invocation, and none of them
     returned a fresher value unless that prefix's maximum says so.
-    O(R log R) for R completed reads; each read that is the later read
-    of a violation adds one pass over the reads that precede it.  The
+    O(R log R) for R completed reads, and O(log R) more per violation:
+    the earlier reads of a violation are listed from a max-heap of the
+    reads that precede the later one, without visiting the others.  The
     output is identical to the pairwise definition."""
     _validate(history)
     reads = _completed_reads(history)
@@ -171,11 +178,29 @@ def check_property2(history) -> Verdict:
     by_response = sorted(range(len(reads)), key=lambda i: reads[i]["response"])
     responses = [reads[i]["response"] for i in by_response]
     prefix_max = list(accumulate((sns[i] for i in by_response), max))
-    pairs = []
+    later = []  # (k, j): read j is the later read of a violation, k reads precede it
     for j, r2 in enumerate(reads):
         k = bisect_left(responses, r2["invoke"])
         if k and prefix_max[k - 1] > sns[j]:
-            pairs.extend((i, j) for i in by_response[:k] if sns[i] > sns[j])
+            later.append((k, j))
+    # Sweep by k, with the first k reads in response order in a max-heap
+    # of (-sn, i).  Below an entry whose sn is not greater than sns[j]
+    # none is, so the walk from the root visits the pairs and their
+    # children only.
+    later.sort()
+    heap: list[tuple] = []
+    pairs = []
+    for k, j in later:
+        for i in by_response[len(heap) : k]:
+            heappush(heap, (-sns[i], i))
+        bound = -sns[j]
+        stack = [0]  # the root holds the greatest sn, which exceeds sns[j]
+        while stack:
+            e = stack.pop()
+            pairs.append((heap[e][1], j))
+            for c in (2 * e + 1, 2 * e + 2):
+                if c < len(heap) and heap[c][0] < bound:
+                    stack.append(c)
     pairs.sort()
     return Verdict(
         tuple(
@@ -189,22 +214,18 @@ def check_property2(history) -> Verdict:
     )
 
 
+def _monotonicity(decreases) -> Verdict:
+    return Verdict(
+        tuple(
+            Violation("MONO", (), f"register R_{reg[0]}[p{reg[1]}] went from sn={prev} to sn={sn} at step {step}")
+            for step, reg, prev, sn in decreases
+        )
+    )
+
+
 def check_monotonicity(trace) -> Verdict:
     """Per register, successive written sequence numbers never decrease."""
-    last: dict[tuple, int] = {}
-    violations = []
-    for step, _, reg, sn in register_writes(trace):
-        prev = last.get(reg)
-        if prev is not None and sn < prev:
-            violations.append(
-                Violation(
-                    "MONO",
-                    (),
-                    f"register R_{reg[0]}[p{reg[1]}] went from sn={prev} to sn={sn} at step {step}",
-                )
-            )
-        last[reg] = sn
-    return Verdict(tuple(violations))
+    return _monotonicity(project(trace, ("mono",)).get("mono"))
 
 
 def check_completion(history, crashed, t: int | None = None) -> Verdict:
@@ -231,21 +252,32 @@ PROPERTIES = ("1", "2", "mono", "live")
 
 def check_all(trace, history=None, crashed=None, t: int | None = None, props=PROPERTIES) -> Verdict:
     """The selected properties over one run: "1" and "2" are Property 1
-    and Property 2, "mono" register monotonicity, and "live" completion,
-    with the crashed processes read from the trace unless supplied."""
+    and Property 2, "mono" register monotonicity, and "live" completion.
+    The trace is read once, for what is not supplied: the history unless
+    given, the register writes for "mono", and the crashed processes for
+    "live" unless given.  Errors come in a fixed order: the history's,
+    then each property's in the order above."""
     if not props or not set(props) <= set(PROPERTIES):
         raise HistoryError(f"properties {','.join(props)!r} not a selection from {','.join(PROPERTIES)}")
+    parts = []
     if history is None:
-        history = history_from_trace(trace)
+        parts.append("history")
+    if "mono" in props:
+        parts.append("mono")
+    if "live" in props and crashed is None:
+        parts.append("crashed")
+    projection = project(trace, parts)
+    if history is None:
+        history = projection.get("history")
     verdict = Verdict(())
     if "1" in props:
         verdict = verdict.merged(check_property1(history))
     if "2" in props:
         verdict = verdict.merged(check_property2(history))
     if "mono" in props:
-        verdict = verdict.merged(check_monotonicity(trace))
+        verdict = verdict.merged(_monotonicity(projection.get("mono")))
     if "live" in props:
         if crashed is None:
-            crashed = crashed_from_trace(trace)
+            crashed = projection.get("crashed")
         verdict = verdict.merged(check_completion(history, crashed, t))
     return verdict

@@ -245,7 +245,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SimError, ProtocolError, OSError, ValueError) as e:
+    # json raises RecursionError on a document nested too deep to decode.
+    except (SimError, ProtocolError, OSError, ValueError, RecursionError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -1,18 +1,24 @@
-"""The trace of a run: its JSONL format, the reader, and every
-projection of it.
+"""The trace of a run: its JSONL format, the reader, and the one pass
+that projects it.
 
 A trace is the list of a run's events in step order; a trace file
 holds one per line, as {"step", "kind", "actor", "payload"}, with the
 kinds and payload fields listed in the README.  The simulator appends
-the events, and everything else reads them through this module.  A
-trace file is outside input, so each projection checks the fields it
-reads, and only those, and raises TraceError naming the event (event i
-is line i of a file written by `emit_trace`) or the op.
+the events, and everything else reads them through this module.
+`load_trace` yields a file's events one at a time, and `project` reads
+any iterable of events once, building together the parts a caller
+selects: the op records, the register writes, the per-register
+monotonicity result and the crashed set.  So checking a trace file
+holds O(ops + registers), not every event.  A trace is outside input,
+so each part checks the fields it reads, and only those, and stops at
+its first TraceError naming the event (event i is line i of a file
+written by `emit_trace`) or the op.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass, field
 from pathlib import Path
 
 KINDS = ("invoke", "respond", "send", "deliver", "reg-read", "reg-write", "crash")
@@ -25,6 +31,10 @@ class TraceError(ValueError):
 # One encoder for every event: json.dumps with non-default separators
 # builds a new JSONEncoder on each call.
 _ENCODER = json.JSONEncoder(separators=(",", ":"))
+
+# One decoder for every line: json.loads adds a Python-level wrapper and
+# two whitespace matches to each call, and a stripped line needs neither.
+_DECODE = json.JSONDecoder().raw_decode
 
 
 def trace_lines(trace) -> list[str]:
@@ -40,19 +50,29 @@ def emit_trace(trace, path) -> None:
             f.write("\n")
 
 
-def load_trace(path) -> list[dict]:
-    """The events of a JSONL trace file.  Raises TraceError on a line
-    that is not a JSON object."""
-    out = []
+def load_trace(path):
+    """The events of a JSONL trace file, yielded as its lines are read.
+    Raises TraceError on a line that is not a JSON object; a line that
+    is not one JSON document raises json.loads' own JSONDecodeError."""
     with open(Path(path), encoding="utf-8") as f:
         for lineno, line in enumerate(f, 1):
             line = line.strip()
             if line:
-                ev = json.loads(line)
+                try:
+                    ev, end = _DECODE(line)
+                except json.JSONDecodeError:
+                    end = None
+                if end != len(line):
+                    # json.loads reports the error, and its position, as
+                    # it always has: "{} x" fails at char 3, not 2.
+                    ev = json.loads(line)
                 if not isinstance(ev, dict):
                     raise TraceError(f"trace line {lineno} is not a JSON object")
-                out.append(ev)
-    return out
+                yield ev
+
+
+def _unknown_kind(i: int, kind) -> TraceError:
+    return TraceError(f"trace event {i} has kind {kind!r}, not one of {', '.join(KINDS)}")
 
 
 def _of_kind(trace, wanted):
@@ -63,7 +83,7 @@ def _of_kind(trace, wanted):
         if kind in wanted:
             yield i, kind, ev
         elif kind not in KINDS:
-            raise TraceError(f"trace event {i} has kind {kind!r}, not one of {', '.join(KINDS)}")
+            raise _unknown_kind(i, kind)
 
 
 def _bad(i: int, kind: str, field: str, value, expected: str) -> TraceError:
@@ -84,52 +104,173 @@ def _payload(i: int, kind: str, ev: dict) -> dict:
     return payload
 
 
+def _op_event(records: dict, i: int, kind: str, ev: dict) -> None:
+    """Fold one invoke or respond event into the op records.  A write's
+    value is fixed at invocation, a read's at its response."""
+    payload, step = ev.get("payload"), ev.get("step")
+    if type(payload) is not dict:
+        raise _bad(i, kind, "payload", payload, "an object")
+    op = payload.get("op")
+    if type(op) is not int:
+        raise _bad(i, kind, "op", op, "an integer")
+    if type(step) is not int:
+        raise TraceError(f"{kind} event of op {op} has step {step!r}, not an integer")
+    rec = records.get(op)
+    if kind == "invoke":
+        if rec is not None:
+            raise TraceError(f"op {op} is invoked twice")
+        op_kind = payload.get("kind")
+        if op_kind != "read" and op_kind != "write":
+            raise TraceError(f'op {op} has kind {op_kind!r}, not "read" or "write"')
+        proc = ev.get("actor")
+        if type(proc) is not int:
+            raise _bad(i, kind, "actor", proc, "an integer")
+        records[op] = {
+            "op": op,
+            "kind": op_kind,
+            "proc": proc,
+            "invoke": step,
+            "response": None,
+            "value": payload.get("value"),
+        }
+    elif rec is None:
+        raise TraceError(f"op {op} responds but was never invoked")
+    elif rec["response"] is not None:
+        raise TraceError(f"op {op} responds twice")
+    elif "value" not in payload:
+        raise TraceError(f"op {op} responds with no value")
+    else:
+        rec["response"] = step
+        rec["value"] = payload["value"]
+
+
+def _register_write(i: int, kind: str, ev: dict) -> tuple:
+    """(step, actor, register, sn) of a reg-write event, the register as
+    a (set index, owner) tuple; the step is not read as a number."""
+    payload = ev.get("payload")
+    if type(payload) is not dict:
+        raise _bad(i, kind, "payload", payload, "an object")
+    reg, value = payload.get("register"), payload.get("value")
+    if not (isinstance(reg, (list, tuple)) and len(reg) == 2 and type(reg[0]) is int and type(reg[1]) is int):
+        raise _bad(i, kind, "register", reg, "[set index, owner]")
+    if not (isinstance(value, (list, tuple)) and value and type(value[0]) is int):
+        raise _bad(i, kind, "value", value, "[sn, payload] with an integer sn")
+    actor = ev.get("actor")
+    if type(actor) is not int:
+        raise _bad(i, kind, "actor", actor, "an integer")
+    return ev.get("step"), actor, (reg[0], reg[1]), value[0]
+
+
+@dataclass
+class Projection:
+    """The parts of a trace that `project` built, each None unless
+    selected:
+
+    - history: the op records, sorted by op: op, kind, proc, invoke and
+      response steps, and value;
+    - writes: (step, actor, register, sn) for each reg-write event, in
+      trace order;
+    - mono: (step, register, previous sn, sn) for each register write
+      whose sn is below the one written to that register before it;
+    - crashed: the actors of the crash events.
+
+    A part stops at its first TraceError, which `errors` keeps under the
+    part's name; "writes" and "mono" read the same fields and so stop
+    together."""
+
+    history: list[dict] | None = None
+    writes: list[tuple] | None = None
+    mono: list[tuple] | None = None
+    crashed: set[int] | None = None
+    errors: dict[str, TraceError] = field(default_factory=dict)
+
+    def get(self, part: str):
+        """The part, or its TraceError raised."""
+        error = self.errors.get(part)
+        if error is not None:
+            raise error
+        return getattr(self, part)
+
+
+def project(trace, parts) -> Projection:
+    """One pass over the events of `trace`, any iterable, building the
+    selected `parts` ("history", "writes", "mono" or "crashed"; see
+    Projection) together.  A part's errors are recorded, not raised,
+    and the pass reads to the end whatever fails, so an error of the
+    iterable itself (a bad line of `load_trace`) comes first.  Besides
+    malformed fields, the history stops at an op invoked twice,
+    responding twice, responding with no invoke before it, or with no
+    value; value shapes are the checker's to check.  With no part
+    selected, `trace` is not read."""
+    out = Projection()
+    if not parts:
+        return out
+    records = {} if "history" in parts else None
+    writes = [] if "writes" in parts else None
+    last = {} if "mono" in parts else None
+    decreases = [] if "mono" in parts else None
+    crashed = set() if "crashed" in parts else None
+    errors = out.errors
+    for i, ev in enumerate(trace, 1):
+        kind = ev.get("kind")
+        if kind == "reg-write":
+            if writes is None and last is None:
+                continue
+            try:
+                step, actor, reg, sn = _register_write(i, kind, ev)
+            except TraceError as e:
+                errors.update((part, e) for part in ("writes", "mono") if part in parts)
+                writes = last = None
+                continue
+            if writes is not None:
+                writes.append((step, actor, reg, sn))
+            if last is not None:
+                prev = last.get(reg)
+                if prev is not None and sn < prev:
+                    decreases.append((step, reg, prev, sn))
+                last[reg] = sn
+        elif kind == "send" or kind == "deliver" or kind == "reg-read":
+            continue  # no part reads these
+        elif kind == "invoke" or kind == "respond":
+            if records is not None:
+                try:
+                    _op_event(records, i, kind, ev)
+                except TraceError as e:
+                    errors["history"] = e
+                    records = None
+        elif kind == "crash":
+            if crashed is not None:
+                try:
+                    crashed.add(_actor(i, kind, ev))
+                except TraceError as e:
+                    errors["crashed"] = e
+                    crashed = None
+        elif kind not in KINDS:
+            e = _unknown_kind(i, kind)
+            for part in parts:
+                errors.setdefault(part, e)
+            records = writes = last = crashed = None
+    if records is not None:
+        out.history = [records[k] for k in sorted(records)]
+    out.writes, out.mono, out.crashed = writes, decreases, crashed
+    return out
+
+
 def history_from_trace(trace) -> list[dict]:
-    """The run's operation records, rebuilt from its invoke and respond
-    events: op, kind, proc, invoke and response steps, and value (a
-    write's value is fixed at invocation, a read's at its response).
-    This is the one way a history is built, so the checker sees a run
-    and its emitted trace alike.  Besides malformed fields, raises
-    TraceError on an op invoked twice, responding twice, responding with
-    no invoke before it, or with no value; value shapes are the
-    checker's to check."""
-    records: dict[int, dict] = {}
-    for i, kind, ev in _of_kind(trace, ("invoke", "respond")):
-        payload, step = _payload(i, kind, ev), ev.get("step")
-        op = payload.get("op")
-        if type(op) is not int:
-            raise _bad(i, kind, "op", op, "an integer")
-        if type(step) is not int:
-            raise TraceError(f"{kind} event of op {op} has step {step!r}, not an integer")
-        rec = records.get(op)
-        if kind == "invoke":
-            if rec is not None:
-                raise TraceError(f"op {op} is invoked twice")
-            op_kind = payload.get("kind")
-            if op_kind != "read" and op_kind != "write":
-                raise TraceError(f'op {op} has kind {op_kind!r}, not "read" or "write"')
-            records[op] = {
-                "op": op,
-                "kind": op_kind,
-                "proc": _actor(i, kind, ev),
-                "invoke": step,
-                "response": None,
-                "value": payload.get("value"),
-            }
-        elif rec is None:
-            raise TraceError(f"op {op} responds but was never invoked")
-        elif rec["response"] is not None:
-            raise TraceError(f"op {op} responds twice")
-        elif "value" not in payload:
-            raise TraceError(f"op {op} responds with no value")
-        else:
-            rec["response"] = step
-            rec["value"] = payload["value"]
-    return [records[k] for k in sorted(records)]
+    """The run's operation records (see Projection), rebuilt from its
+    invoke and respond events.  This is the one way a history is built,
+    so the checker sees a run and its emitted trace alike."""
+    return project(trace, ("history",)).get("history")
 
 
 def crashed_from_trace(trace) -> set[int]:
-    return {_actor(i, kind, ev) for i, kind, ev in _of_kind(trace, ("crash",))}
+    return project(trace, ("crashed",)).get("crashed")
+
+
+def register_writes(trace) -> list[tuple]:
+    """(step, actor, register, sn) for each reg-write event in trace
+    order, the register as a (set index, owner) tuple."""
+    return project(trace, ("writes",)).get("writes")
 
 
 def schedule_from_trace(trace) -> tuple:
@@ -143,16 +284,3 @@ def schedule_from_trace(trace) -> tuple:
         else:
             script.append(("hstep", _actor(i, kind, ev)))
     return tuple(script)
-
-
-def register_writes(trace):
-    """(step, actor, register, sn) for each reg-write event in trace
-    order, the register as a (set index, owner) tuple."""
-    for i, kind, ev in _of_kind(trace, ("reg-write",)):
-        payload = _payload(i, kind, ev)
-        reg, value = payload.get("register"), payload.get("value")
-        if not (isinstance(reg, (list, tuple)) and len(reg) == 2 and type(reg[0]) is int and type(reg[1]) is int):
-            raise _bad(i, kind, "register", reg, "[set index, owner]")
-        if not (isinstance(value, (list, tuple)) and value and type(value[0]) is int):
-            raise _bad(i, kind, "value", value, "[sn, payload] with an integer sn")
-        yield ev.get("step"), _actor(i, kind, ev), tuple(reg), value[0]

@@ -1,6 +1,7 @@
 import copy
 import random
 import re
+import sys
 from bisect import bisect_right
 
 import pytest
@@ -19,6 +20,7 @@ from mmreg import (
     history_from_trace,
     run_simulation,
 )
+import mmreg.checker
 from mmreg.checker import HistoryError
 
 
@@ -254,6 +256,37 @@ class TestAgainstOracle:
         assert p2 == oracle.check_property2(history)
         assert stale["op"] in p1.violations[0].ops
         assert (len(history) - 2, len(history) - 1) in [v.ops for v in p2.violations]
+
+    def test_listing_costs_a_bounded_number_of_lines_per_pair(self):
+        """One early read returning a far-future sn is the earlier read
+        of a violation with nearly every later read.  Listing those pairs
+        must not rescan the reads that precede each later read: it may
+        execute at most 5 times the checker lines of the clean history."""
+        history = _linearizable_history(random.Random(1), 3000)
+        clean = _executed_lines(mmreg.checker, lambda: check_property2(history))
+        next(h for h in history if h["kind"] == "read")["value"] = [10**6, "far"]
+        assert len(check_property2(history).violations) > 2000
+        assert _executed_lines(mmreg.checker, lambda: check_property2(history)) <= 5 * clean
+
+
+def _executed_lines(module, call) -> int:
+    """The number of lines of `module` that call() executes."""
+    count = 0
+
+    def trace(frame, event, arg):
+        nonlocal count
+        if frame.f_code.co_filename != module.__file__:
+            return None
+        count += event == "line"
+        return trace
+
+    previous = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        call()
+    finally:
+        sys.settrace(previous)
+    return count
 
 
 def _linearizable_history(rng, n_ops):

@@ -134,6 +134,25 @@ def test_bad_input_is_usage_error(tmp_path, monkeypatch, capsys, spec, command, 
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "--trace", "deep.json"],
+        ["tolerance", "--spec", "deep.json"],
+        ["simulate", "--spec", "spec.json", "--workload", "deep.json", "--trace", "trace.jsonl"],
+    ],
+    ids=["trace", "spec", "workload"],
+)
+def test_json_nested_too_deep_is_usage_error(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    Path("deep.json").write_text("[" * 200_000 + "]" * 200_000)
+    Path("spec.json").write_text(json.dumps(SINGLETONS))
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "recursion" in err
+    assert "Traceback" not in err
+
+
 class TestSimulateCheckPipeline:
     def test_clean_run_checks_out(self, msg3_file, workload_file, tmp_path, capsys):
         trace = str(tmp_path / "trace.jsonl")

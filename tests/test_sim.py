@@ -157,7 +157,7 @@ class TestTraceRoundTrip:
         for i, sim in enumerate(runs):
             path = tmp_path / f"trace{i}.jsonl"
             emit_trace(sim.trace, path)
-            assert load_trace(path) == sim.trace
+            assert list(load_trace(path)) == sim.trace
 
     def test_emitted_bytes_stable(self, tmp_path, msg3_spec):
         paths = []

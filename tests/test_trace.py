@@ -1,0 +1,213 @@
+"""The one-pass trace path against the three-scan oracle in
+trace_oracle.py: `check_all` on in-memory traces, lists and one-shot
+iterators alike, and `mmreg check` on trace files, give the same
+verdicts, or raise the same exception with the same message."""
+
+import copy
+import io
+import json
+import random
+from contextlib import redirect_stderr, redirect_stdout
+from itertools import combinations
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import trace_oracle as oracle
+from mmreg import Schedule, bag_of, check_all, emit_trace, load_trace, make_spec, run_simulation
+from mmreg.checker import PROPERTIES
+from mmreg.cli import main, random_crash_plan, random_workload
+from mmreg.trace import KINDS, TraceError, trace_lines
+
+SPECS = [
+    make_spec(bag=bag_of(2, [1, 2]), writer=1),
+    make_spec(bag=bag_of(3, [1], [2], [3]), writer=1),
+    make_spec(bag=bag_of(4, [1, 2], [2, 3], [3, 4]), writer=2),
+    make_spec(bag=bag_of(5, [1, 2], [1, 2, 3], [2, 3, 4, 5], [3, 4, 5]), writer=1),
+]
+
+
+def _run(seed: int):
+    """A fuzz-style run at n <= 5: random workload, up to two crashes."""
+    rng = random.Random(seed)
+    spec = SPECS[seed % len(SPECS)]
+    plan = random_crash_plan(spec, rng, rng.randint(0, min(2, spec.n - 1)))
+    return run_simulation(spec, 1, random_workload(spec, rng), Schedule("fair", seed=seed, crash_plan=plan))
+
+
+RUNS = [_run(seed) for seed in range(16)]
+
+# Every non-empty selection of properties.
+SELECTIONS = [sel for r in range(1, len(PROPERTIES) + 1) for sel in combinations(PROPERTIES, r)]
+
+# Replacement values for a field.
+JUNK = [None, True, False, 0, -1, 2, 1.5, "", "x", "read", [], [1], [1, 2], ["1", "a"], {}, {"op": 1}]
+
+
+def faults(trace, rng: random.Random) -> list:
+    """A copy of `trace` with 0-4 faults: an event dropped or
+    duplicated, a field (of the event, its payload, or one element of a
+    register or value) replaced by junk or deleted, or an unknown kind.
+    The event's kind is drawn first, a kind that the checks read twice
+    as likely as one they skip."""
+    trace = copy.deepcopy(trace)
+    for _ in range(rng.choice([0, 1, 1, 2, 2, 3, 4])):
+        if not trace:
+            break
+        kinds = sorted({str(ev.get("kind")) for ev in trace})
+        kind = rng.choice(kinds + [k for k in ("invoke", "respond", "reg-write", "crash") if k in kinds])
+        i = rng.choice([j for j, ev in enumerate(trace) if str(ev.get("kind")) == kind])
+        fault = rng.choice(["drop", "duplicate", "field", "field", "kind"])
+        if fault == "drop":
+            del trace[i]
+        elif fault == "duplicate":
+            trace.insert(rng.randint(0, len(trace)), copy.deepcopy(trace[i]))
+        elif fault == "kind":
+            trace[i]["kind"] = rng.choice(["banana", "Invoke", *JUNK])
+        else:
+            node = trace[i]
+            if isinstance(node.get("payload"), dict) and node["payload"] and rng.random() < 0.6:
+                node = node["payload"]
+            if not node:
+                continue
+            key = rng.choice(sorted(node))
+            if isinstance(node[key], list) and node[key] and rng.random() < 0.5:
+                node, key = node[key], rng.randrange(len(node[key]))
+            if isinstance(node, dict) and rng.random() < 0.3:
+                del node[key]
+            else:
+                node[key] = copy.deepcopy(rng.choice(JUNK))
+    return trace
+
+
+def outcome(check, *args, **kwargs):
+    """A check's violations as dicts, or the type and message of what it raised."""
+    try:
+        return check(*args, **kwargs).as_dicts()
+    except Exception as e:  # noqa: BLE001 - any difference is a failure
+        return type(e).__name__, str(e)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_one_pass_matches_the_three_scans(data):
+    sim = data.draw(st.sampled_from(RUNS))
+    trace = faults(sim.trace, random.Random(data.draw(st.integers(0, 2**32 - 1))))
+    history = oracle.history_from_trace(sim.trace)
+    t = data.draw(st.sampled_from([None, 0, 1, 2]))
+    for props in SELECTIONS:
+        for supplied in ({}, {"history": history}, {"crashed": sim.crashed}, {"history": history, "crashed": sim.crashed}):
+            expected = outcome(oracle.check_all, trace, t=t, props=props, **supplied)
+            assert outcome(check_all, trace, t=t, props=props, **supplied) == expected, (props, supplied)
+            assert outcome(check_all, iter(trace), t=t, props=props, **supplied) == expected, (props, supplied)
+
+
+# -- one-shot iterators ---------------------------------------------------
+
+# A pending read by p2, a register whose sn goes down, and p3 crashing.
+PENDING_MONO_CRASH = [
+    {"step": 0, "kind": "invoke", "actor": 2, "payload": {"op": 0, "kind": "read"}},
+    {"step": 1, "kind": "reg-write", "actor": 1, "payload": {"register": [1, 1], "value": [3, "c"]}},
+    {"step": 2, "kind": "reg-write", "actor": 1, "payload": {"register": [1, 1], "value": [2, "b"]}},
+    {"step": 3, "kind": "crash", "actor": 3, "payload": {}},
+]
+
+
+def test_an_iterator_is_checked_like_a_list():
+    verdict = check_all(iter(PENDING_MONO_CRASH))
+    assert verdict == check_all(PENDING_MONO_CRASH)
+    assert [v.prop for v in verdict.violations] == ["MONO", "LIVE"]
+    for trace in (PENDING_MONO_CRASH, iter(PENDING_MONO_CRASH)):
+        with pytest.raises(ValueError, match="1 crashes exceed the tolerated 0"):
+            check_all(trace, t=0)
+
+
+# Runs with crashes; in run 11 the crashed p5 has a pending op.
+@pytest.mark.parametrize("seed", [0, 5, 9, 11, 13])
+def test_an_iterator_over_a_run_is_checked_like_the_run(seed):
+    trace = RUNS[seed].trace
+    assert check_all(iter(trace)) == check_all(trace)
+
+
+# -- trace files through `mmreg check` --------------------------------------
+
+
+def check_file(path) -> tuple:
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        rc = main(["check", "--trace", str(path)])
+    return rc, out.getvalue(), err.getvalue()
+
+
+def oracle_check_file(path) -> tuple:
+    """What `mmreg check` printed when it read the whole file first."""
+    try:
+        verdict = oracle.check_all(oracle.load_trace(path))
+    except (ValueError, RecursionError) as e:
+        return 2, "", f"error: {e}\n"
+    return int(not verdict.ok), json.dumps({"ok": verdict.ok, "violations": verdict.as_dicts()}) + "\n", ""
+
+
+@pytest.mark.parametrize("seed", range(0, 16, 5))
+def test_check_of_a_file_matches_check_all_of_the_list(tmp_path, seed):
+    trace = RUNS[seed].trace
+    path = tmp_path / "run.jsonl"
+    emit_trace(trace, path)
+    verdict = check_all(trace)
+    assert check_file(path) == (int(not verdict.ok), json.dumps({"ok": verdict.ok, "violations": verdict.as_dicts()}) + "\n", "")
+
+
+# Line damage: each returns the new text of a line.
+DAMAGE = [
+    lambda line, k: line[: k % (len(line) + 1)],  # truncated
+    lambda line, k: line + " x",
+    lambda line, k: line + "}",
+    lambda line, k: "{} x",
+    lambda line, k: "[1, 2]",
+    lambda line, k: "null",
+    lambda line, k: "\ufeff" + line,
+    lambda line, k: "   ",
+    lambda line, k: "\t" + line + " ",
+    lambda line, k: line.replace('"kind"', '"kin', 1),
+    lambda line, k: line.replace(":", "::", 1),
+    lambda line, k: line[:k % (len(line) + 1)] + "\udcff" + line[k % (len(line) + 1):],  # not UTF-8 once written
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_check_of_a_damaged_file_matches_the_list_reader(tmp_path_factory, data):
+    sim = data.draw(st.sampled_from(RUNS))
+    events = faults(sim.trace, random.Random(data.draw(st.integers(0, 2**32 - 1))))
+    lines = trace_lines(events)
+    for _ in range(data.draw(st.integers(0 if lines else 1, 3))):
+        i = data.draw(st.integers(0, len(lines))) if lines else 0
+        damaged = data.draw(st.sampled_from(DAMAGE))(lines[i] if i < len(lines) else "{}", data.draw(st.integers(0, 200)))
+        lines[i:i + 1] = [damaged]
+    path = tmp_path_factory.mktemp("damaged") / "trace.jsonl"
+    path.write_bytes(("\n".join(lines) + "\n").encode("utf-8", "surrogateescape"))
+    assert check_file(path) == oracle_check_file(path)
+
+
+def test_load_trace_yields_events_lazily(tmp_path):
+    path = tmp_path / "trace.jsonl"
+    path.write_text('{"kind": "crash", "actor": 1, "step": 0, "payload": {}}\n[1]\n')
+    events = load_trace(path)
+    assert next(events)["kind"] == "crash"
+    with pytest.raises(TraceError, match="trace line 2 is not a JSON object"):
+        next(events)
+
+
+@pytest.mark.parametrize("line", ["{} x", '{"a": 1} {"b": 2}', '{"a": }', "{", "\ufeff{}", "nul"])
+def test_a_bad_line_raises_what_json_loads_raises(tmp_path, line):
+    path = tmp_path / "trace.jsonl"
+    path.write_text(line + "\n")
+    with pytest.raises(json.JSONDecodeError) as new:
+        list(load_trace(path))
+    with pytest.raises(json.JSONDecodeError) as old:
+        oracle.load_trace(path)
+    assert str(new.value) == str(old.value)
+
+
+def test_the_runs_have_every_kind():
+    assert {ev["kind"] for run in RUNS for ev in run.trace} == set(KINDS)
