@@ -18,9 +18,9 @@ pair listed.  Their output is identical to the pairwise definitions
 (kept as the test oracle in tests/checker_oracle.py): the same
 violations, in the same order, with the same messages.
 
-`check_all` reads a trace once, through `trace.project`, for whatever
-of the history, the register writes and the crashed set it is not
-given, so a trace file is checked as it is read.
+`check_all` reads a trace once, through `trace.project`, which builds
+the history, the monotonicity result and the crashed set together, so
+a trace file is checked as it is read.
 """
 
 from __future__ import annotations
@@ -225,7 +225,7 @@ def _monotonicity(decreases) -> Verdict:
 
 def check_monotonicity(trace) -> Verdict:
     """Per register, successive written sequence numbers never decrease."""
-    return _monotonicity(project(trace, ("mono",)).get("mono"))
+    return _monotonicity(project(trace).get("mono"))
 
 
 def check_completion(history, crashed, t: int | None = None) -> Verdict:
@@ -253,20 +253,12 @@ PROPERTIES = ("1", "2", "mono", "live")
 def check_all(trace, history=None, crashed=None, t: int | None = None, props=PROPERTIES) -> Verdict:
     """The selected properties over one run: "1" and "2" are Property 1
     and Property 2, "mono" register monotonicity, and "live" completion.
-    The trace is read once, for what is not supplied: the history unless
-    given, the register writes for "mono", and the crashed processes for
-    "live" unless given.  Errors come in a fixed order: the history's,
-    then each property's in the order above."""
+    The trace is read once, through `project`; a `history` or `crashed`
+    given here is used in place of the trace's.  Errors come in a fixed
+    order: the history's, then each property's in the order above."""
     if not props or not set(props) <= set(PROPERTIES):
         raise HistoryError(f"properties {','.join(props)!r} not a selection from {','.join(PROPERTIES)}")
-    parts = []
-    if history is None:
-        parts.append("history")
-    if "mono" in props:
-        parts.append("mono")
-    if "live" in props and crashed is None:
-        parts.append("crashed")
-    projection = project(trace, parts)
+    projection = project(trace)
     if history is None:
         history = projection.get("history")
     verdict = Verdict(())

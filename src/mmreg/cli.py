@@ -88,6 +88,8 @@ def fuzz(spec, runs: int, base_seed: int, crashes: int | None = None, t: int | N
     tolerated budget unless overridden."""
     if runs < 0:
         raise SimError(f"runs must be >= 0, got {runs}")
+    if crashes is not None and not 0 <= crashes <= spec.n:
+        raise SimError(f"crashes must be in 0..{spec.n}, got {crashes}")
     t_l = t_bridge(spec.bag).t if t is None or crashes is None else None
     threshold = t_l if t is None else t
     issues = []
@@ -102,7 +104,7 @@ def fuzz(spec, runs: int, base_seed: int, crashes: int | None = None, t: int | N
         sim = run_simulation(spec, threshold, workload, Schedule("fair", seed=seed, crash_plan=plan))
         total_steps += sim.step
         props = PROPERTIES if n_crashes <= threshold else ("1", "2", "mono")
-        verdict = check_all(sim.trace, crashed=sim.crashed, t=threshold, props=props)
+        verdict = check_all(sim.trace, t=threshold, props=props)
         starved += sum(1 for v in verdict.violations if v.prop == "LIVE")
         if not verdict.ok:
             issues.append({"seed": seed, "violations": verdict.as_dicts()})

@@ -26,7 +26,7 @@ from .checker import check_property1
 from .model import Bag, SystemSpec
 from .sim import Schedule, Simulator, WorkloadOp
 from .tolerance import reach_masks, require_covered, smallest_failing_pair, verify_witness
-from .trace import crashed_from_trace, history_from_trace, register_writes, schedule_from_trace
+from .trace import project, register_writes, schedule_from_trace
 
 PAYLOAD = "v-new"  # the value the adversarial write stores
 
@@ -158,7 +158,8 @@ def demo(spec: SystemSpec, t: int) -> dict:
     elif spec.writer not in witness.p_side:
         spec = replace(spec, writer=min(witness.p_side))
     run = build_e3(spec, t, witness)
-    history = history_from_trace(run.sim.trace)
+    projection = project(run.sim.trace)
+    history = projection.get("history")
     verdict = check_property1(history)
 
     write, read = history  # ops 0 and 1, both invoked by the construction
@@ -169,7 +170,7 @@ def demo(spec: SystemSpec, t: int) -> dict:
         and write["response"] < read["invoke"]
         and read["value"][0] == 0
     )
-    no_crashes = not crashed_from_trace(run.sim.trace)
+    no_crashes = not projection.get("crashed")
 
     return {
         "n": spec.n,

@@ -112,10 +112,6 @@ class ProcessCore:
         self.pending: PendingOp | None = None
         self.scan: Scan | None = None
 
-    @property
-    def idle(self) -> bool:
-        return self.pending is None and self.scan is None
-
     def _fan_out(self, kind: str, sn: int, value: TaggedValue | None = None):
         return [Message(kind, self.pid, dest, sn, value) for dest in range(1, self.n + 1)]
 

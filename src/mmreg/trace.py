@@ -6,19 +6,19 @@ holds one per line, as {"step", "kind", "actor", "payload"}, with the
 kinds and payload fields listed in the README.  The simulator appends
 the events, and everything else reads them through this module.
 `load_trace` yields a file's events one at a time, and `project` reads
-any iterable of events once, building together the parts a caller
-selects: the op records, the register writes, the per-register
-monotonicity result and the crashed set.  So checking a trace file
-holds O(ops + registers), not every event.  A trace is outside input,
-so each part checks the fields it reads, and only those, and stops at
-its first TraceError naming the event (event i is line i of a file
-written by `emit_trace`) or the op.
+any iterable of events once, building all its parts together: the op
+records, the per-register monotonicity result and the crashed set.  So
+checking a trace file holds O(ops + registers), not every event.  A
+trace is outside input, so each part checks the fields it reads, and
+only those, and stops at its first TraceError naming the event (event
+i is line i of a file written by `emit_trace`) or the op; the error is
+raised only when that part is read.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 KINDS = ("invoke", "respond", "send", "deliver", "reg-read", "reg-write", "crash")
@@ -163,26 +163,21 @@ def _register_write(i: int, kind: str, ev: dict) -> tuple:
 
 @dataclass
 class Projection:
-    """The parts of a trace that `project` built, each None unless
-    selected:
+    """The parts of a trace, as `project` builds them:
 
     - history: the op records, sorted by op: op, kind, proc, invoke and
       response steps, and value;
-    - writes: (step, actor, register, sn) for each reg-write event, in
-      trace order;
     - mono: (step, register, previous sn, sn) for each register write
       whose sn is below the one written to that register before it;
     - crashed: the actors of the crash events.
 
     A part stops at its first TraceError, which `errors` keeps under the
-    part's name; "writes" and "mono" read the same fields and so stop
-    together."""
+    part's name and `get` raises."""
 
-    history: list[dict] | None = None
-    writes: list[tuple] | None = None
-    mono: list[tuple] | None = None
-    crashed: set[int] | None = None
-    errors: dict[str, TraceError] = field(default_factory=dict)
+    history: list[dict] | None
+    mono: list[tuple]
+    crashed: set[int] | None
+    errors: dict[str, TraceError]
 
     def get(self, part: str):
         """The part, or its TraceError raised."""
@@ -192,43 +187,31 @@ class Projection:
         return getattr(self, part)
 
 
-def project(trace, parts) -> Projection:
-    """One pass over the events of `trace`, any iterable, building the
-    selected `parts` ("history", "writes", "mono" or "crashed"; see
-    Projection) together.  A part's errors are recorded, not raised,
-    and the pass reads to the end whatever fails, so an error of the
-    iterable itself (a bad line of `load_trace`) comes first.  Besides
-    malformed fields, the history stops at an op invoked twice,
+def project(trace) -> Projection:
+    """One pass over the events of `trace`, any iterable, building every
+    part of the Projection together.  A part's errors are recorded, not
+    raised, and the pass reads to the end whatever fails, so an error of
+    the iterable itself (a bad line of `load_trace`) comes first.
+    Besides malformed fields, the history stops at an op invoked twice,
     responding twice, responding with no invoke before it, or with no
-    value; value shapes are the checker's to check.  With no part
-    selected, `trace` is not read."""
-    out = Projection()
-    if not parts:
-        return out
-    records = {} if "history" in parts else None
-    writes = [] if "writes" in parts else None
-    last = {} if "mono" in parts else None
-    decreases = [] if "mono" in parts else None
-    crashed = set() if "crashed" in parts else None
-    errors = out.errors
+    value; value shapes are the checker's to check."""
+    records, last, decreases, crashed = {}, {}, [], set()
+    errors = {}
     for i, ev in enumerate(trace, 1):
         kind = ev.get("kind")
         if kind == "reg-write":
-            if writes is None and last is None:
+            if last is None:
                 continue
             try:
-                step, actor, reg, sn = _register_write(i, kind, ev)
+                step, _, reg, sn = _register_write(i, kind, ev)
             except TraceError as e:
-                errors.update((part, e) for part in ("writes", "mono") if part in parts)
-                writes = last = None
+                errors["mono"] = e
+                last = None
                 continue
-            if writes is not None:
-                writes.append((step, actor, reg, sn))
-            if last is not None:
-                prev = last.get(reg)
-                if prev is not None and sn < prev:
-                    decreases.append((step, reg, prev, sn))
-                last[reg] = sn
+            prev = last.get(reg)
+            if prev is not None and sn < prev:
+                decreases.append((step, reg, prev, sn))
+            last[reg] = sn
         elif kind == "send" or kind == "deliver" or kind == "reg-read":
             continue  # no part reads these
         elif kind == "invoke" or kind == "respond":
@@ -247,30 +230,24 @@ def project(trace, parts) -> Projection:
                     crashed = None
         elif kind not in KINDS:
             e = _unknown_kind(i, kind)
-            for part in parts:
+            for part in ("history", "mono", "crashed"):
                 errors.setdefault(part, e)
-            records = writes = last = crashed = None
-    if records is not None:
-        out.history = [records[k] for k in sorted(records)]
-    out.writes, out.mono, out.crashed = writes, decreases, crashed
-    return out
+            records = last = crashed = None
+    history = None if records is None else [records[k] for k in sorted(records)]
+    return Projection(history, decreases, crashed, errors)
 
 
 def history_from_trace(trace) -> list[dict]:
     """The run's operation records (see Projection), rebuilt from its
     invoke and respond events.  This is the one way a history is built,
     so the checker sees a run and its emitted trace alike."""
-    return project(trace, ("history",)).get("history")
-
-
-def crashed_from_trace(trace) -> set[int]:
-    return project(trace, ("crashed",)).get("crashed")
+    return project(trace).get("history")
 
 
 def register_writes(trace) -> list[tuple]:
     """(step, actor, register, sn) for each reg-write event in trace
     order, the register as a (set index, owner) tuple."""
-    return project(trace, ("writes",)).get("writes")
+    return [_register_write(i, kind, ev) for i, kind, ev in _of_kind(trace, ("reg-write",))]
 
 
 def schedule_from_trace(trace) -> tuple:

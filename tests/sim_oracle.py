@@ -6,8 +6,13 @@ and `apply` to exactly these answers."""
 
 
 def _ready_ops(sim) -> list[int]:
-    """The next op index of each live idle process that has one."""
-    return [q[0] for p, q in sim._queue.items() if q and p not in sim.crashed and sim.procs[p].idle]
+    """The next op index of each live idle process (no pending op, no
+    scan) that has one."""
+    return [
+        q[0]
+        for p, q in sim._queue.items()
+        if q and p not in sim.crashed and sim.procs[p].pending is None and sim.procs[p].scan is None
+    ]
 
 
 def enabled(sim) -> list[tuple]:

@@ -110,6 +110,8 @@ SIMULATE_P9 = ["simulate", "--workload", "p9.json", "--trace", "trace.jsonl"]
         ({**FIG1, "n": 5.7}, FUZZ_ONE, '"n"'),
         ({"n": True, "bag": [[1]], "writer": 1}, FUZZ_ONE, '"n"'),
         (FIG1, ["fuzz", "--runs", "-5"], "runs"),
+        (FIG1, ["fuzz", "--runs", "1", "--crashes", "6"], "crashes"),
+        (FIG1, ["fuzz", "--runs", "1", "--crashes", "-1"], "crashes"),
         ({"n": 3, "edges": [[1, 2, 3]], "writer": 1}, FUZZ_ONE, '"edges"'),
         (FIG1, SIMULATE_P9, "workload process p9 outside 1..5"),
     ],
@@ -120,6 +122,8 @@ SIMULATE_P9 = ["simulate", "--workload", "p9.json", "--trace", "trace.jsonl"]
         "n-fractional",
         "n-bool",
         "negative-runs",
+        "crashes-above-n",
+        "negative-crashes",
         "edge-triple",
         "workload-process-outside",
     ],
@@ -271,6 +275,22 @@ class TestSimulateCheckPipeline:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
         assert "Traceback" not in err
+
+    def test_a_part_the_selection_does_not_read_may_be_malformed(self, tmp_path, capsys):
+        trace = tmp_path / "parts.jsonl"
+        lines = [
+            READ_INVOKE,
+            {**REG_WRITE, "step": 1, "payload": {"register": [1, 1], "value": 5}},
+            {"step": 2, "kind": "crash", "actor": "x", "payload": {}},
+            READ_RESPOND,
+        ]
+        trace.write_text("".join(json.dumps(ev) + "\n" for ev in lines))
+        assert main(["check", "--trace", str(trace), "--properties", "1,2"]) == 0
+        assert json.loads(capsys.readouterr().out) == {"ok": True, "violations": []}
+        for properties, message in [("mono", "reg-write event 2 has value 5"), ("live", "crash event 3 has actor 'x'")]:
+            assert main(["check", "--trace", str(trace), "--properties", properties]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.startswith("error: ") and message in captured.err
 
     @pytest.mark.parametrize("properties", ["foo", "1,2,monotonic", ""])
     def test_unknown_properties_are_usage_error(self, msg3_file, workload_file, tmp_path, capsys, properties):
