@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from heapq import heappush
 from itertools import accumulate
 from math import inf
+from typing import NamedTuple
 
 from .trace import project
 
@@ -38,8 +39,7 @@ class HistoryError(ValueError):
     """Malformed history input."""
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     prop: str
     ops: tuple
     reason: str
@@ -61,7 +61,14 @@ class Verdict:
         return [{"prop": v.prop, "ops": list(v.ops), "reason": v.reason} for v in self.violations]
 
 
+class _Validated(list):
+    """A history that `check_all` has validated, so the properties it
+    composes do not validate it again."""
+
+
 def _validate(history) -> None:
+    if type(history) is _Validated:
+        return
     for h in history:
         invoke, response, value = h.get("invoke"), h.get("response"), h.get("value")
         if type(invoke) is not int:
@@ -261,6 +268,9 @@ def check_all(trace, history=None, crashed=None, t: int | None = None, props=PRO
     projection = project(trace)
     if history is None:
         history = projection.get("history")
+    if {"1", "2", "live"} & set(props):
+        _validate(history)
+        history = _Validated(history)
     verdict = Verdict(())
     if "1" in props:
         verdict = verdict.merged(check_property1(history))

@@ -35,6 +35,16 @@ class TaggedValue(NamedTuple):
 INITIAL_VALUE = TaggedValue(0, None)
 
 
+def _fresher(best: TaggedValue | None, v: TaggedValue) -> TaggedValue:
+    """The larger of best and v by sequence number; equal sequence
+    numbers with different payloads raise."""
+    if best is None or v.sn > best.sn:
+        return v
+    if v.sn == best.sn and v.payload != best.payload:
+        raise ProtocolError(f"values {best} and {v} share a sequence number with different payloads")
+    return best
+
+
 def max_tagged(values) -> TaggedValue:
     """Largest tagged value by sequence number alone.
 
@@ -43,19 +53,13 @@ def max_tagged(values) -> TaggedValue:
     """
     best: TaggedValue | None = None
     for v in values:
-        if best is None or v.sn > best.sn:
-            best = v
-        elif v.sn == best.sn and v.payload != best.payload:
-            raise ProtocolError(
-                f"values {best} and {v} share a sequence number with different payloads"
-            )
+        best = _fresher(best, v)
     if best is None:
         raise ProtocolError("max over an empty collection of tagged values")
     return best
 
 
-@dataclass(frozen=True)
-class Message:
+class Message(NamedTuple):
     kind: str  # W | ACK-W | R | ACK-R
     sender: int
     dest: int
@@ -88,7 +92,8 @@ class Scan:
     """An in-progress W or R handler, advanced one register access at a time."""
 
     msg: Message
-    regs: list  # registers not yet visited
+    regs: list  # the registers to visit, in order
+    at: int = 0  # index in regs of the next one
     pending_write: tuple | None = None  # guarded write decided by the last read
     best: TaggedValue | None = None  # running max of an R scan
 
@@ -141,7 +146,7 @@ class ProcessCore:
             if self.scan is not None:
                 raise ProtocolError(f"p{self.pid}: delivery while a handler is mid-scan")
             regs = self.writable if msg.kind == W else self.readable
-            self.scan = Scan(msg, list(regs))
+            self.scan = Scan(msg, regs)
             return [], None
 
         p = self.pending
@@ -181,25 +186,26 @@ class ProcessCore:
         if scan is None:
             raise ProtocolError(f"p{self.pid}: no handler in progress")
 
-        if scan.msg.kind == W:
+        msg = scan.msg
+        if msg.kind == W:
             if scan.pending_write is not None:
                 reg = scan.pending_write
                 scan.pending_write = None
-                store.write(reg, self.pid, scan.msg.value)
+                store.write(reg, self.pid, msg.value)
             else:
-                reg = scan.regs.pop(0)
-                current = store.read(reg, self.pid)
-                if scan.msg.value.sn > current.sn:
+                reg = scan.regs[scan.at]
+                scan.at += 1
+                if msg.value.sn > store.read(reg, self.pid).sn:
                     scan.pending_write = reg
-            if not scan.regs and scan.pending_write is None:
+            if scan.at == len(scan.regs) and scan.pending_write is None:
                 self.scan = None
-                return [Message(ACK_W, self.pid, scan.msg.sender, scan.msg.sn)]
+                return [Message(ACK_W, self.pid, msg.sender, msg.sn)]
             return []
 
-        reg = scan.regs.pop(0)
-        current = store.read(reg, self.pid)
-        scan.best = current if scan.best is None else max_tagged([scan.best, current])
-        if not scan.regs:
+        reg = scan.regs[scan.at]
+        scan.at += 1
+        scan.best = _fresher(scan.best, store.read(reg, self.pid))
+        if scan.at == len(scan.regs):
             self.scan = None
-            return [Message(ACK_R, self.pid, scan.msg.sender, scan.msg.sn, scan.best)]
+            return [Message(ACK_R, self.pid, msg.sender, msg.sn, scan.best)]
         return []

@@ -14,6 +14,7 @@ and writable by the survivors.
 from __future__ import annotations
 
 import random
+import weakref
 from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass
@@ -80,7 +81,10 @@ class RegisterStore:
     """Shared SWMR registers with enforced access control.
 
     Registers belong to the system, not to a host: they survive the
-    crash of their owner.
+    crash of their owner.  `trace_hook(kind, actor, payload)` is called
+    on every access; a simulator's hook must not keep the simulator
+    alive (the simulator owns the store), or each run becomes a
+    reference cycle that only the cyclic garbage collector frees.
     """
 
     def __init__(self, spec: SystemSpec, trace_hook):
@@ -100,6 +104,18 @@ class RegisterStore:
             raise AccessError(f"p{by} cannot write R_{reg[0]}[p{reg[1]}]")
         self.values[reg] = value
         self._hook("reg-write", by, {"register": list(reg), "value": list(value)})
+
+
+def _weak_record(sim: "Simulator"):
+    """A store hook that records into sim's trace through a weak
+    reference, so a dropped run is freed by reference counting.  The
+    store is sim's own and is not used once sim is gone."""
+    ref = weakref.ref(sim)
+
+    def record(kind: str, actor: int, payload: dict) -> None:
+        ref()._record(kind, actor, payload)
+
+    return record
 
 
 def _msg_fields(msg: Message) -> dict:
@@ -141,7 +157,8 @@ class Simulator:
     process by bisection, moving its inbox only when its scan starts or
     ends or it crashes; nothing walks all processes or the messages
     stranded at crashed ones.  `network` keeps every undelivered
-    message, stranded ones included.
+    message, stranded ones included.  The index lists are changed in
+    place, never rebound: `run` and the fair chooser hold them.
     """
 
     def __init__(self, spec: SystemSpec, t: int, workload):
@@ -160,7 +177,7 @@ class Simulator:
         self.step = 0
         self.trace: list[dict] = []
         self.procs = {p: ProcessCore(p, spec, quorum) for p in range(1, n + 1)}
-        self.store = RegisterStore(spec, self._record)
+        self.store = RegisterStore(spec, _weak_record(self))
         self.network: dict[str, Message] = {}  # insertion order = send order
         self._send_seq = {p: 0 for p in range(1, n + 1)}
         self._sends: list[tuple[str, int]] = []  # by send number: (message id, step sent)
@@ -301,9 +318,11 @@ class Simulator:
             self._route(sends)
         elif kind == "hstep":
             p = ev[1]
-            sends = self.procs[p].reg_step(self.store)
-            self._sync(p)
-            self._route(sends)
+            core = self.procs[p]
+            sends = core.reg_step(self.store)
+            if core.scan is None:  # a step within a scan changes no index and sends nothing
+                self._sync(p)
+                self._route(sends)
         else:  # deliver
             mid = ev[1]
             msg = self.network.pop(mid)
@@ -343,17 +362,19 @@ class Simulator:
         crashes = deque(sorted(schedule.crash_plan, key=lambda cs: (cs[1], cs[0])))
         chooser = _make_chooser(self, schedule)
         evs = _EnabledView(self)
+        invokes, scanning, deliverable, timed = self._invokes, self._scanning, self._deliverable, self._timed
         while True:
             while crashes and crashes[0][1] <= self.step:
                 p, _ = crashes.popleft()
                 self.crashed.add(p)
                 self._record("crash", p, {})
                 self._sync(p)
-            self._due()
-            if not evs:
-                if not self._timed:
+            if timed and timed[0][0] <= self.step:
+                self._due()
+            if not (invokes or scanning or deliverable):
+                if not timed:
                     break
-                self.step = self._timed[0][0]  # idle tick until the next timed invocation
+                self.step = timed[0][0]  # idle tick until the next timed invocation
                 continue
             self._fire(chooser(evs))
             if self.step > MAX_STEPS:
@@ -361,11 +382,22 @@ class Simulator:
         return self
 
 
+def _event_at(sim: Simulator, i: int) -> tuple:
+    """The event at index i of enabled(), 0 <= i < its length, read off
+    the indexes."""
+    invokes, scanning = sim._invokes, sim._scanning
+    if i < len(invokes):
+        return ("invoke", invokes[i])
+    i -= len(invokes)
+    if i < len(scanning):
+        return ("hstep", scanning[i])
+    return ("deliver", sim._sends[sim._deliverable[i - len(scanning)]][0])
+
+
 class _EnabledView:
     """`enabled()` as a read-only sequence over the simulator's indexes,
     without building the list; current until the next event fires or
-    the step counter moves.  Indexes run from 0 to len() - 1:
-    `random.Random.choice` reads only len() and [i]."""
+    the step counter moves.  Indexes run from 0 to len() - 1."""
 
     __slots__ = ("_sim",)
 
@@ -377,13 +409,7 @@ class _EnabledView:
         return len(sim._invokes) + len(sim._scanning) + len(sim._deliverable)
 
     def __getitem__(self, i: int) -> tuple:
-        sim = self._sim
-        if i < len(sim._invokes):
-            return ("invoke", sim._invokes[i])
-        i -= len(sim._invokes)
-        if i < len(sim._scanning):
-            return ("hstep", sim._scanning[i])
-        return ("deliver", sim._sends[sim._deliverable[i - len(sim._scanning)]][0])
+        return _event_at(self._sim, i)
 
     def __iter__(self):
         sim = self._sim
@@ -399,17 +425,20 @@ def _make_chooser(sim: Simulator, schedule: Schedule):
     if schedule.policy == "fifo":
         return lambda evs: evs[0]
     if schedule.policy == "fair":
-        rng = random.Random(schedule.seed)
+        randrange = random.Random(schedule.seed).randrange
         age_limit = sim.spec.n * sim.spec.n + 16
+        invokes, scanning, deliverable, sends = sim._invokes, sim._scanning, sim._deliverable, sim._sends
 
         def choose(evs):
             # Aging: force the oldest deliverable message once it has
             # waited too long, so every message eventually arrives.
-            if sim._deliverable:
-                mid, sent = sim._sends[sim._deliverable[0]]
+            if deliverable:
+                mid, sent = sends[deliverable[0]]
                 if sim.step - sent > age_limit:
                     return ("deliver", mid)
-            return rng.choice(evs)
+            # The draw of rng.choice(evs), which is evs[randrange(len(evs))],
+            # without the view's calls.
+            return _event_at(sim, randrange(len(invokes) + len(scanning) + len(deliverable)))
 
         return choose
     if schedule.policy == "scripted":

@@ -2,7 +2,10 @@
 scratch out of its process, queue and network state, as `Simulator`
 computed them on every step before it kept incremental indexes.  The
 differential tests in test_sim.py hold `enabled()`, `is_quiescent()`
-and `apply` to exactly these answers."""
+and `apply` to exactly these answers, and the fair policy's choices
+to those of `fair_chooser`."""
+
+import random
 
 
 def _ready_ops(sim) -> list[int]:
@@ -40,3 +43,21 @@ def future_invoke(sim):
 
 def is_quiescent(sim) -> bool:
     return not enabled(sim) and future_invoke(sim) is None
+
+
+def fair_chooser(sim, schedule):
+    """The fair policy's chooser as `Simulator` first wrote it: aging
+    first, then `rng.choice` over the enabled-events view it is passed.
+    The simulator's own chooser makes the same draw straight from its
+    indexes."""
+    rng = random.Random(schedule.seed)
+    age_limit = sim.spec.n * sim.spec.n + 16
+
+    def choose(evs):
+        if sim._deliverable:
+            mid, sent = sim._sends[sim._deliverable[0]]
+            if sim.step - sent > age_limit:
+                return ("deliver", mid)
+        return rng.choice(evs)
+
+    return choose

@@ -176,6 +176,26 @@ class TestCheckAll:
         assert not check_all([], history=history, props=("live",)).ok
         assert check_all([crash], history=history, props=("live",)).ok
 
+    def test_validates_the_history_once(self):
+        """check_all validates the history once for the properties it
+        composes; each check called alone still validates it."""
+        validated = []
+
+        class Record(dict):
+            def get(self, key, default=None):
+                if key == "invoke":
+                    validated.append(self["op"])
+                return super().get(key, default)
+
+        history = [Record(h) for h in fx.P1_OK_STALE]
+        assert check_all([], history=history, crashed=set()).ok
+        assert validated == [0, 1, 2]
+        validated.clear()
+        check_property1(history)
+        check_property2(history)
+        check_completion(history, set())
+        assert validated == [0, 1, 2] * 3
+
     def test_empty_selection_rejected(self):
         with pytest.raises(HistoryError, match="1,2,mono,live"):
             check_all([], history=[], props=())

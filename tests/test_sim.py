@@ -1,8 +1,13 @@
+import gc
 import re
+import weakref
+from contextlib import contextmanager
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import mmreg.cli as cli
 import mmreg.sim as sim_module
 import sim_oracle as oracle
 from mmreg import (
@@ -13,8 +18,10 @@ from mmreg import (
     TaggedValue,
     WorkloadOp,
     bag_of,
+    build_e3,
     check_all,
     emit_trace,
+    find_witness,
     history_from_trace,
     load_trace,
     make_spec,
@@ -423,3 +430,92 @@ class TestIndexesAgainstRebuild:
         assert set(sim.network) == sent_to_crashed - delivered
         assert {msg.dest for msg in sim.network.values()} == {4, 5}
         assert not {("deliver", mid) for mid in sim.network} & seen
+
+
+def chosen_events(spec, t, workload, schedule, make_chooser):
+    """The events a run under `make_chooser` picks, and its trace."""
+    picked = []
+
+    def make(sim, sched):
+        choose = make_chooser(sim, sched)
+
+        def recorded(evs):
+            picked.append(choose(evs))
+            return picked[-1]
+
+        return recorded
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sim_module, "_make_chooser", make)
+        sim = run_simulation(spec, t, workload, schedule)
+    return picked, trace_lines(sim.trace)
+
+
+class TestFairChooserAgainstOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(sim_cases())
+    def test_same_choices_as_rng_choice_over_the_view(self, case):
+        spec, t, workload, schedule = case
+        schedule = replace(schedule, policy="fair")
+        real = sim_module._make_chooser
+        assert chosen_events(spec, t, workload, schedule, real) == chosen_events(
+            spec, t, workload, schedule, oracle.fair_chooser
+        )
+
+
+# -- a finished run is freed by reference counting -----------------------
+
+
+@contextmanager
+def collector_off():
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
+def is_trace_event(obj) -> bool:
+    return type(obj) is dict and obj.keys() == {"step", "kind", "actor", "payload"}
+
+
+class TestFreedByRefcount:
+    def test_run_simulation(self, fig1_spec):
+        with collector_off():
+            sim = run_simulation(fig1_spec, 3, write_then_read(4), Schedule("fair", seed=1, crash_plan=((5, 9),)))
+            assert sim.trace
+            ref = weakref.ref(sim)
+            del sim
+            assert ref() is None
+
+    def test_apply(self, msg3_spec):
+        with collector_off():
+            sim = Simulator(msg3_spec, 1, write_then_read())
+            for ev in [("invoke", 0), ("deliver", "1.1"), ("hstep", 1)]:
+                sim.apply(ev)
+            assert any(ev["kind"] == "reg-read" for ev in sim.trace)
+            ref = weakref.ref(sim)
+            del sim
+            assert ref() is None
+
+    def test_build_e3(self, fig1_spec):
+        with collector_off():
+            run = build_e3(fig1_spec, 4, find_witness(fig1_spec.bag, 4))
+            ref = weakref.ref(run.sim)
+            del run
+            assert ref() is None
+
+    def test_fuzz_batch_leaves_no_run_to_the_collector(self, fig1_spec):
+        flags = gc.get_debug()
+        with collector_off():
+            report = cli.fuzz(fig1_spec, 20, 3)
+            assert report["runs"] == 20 and not report["violations"]
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            try:
+                gc.collect()
+                unreachable = list(gc.garbage)
+            finally:
+                gc.set_debug(flags)
+                gc.garbage.clear()
+        assert not [obj for obj in unreachable if isinstance(obj, Simulator) or is_trace_event(obj)]
