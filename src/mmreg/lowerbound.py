@@ -53,6 +53,8 @@ def find_witness(bag: Bag, t: int) -> WitnessPartition:
     system.  Requires t above the threshold: a failing pair of size n-t
     exists exactly when t > t_L, so one witness search decides both."""
     require_covered(bag)
+    if t < 0:
+        raise LowerBoundError(f"t={t} is negative: a crash budget must be >= 0")
     if t > bag.n - 1:
         raise LowerBoundError(f"t={t} needs witness sides of size >= 1, so t <= n-1={bag.n - 1}")
     pair = smallest_failing_pair(bag.n, reach_masks(bag.n, bag.masks()), bag.n - t)

@@ -102,8 +102,9 @@ class ProcessCore:
     """Protocol state machine for one process.
 
     Pure with respect to scheduling: each entry point maps the current
-    state and one event to a new state plus emissions.  The register
-    store is passed in so that every access is one observable step.
+    state and one event to a new state plus emissions.  The simulator,
+    which holds the shared registers, is passed in so that every access
+    is one observable step.
     """
 
     def __init__(self, pid: int, spec, quorum: int):
@@ -177,7 +178,8 @@ class ProcessCore:
         raise ProtocolError(f"unknown message kind {msg.kind!r}")
 
     def reg_step(self, store):
-        """Execute one atomic register access of the active scan.
+        """Execute one atomic register access of the active scan, on
+        the simulator's registers through `store.read` / `store.write`.
 
         Returns the sends: the acknowledgement once the scan is
         exhausted, else nothing.

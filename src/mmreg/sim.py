@@ -14,7 +14,6 @@ and writable by the survivors.
 from __future__ import annotations
 
 import random
-import weakref
 from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass
@@ -22,8 +21,8 @@ from dataclasses import dataclass
 from .model import SystemSpec, access_maps
 from .protocol import INITIAL_VALUE, Message, ProcessCore, TaggedValue, ack_quorum
 
-# Bound here only for callers that reach them on this module by name:
-# bench/ calls and wraps them, and tests/test_golden.py imports trace_lines.
+# Bound here only for bench/, which calls and wraps them on this module
+# by name.
 from .trace import emit_trace, history_from_trace, trace_lines  # noqa: F401
 
 # A run that takes more steps than this raises SimError.
@@ -77,47 +76,6 @@ class OpRecord:
     response_step: int | None = None
 
 
-class RegisterStore:
-    """Shared SWMR registers with enforced access control.
-
-    Registers belong to the system, not to a host: they survive the
-    crash of their owner.  `trace_hook(kind, actor, payload)` is called
-    on every access; a simulator's hook must not keep the simulator
-    alive (the simulator owns the store), or each run becomes a
-    reference cycle that only the cyclic garbage collector frees.
-    """
-
-    def __init__(self, spec: SystemSpec, trace_hook):
-        self._readers, self._writer = access_maps(spec)
-        self.values = {reg: INITIAL_VALUE for reg in spec.registers}
-        self._hook = trace_hook
-
-    def read(self, reg, by: int) -> TaggedValue:
-        if by not in self._readers.get(reg, ()):
-            raise AccessError(f"p{by} cannot read R_{reg[0]}[p{reg[1]}]")
-        value = self.values[reg]
-        self._hook("reg-read", by, {"register": list(reg), "value": list(value)})
-        return value
-
-    def write(self, reg, by: int, value: TaggedValue) -> None:
-        if self._writer.get(reg) != by:
-            raise AccessError(f"p{by} cannot write R_{reg[0]}[p{reg[1]}]")
-        self.values[reg] = value
-        self._hook("reg-write", by, {"register": list(reg), "value": list(value)})
-
-
-def _weak_record(sim: "Simulator"):
-    """A store hook that records into sim's trace through a weak
-    reference, so a dropped run is freed by reference counting.  The
-    store is sim's own and is not used once sim is gone."""
-    ref = weakref.ref(sim)
-
-    def record(kind: str, actor: int, payload: dict) -> None:
-        ref()._record(kind, actor, payload)
-
-    return record
-
-
 def _msg_fields(msg: Message) -> dict:
     out = {"type": msg.kind, "from": msg.sender, "to": msg.dest, "sn": msg.sn}
     if msg.value is not None:
@@ -132,6 +90,11 @@ _OPEN, _SCAN, _DOWN = "open", "scan", "down"
 
 class Simulator:
     """One deterministic run of the protocol over a system spec.
+
+    The simulator holds the shared SWMR registers (`registers`) and
+    enforces their access rights: registers belong to the system, not
+    to a host, so they survive the crash of their owner.  Each access
+    is recorded in the trace as one step.
 
     The scheduler-facing surface is `enabled()` / `apply(event)`; `run`
     drives them under a policy.  Events are small tuples:
@@ -177,7 +140,8 @@ class Simulator:
         self.step = 0
         self.trace: list[dict] = []
         self.procs = {p: ProcessCore(p, spec, quorum) for p in range(1, n + 1)}
-        self.store = RegisterStore(spec, _weak_record(self))
+        self._readers, self._writer = access_maps(spec)
+        self.registers = {reg: INITIAL_VALUE for reg in spec.registers}
         self.network: dict[str, Message] = {}  # insertion order = send order
         self._send_seq = {p: 0 for p in range(1, n + 1)}
         self._sends: list[tuple[str, int]] = []  # by send number: (message id, step sent)
@@ -203,6 +167,19 @@ class Simulator:
     def _record(self, kind: str, actor: int, payload: dict) -> None:
         self.trace.append({"step": self.step, "kind": kind, "actor": actor, "payload": payload})
         self.step += 1
+
+    def read(self, reg, by: int) -> TaggedValue:
+        if by not in self._readers.get(reg, ()):
+            raise AccessError(f"p{by} cannot read R_{reg[0]}[p{reg[1]}]")
+        value = self.registers[reg]
+        self._record("reg-read", by, {"register": list(reg), "value": list(value)})
+        return value
+
+    def write(self, reg, by: int, value: TaggedValue) -> None:
+        if self._writer.get(reg) != by:
+            raise AccessError(f"p{by} cannot write R_{reg[0]}[p{reg[1]}]")
+        self.registers[reg] = value
+        self._record("reg-write", by, {"register": list(reg), "value": list(value)})
 
     def _route(self, msgs) -> None:
         for msg in msgs:
@@ -266,18 +243,16 @@ class Simulator:
         while timed and timed[0][0] <= self.step:
             insort(self._invokes, timed.pop(0)[1])
 
-    def _is_enabled(self, ev) -> bool:
-        """Whether enabled() lists ev, tested against the indexes."""
-        if not (isinstance(ev, tuple) and len(ev) == 2):
-            return False
-        kind, x = ev
-        if kind == "invoke":
-            return x in self._invokes
-        if kind == "hstep":
-            return x in self._scanning
-        if kind == "deliver":
-            return isinstance(x, str) and x in self.network and self._mode[self.network[x].dest] == _OPEN
-        return False
+    def _require_enabled(self, ev) -> None:
+        """Raise ScriptError unless enabled() lists ev, tested against
+        the indexes."""
+        kind, x = ev if isinstance(ev, tuple) and len(ev) == 2 else (None, None)
+        if not (
+            kind == "invoke" and x in self._invokes
+            or kind == "hstep" and x in self._scanning
+            or kind == "deliver" and isinstance(x, str) and x in self.network and self._mode[self.network[x].dest] == _OPEN
+        ):
+            raise ScriptError(f"event {ev!r} not enabled at step {self.step}")
 
     # -- event surface -----------------------------------------------------
 
@@ -286,13 +261,16 @@ class Simulator:
         invocations, then handler steps by process, then deliveries in
         send order."""
         self._due()
-        return list(_EnabledView(self))
+        return (
+            [("invoke", i) for i in self._invokes]
+            + [("hstep", p) for p in self._scanning]
+            + [("deliver", self._sends[no][0]) for no in self._deliverable]
+        )
 
     def apply(self, ev: tuple) -> None:
         """Fire one event; raises ScriptError unless enabled() lists it."""
         self._due()
-        if not self._is_enabled(ev):
-            raise ScriptError(f"event {ev!r} not enabled at step {self.step}")
+        self._require_enabled(ev)
         self._fire(ev)
 
     def _fire(self, ev: tuple) -> None:
@@ -319,7 +297,7 @@ class Simulator:
         elif kind == "hstep":
             p = ev[1]
             core = self.procs[p]
-            sends = core.reg_step(self.store)
+            sends = core.reg_step(self)
             if core.scan is None:  # a step within a scan changes no index and sends nothing
                 self._sync(p)
                 self._route(sends)
@@ -361,7 +339,6 @@ class Simulator:
             raise SimError("crash plan names a process twice")
         crashes = deque(sorted(schedule.crash_plan, key=lambda cs: (cs[1], cs[0])))
         chooser = _make_chooser(self, schedule)
-        evs = _EnabledView(self)
         invokes, scanning, deliverable, timed = self._invokes, self._scanning, self._deliverable, self._timed
         while True:
             while crashes and crashes[0][1] <= self.step:
@@ -376,7 +353,7 @@ class Simulator:
                     break
                 self.step = timed[0][0]  # idle tick until the next timed invocation
                 continue
-            self._fire(chooser(evs))
+            self._fire(chooser())
             if self.step > MAX_STEPS:
                 raise SimError(f"step budget {MAX_STEPS} exceeded")
         return self
@@ -394,63 +371,35 @@ def _event_at(sim: Simulator, i: int) -> tuple:
     return ("deliver", sim._sends[sim._deliverable[i - len(scanning)]][0])
 
 
-class _EnabledView:
-    """`enabled()` as a read-only sequence over the simulator's indexes,
-    without building the list; current until the next event fires or
-    the step counter moves.  Indexes run from 0 to len() - 1."""
-
-    __slots__ = ("_sim",)
-
-    def __init__(self, sim: Simulator):
-        self._sim = sim
-
-    def __len__(self) -> int:
-        sim = self._sim
-        return len(sim._invokes) + len(sim._scanning) + len(sim._deliverable)
-
-    def __getitem__(self, i: int) -> tuple:
-        return _event_at(self._sim, i)
-
-    def __iter__(self):
-        sim = self._sim
-        for i in sim._invokes:
-            yield ("invoke", i)
-        for p in sim._scanning:
-            yield ("hstep", p)
-        for no in sim._deliverable:
-            yield ("deliver", sim._sends[no][0])
-
-
 def _make_chooser(sim: Simulator, schedule: Schedule):
     if schedule.policy == "fifo":
-        return lambda evs: evs[0]
+        return lambda: _event_at(sim, 0)
     if schedule.policy == "fair":
         randrange = random.Random(schedule.seed).randrange
         age_limit = sim.spec.n * sim.spec.n + 16
         invokes, scanning, deliverable, sends = sim._invokes, sim._scanning, sim._deliverable, sim._sends
 
-        def choose(evs):
+        def choose():
             # Aging: force the oldest deliverable message once it has
             # waited too long, so every message eventually arrives.
             if deliverable:
                 mid, sent = sends[deliverable[0]]
                 if sim.step - sent > age_limit:
                     return ("deliver", mid)
-            # The draw of rng.choice(evs), which is evs[randrange(len(evs))],
-            # without the view's calls.
+            # The draw of rng.choice(sim.enabled()), which is
+            # enabled()[randrange(len(enabled()))], without building the list.
             return _event_at(sim, randrange(len(invokes) + len(scanning) + len(deliverable)))
 
         return choose
     if schedule.policy == "scripted":
         it = iter(schedule.script)
 
-        def scripted(evs):
+        def scripted():
             try:
                 ev = tuple(next(it))
             except StopIteration:
                 raise ScriptError("script ended with events still enabled") from None
-            if not sim._is_enabled(ev):
-                raise ScriptError(f"event {ev!r} not enabled at step {sim.step}")
+            sim._require_enabled(ev)
             return ev
 
         return scripted

@@ -47,17 +47,17 @@ def is_quiescent(sim) -> bool:
 
 def fair_chooser(sim, schedule):
     """The fair policy's chooser as `Simulator` first wrote it: aging
-    first, then `rng.choice` over the enabled-events view it is passed.
-    The simulator's own chooser makes the same draw straight from its
-    indexes."""
+    first, then `rng.choice` over the enabled events, here this
+    module's rebuild of them.  The simulator's own chooser makes the
+    same draw straight from its indexes."""
     rng = random.Random(schedule.seed)
     age_limit = sim.spec.n * sim.spec.n + 16
 
-    def choose(evs):
+    def choose():
         if sim._deliverable:
             mid, sent = sim._sends[sim._deliverable[0]]
             if sim.step - sent > age_limit:
                 return ("deliver", mid)
-        return rng.choice(evs)
+        return rng.choice(enabled(sim))
 
     return choose

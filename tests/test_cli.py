@@ -114,6 +114,7 @@ SIMULATE_P9 = ["simulate", "--workload", "p9.json", "--trace", "trace.jsonl"]
         (FIG1, ["fuzz", "--runs", "1", "--crashes", "-1"], "crashes"),
         ({"n": 3, "edges": [[1, 2, 3]], "writer": 1}, FUZZ_ONE, '"edges"'),
         (FIG1, SIMULATE_P9, "workload process p9 outside 1..5"),
+        (FIG1, ["violate", "--t", "-3"], "t=-3 is negative"),
     ],
     ids=[
         "bag-string",
@@ -126,6 +127,7 @@ SIMULATE_P9 = ["simulate", "--workload", "p9.json", "--trace", "trace.jsonl"]
         "negative-crashes",
         "edge-triple",
         "workload-process-outside",
+        "violate-negative-t",
     ],
 )
 def test_bad_input_is_usage_error(tmp_path, monkeypatch, capsys, spec, command, message):

@@ -30,7 +30,8 @@ from mmreg import (
     t_bridge,
 )
 from mmreg.cli import fuzz
-from mmreg.sim import WorkloadOp, trace_lines
+from mmreg.sim import WorkloadOp
+from mmreg.trace import trace_lines
 from test_acceptance import random_bag
 
 

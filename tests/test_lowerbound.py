@@ -37,6 +37,10 @@ class TestFindWitness:
         with pytest.raises(LowerBoundError, match="n-1"):
             find_witness(fig1_spec.bag, 5)
 
+    def test_rejects_negative_t(self, fig1_spec):
+        with pytest.raises(LowerBoundError, match="t=-3 is negative"):
+            find_witness(fig1_spec.bag, -3)
+
     def test_swap(self):
         w = WitnessPartition((1,), (4,), (2, 3, 5))
         assert w.swapped() == WitnessPartition((4,), (1,), (2, 3, 5))

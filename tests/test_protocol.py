@@ -2,27 +2,29 @@ import pytest
 
 from mmreg import INITIAL_VALUE, Message, ProcessCore, ProtocolError, TaggedValue, max_tagged, make_spec, bag_of
 from mmreg.protocol import ACK_R, ACK_W, R, W
-from mmreg.sim import RegisterStore
+from mmreg.sim import Simulator
 
 
-def quiet_store(spec):
-    return RegisterStore(spec, lambda *a: None)
+def registers_of(spec):
+    """A simulator with no workload, standing in for the shared
+    registers of `spec`; it records each access in its trace."""
+    return Simulator(spec, 0, [])
 
 
-def drain_scan(core, store):
+def drain_scan(core, sim):
     """Run all register steps of the active handler, return its emissions."""
     sends = []
     while core.scan is not None:
-        out = core.reg_step(store)
+        out = core.reg_step(sim)
         sends.extend(out)
     return sends
 
 
 @pytest.fixture
 def fig1_cores(fig1_spec):
-    store = quiet_store(fig1_spec)
+    sim = registers_of(fig1_spec)
     cores = {p: ProcessCore(p, fig1_spec, quorum=2) for p in range(1, 6)}
-    return cores, store
+    return cores, sim
 
 
 class TestWriteInvoke:
@@ -51,41 +53,40 @@ class TestWriteInvoke:
 
 class TestWriteHandler:
     def test_fresh_value_written_then_acked(self, msg3_spec):
-        store = quiet_store(msg3_spec)
+        sim = registers_of(msg3_spec)
         core = ProcessCore(2, msg3_spec, quorum=2)
         core.deliver(Message(W, 1, 2, 1, TaggedValue(1, "a")))
-        sends = drain_scan(core, store)
-        assert store.values[(2, 2)] == TaggedValue(1, "a")
+        sends = drain_scan(core, sim)
+        assert sim.registers[(2, 2)] == TaggedValue(1, "a")
         assert sends == [Message(ACK_W, 2, 1, 1)]
 
     def test_stale_value_not_written_but_still_acked(self, msg3_spec):
-        store = quiet_store(msg3_spec)
-        store.values[(2, 2)] = TaggedValue(4, "d")
+        sim = registers_of(msg3_spec)
+        sim.registers[(2, 2)] = TaggedValue(4, "d")
         core = ProcessCore(2, msg3_spec, quorum=2)
         core.deliver(Message(W, 1, 2, 2, TaggedValue(2, "b")))
-        sends = drain_scan(core, store)
-        assert store.values[(2, 2)] == TaggedValue(4, "d")
+        sends = drain_scan(core, sim)
+        assert sim.registers[(2, 2)] == TaggedValue(4, "d")
         assert sends == [Message(ACK_W, 2, 1, 2)]
 
     def test_member_of_two_sets_updates_both_before_single_ack(self):
         spec = make_spec(bag=bag_of(3, [1, 2], [2, 3]), writer=1)
-        store = quiet_store(spec)
+        sim = registers_of(spec)
         core = ProcessCore(2, spec, quorum=2)
         core.deliver(Message(W, 1, 2, 1, TaggedValue(1, "a")))
-        sends = drain_scan(core, store)
-        assert store.values[(1, 2)] == TaggedValue(1, "a")
-        assert store.values[(2, 2)] == TaggedValue(1, "a")
+        sends = drain_scan(core, sim)
+        assert sim.registers[(1, 2)] == TaggedValue(1, "a")
+        assert sim.registers[(2, 2)] == TaggedValue(1, "a")
         assert len(sends) == 1 and sends[0].kind == ACK_W
 
     def test_each_access_is_one_step(self, msg3_spec):
-        steps = []
-        store = RegisterStore(msg3_spec, lambda kind, *a: steps.append(kind))
+        sim = registers_of(msg3_spec)
         core = ProcessCore(2, msg3_spec, quorum=2)
         core.deliver(Message(W, 1, 2, 1, TaggedValue(1, "a")))
-        out = core.reg_step(store)
-        assert steps == ["reg-read"] and out == []
-        out = core.reg_step(store)
-        assert steps == ["reg-read", "reg-write"]
+        out = core.reg_step(sim)
+        assert [ev["kind"] for ev in sim.trace] == ["reg-read"] and out == []
+        out = core.reg_step(sim)
+        assert [ev["kind"] for ev in sim.trace] == ["reg-read", "reg-write"]
         assert out[0].kind == ACK_W
 
     def test_delivery_mid_scan_rejected(self, msg3_spec):
@@ -98,40 +99,39 @@ class TestWriteHandler:
 @pytest.mark.parametrize(
     "act, message",
     [
-        (lambda core, store: core.reg_step(store), "p2: no handler in progress"),
-        (lambda core, store: core.deliver(Message("PING", 1, 2, 1)), "unknown message kind 'PING'"),
+        (lambda core, sim: core.reg_step(sim), "p2: no handler in progress"),
+        (lambda core, sim: core.deliver(Message("PING", 1, 2, 1)), "unknown message kind 'PING'"),
     ],
     ids=["reg-step-with-no-scan", "unknown-message-kind"],
 )
 def test_bad_step_raises(msg3_spec, act, message):
     with pytest.raises(ProtocolError, match=message):
-        act(ProcessCore(2, msg3_spec, quorum=2), quiet_store(msg3_spec))
+        act(ProcessCore(2, msg3_spec, quorum=2), registers_of(msg3_spec))
 
 
 class TestReadHandler:
     def test_initial_state_reports_initial_value(self, msg3_spec):
-        store = quiet_store(msg3_spec)
+        sim = registers_of(msg3_spec)
         core = ProcessCore(2, msg3_spec, quorum=2)
         core.deliver(Message(R, 3, 2, 1))
-        sends = drain_scan(core, store)
+        sends = drain_scan(core, sim)
         assert sends == [Message(ACK_R, 2, 3, 1, INITIAL_VALUE)]
 
     def test_reports_max_over_readable(self, fig1_cores):
-        cores, store = fig1_cores
-        store.values[(2, 1)] = TaggedValue(1, "a")
-        store.values[(2, 3)] = TaggedValue(3, "c")
-        store.values[(2, 2)] = TaggedValue(2, "b")
+        cores, sim = fig1_cores
+        sim.registers[(2, 1)] = TaggedValue(1, "a")
+        sim.registers[(2, 3)] = TaggedValue(3, "c")
+        sim.registers[(2, 2)] = TaggedValue(2, "b")
         cores[1].deliver(Message(R, 4, 1, 1))
-        sends = drain_scan(cores[1], store)
+        sends = drain_scan(cores[1], sim)
         assert sends[0].value == TaggedValue(3, "c")
 
     def test_singleton_scans_only_own_register(self, msg3_spec):
-        regs = []
-        store = RegisterStore(msg3_spec, lambda k, a, p: regs.append(tuple(p["register"])))
+        sim = registers_of(msg3_spec)
         core = ProcessCore(3, msg3_spec, quorum=2)
         core.deliver(Message(R, 1, 3, 1))
-        drain_scan(core, store)
-        assert regs == [(3, 3)]
+        drain_scan(core, sim)
+        assert [tuple(ev["payload"]["register"]) for ev in sim.trace] == [(3, 3)]
 
 
 class TestReadQuorum:

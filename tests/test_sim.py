@@ -28,7 +28,7 @@ from mmreg import (
     run_simulation,
     schedule_from_trace,
 )
-from mmreg.sim import AccessError, RegisterStore, ScriptError
+from mmreg.sim import AccessError, ScriptError
 from mmreg.trace import KINDS, trace_lines
 
 
@@ -144,14 +144,12 @@ class TestCrashes:
 
 class TestAccessControl:
     def test_read_outside_sharing_set_rejected(self, fig1_spec):
-        store = RegisterStore(fig1_spec, lambda *a: None)
         with pytest.raises(AccessError):
-            store.read((1, 1), by=4)  # S_1 = {1, 2}
+            Simulator(fig1_spec, 3, []).read((1, 1), by=4)  # S_1 = {1, 2}
 
     def test_write_by_non_owner_rejected(self, fig1_spec):
-        store = RegisterStore(fig1_spec, lambda *a: None)
         with pytest.raises(AccessError):
-            store.write((1, 1), by=2, value=TaggedValue(1, "x"))
+            Simulator(fig1_spec, 3, []).write((1, 1), by=2, value=TaggedValue(1, "x"))
 
 
 class TestTraceRoundTrip:
@@ -317,19 +315,19 @@ def _apply_gate(sim, listed, candidates):
 
 
 def checked_run(spec, t, workload, schedule):
-    """Run `schedule`, asserting before every choice that the chooser's
-    view, `enabled()` and `is_quiescent()` equal the rebuild's, and that
-    `apply` accepts exactly the listed events.  Returns the simulator
-    and every event that was ever enabled."""
+    """Run `schedule`, asserting before every choice that `enabled()`
+    and `is_quiescent()` equal the rebuild's, and that `apply` accepts
+    exactly the listed events.  Returns the simulator and every event
+    that was ever enabled."""
     real = sim_module._make_chooser
     seen: set = set()
 
     def make(sim, sched):
         choose = real(sim, sched)
 
-        def checked(evs):
+        def checked():
             expected = oracle.enabled(sim)
-            assert list(evs) == [evs[i] for i in range(len(evs))] == sim.enabled() == expected
+            assert sim.enabled() == expected
             assert sim.is_quiescent() is oracle.is_quiescent(sim) is False
             bogus = {("invoke", -1), ("invoke", len(sim.workload)), ("hstep", 0), ("hstep", sim.spec.n + 1), ("deliver", "9.9"), ("noop", 1), ("invoke",)}
             mine = {("invoke", i) for i in range(len(sim.workload))} | {("hstep", p) for p in sim.procs}
@@ -337,7 +335,7 @@ def checked_run(spec, t, workload, schedule):
             delivered = {("deliver", ev["payload"]["id"]) for ev in sim.trace[-12:] if ev["kind"] == "deliver"}
             _apply_gate(sim, expected, sorted(bogus | mine | network | delivered, key=repr))
             seen.update(expected)
-            return choose(evs)
+            return choose()
 
         return checked
 
@@ -439,8 +437,8 @@ def chosen_events(spec, t, workload, schedule, make_chooser):
     def make(sim, sched):
         choose = make_chooser(sim, sched)
 
-        def recorded(evs):
-            picked.append(choose(evs))
+        def recorded():
+            picked.append(choose())
             return picked[-1]
 
         return recorded
@@ -454,7 +452,7 @@ def chosen_events(spec, t, workload, schedule, make_chooser):
 class TestFairChooserAgainstOracle:
     @settings(max_examples=150, deadline=None)
     @given(sim_cases())
-    def test_same_choices_as_rng_choice_over_the_view(self, case):
+    def test_same_choices_as_rng_choice_over_the_rebuild(self, case):
         spec, t, workload, schedule = case
         schedule = replace(schedule, policy="fair")
         real = sim_module._make_chooser
