@@ -17,7 +17,7 @@ from .lowerbound import demo
 from .model import load_spec
 from .protocol import ProtocolError
 from .sim import Schedule, SimError, WorkloadOp, run_simulation
-from .tolerance import DIRECT_LIMIT, t_bridge, t_bridge_or_none, t_direct
+from .tolerance import BRIDGE_LIMIT, DIRECT_LIMIT, t_bridge, t_direct
 from .trace import emit_trace, load_trace
 
 # Bound here only so that bench/run.py can wrap them on this module by name.
@@ -174,7 +174,7 @@ def cmd_check(args) -> int:
 def cmd_violate(args) -> int:
     spec = load_spec(args.spec)
     report = demo(spec, args.t)
-    report["t_L"] = t_bridge_or_none(spec.bag)  # the run needs only the witness
+    report["t_L"] = t_bridge(spec.bag).t if spec.n <= BRIDGE_LIMIT else None  # the run needs only the witness
     if args.out:
         with open(args.out, "w", encoding="utf-8") as f:
             json.dump(report, f)

@@ -9,7 +9,7 @@ smaller ack quorum n - t, an adversary can then:
            alone, withholding every message to P' and Q;
   phase 2: let a reader in P' complete a read using acks from P' alone,
            withholding everything from P and Q;
-  phase 3: release all withheld messages and drain to quiescence.
+  phase 3: release all withheld messages and run to quiescence.
 
 No process ever crashes, yet the read returns the initial value after
 the write completed: a certified atomicity violation, from delay alone.
@@ -26,7 +26,7 @@ from .checker import check_property1
 from .model import Bag, SystemSpec
 from .sim import Schedule, Simulator, WorkloadOp
 from .tolerance import reach_masks, require_covered, smallest_failing_pair, verify_witness
-from .trace import project, register_writes, schedule_from_trace
+from .trace import project, register_writes
 
 PAYLOAD = "v-new"  # the value the adversarial write stores
 
@@ -70,10 +70,9 @@ def find_witness(bag: Bag, t: int) -> WitnessPartition:
 
 @dataclass
 class E3Run:
-    """One executed adversarial run plus its replayable schedule; the
-    workload is `sim.workload`."""
+    """One executed adversarial run.  The workload is `sim.workload`,
+    and the run replays through `schedule_from_trace(sim.trace)`."""
 
-    schedule: Schedule
     sim: Simulator
     reader: int
     phase2_end: int
@@ -97,39 +96,26 @@ def build_e3(spec: SystemSpec, t: int, witness: WitnessPartition) -> E3Run:
 
     sim = Simulator(spec, t, [WorkloadOp("write", spec.writer, PAYLOAD, 0), WorkloadOp("read", reader, None, 0)])
 
-    def drain(allowed, done):
-        while not done():
-            ev = next((e for e in sim.enabled() if allowed(e)), None)
-            if ev is None:
+    # Phases 1-2: the write completes inside P, then the read inside P';
+    # each step fires the first enabled event of the op's side.
+    for op, side in ((0, p_set), (1, pp_set)):
+        while sim.ops[op].response_step is None:
+            for ev in sim.enabled():
+                kind, x = ev
+                if (
+                    kind == "invoke" and x == op
+                    or kind == "hstep" and x in side
+                    or kind == "deliver" and {sim.network[x].sender, sim.network[x].dest} <= side
+                ):
+                    sim.apply(ev)
+                    break
+            else:
                 raise LowerBoundError("construction stuck: no permitted event is enabled")
-            sim.apply(ev)
-
-    def inside(side, ev):
-        if ev[0] == "hstep":
-            return ev[1] in side
-        if ev[0] == "deliver":
-            msg = sim.network[ev[1]]
-            return msg.sender in side and msg.dest in side
-        return False
-
-    # Phase 1: the write completes inside P.
-    drain(
-        lambda ev: ev == ("invoke", 0) or inside(p_set, ev),
-        lambda: sim.ops[0].response_step is not None,
-    )
-
-    # Phase 2: the read completes inside P'.
-    drain(
-        lambda ev: ev == ("invoke", 1) or inside(pp_set, ev),
-        lambda: sim.ops[1].response_step is not None,
-    )
     phase2_end = sim.step
 
     # Phase 3: release everything, deterministically, to quiescence.
     sim.run(Schedule("fifo"))
-
-    schedule = Schedule("scripted", script=schedule_from_trace(sim.trace))
-    return E3Run(schedule, sim, reader, phase2_end)
+    return E3Run(sim, reader, phase2_end)
 
 
 def isolation_holds(run: E3Run, witness: WitnessPartition) -> bool:

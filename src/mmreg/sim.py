@@ -34,7 +34,8 @@ class SimError(Exception):
 
 
 class ScriptError(SimError):
-    """A scripted event was not enabled when its turn came."""
+    """A scripted event was not enabled when its turn came, or the run
+    reached quiescence before the script's end."""
 
 
 class AccessError(SimError):
@@ -55,7 +56,7 @@ class Schedule:
 
     policy: "fair" (seeded uniform choice with aging so every pending
     message is eventually delivered), "fifo" (deterministic, delivery in
-    send order), or "scripted" (replay an explicit event list).
+    send order), or "scripted" (replay an explicit event list, to its end).
     crash_plan entries are (process, step): `Simulator.run` crashes each
     named process once the step counter reaches its step.
     """
@@ -112,8 +113,9 @@ class Simulator:
     - `_scanning`: the live processes with a scan in progress, ascending;
     - `_deliverable`: the send numbers of the undelivered messages
       whose destination is live with no scan in progress, ascending.
-      `_inbox[p]` holds the send numbers of every undelivered message to
-      p, so a scan start, a scan end or a crash moves them out or in.
+      `_inbox[p]` maps the id of every undelivered message to p to its
+      send number, so a scan start, a scan end or a crash moves them
+      out or in, and a delivery finds its send number there.
 
     Invariant: after `_due()`, enabled() is the invokes, then the
     hsteps, then the deliveries of these lists.  An event re-indexes one
@@ -145,8 +147,7 @@ class Simulator:
         self.network: dict[str, Message] = {}  # insertion order = send order
         self._send_seq = {p: 0 for p in range(1, n + 1)}
         self._sends: list[tuple[str, int]] = []  # by send number: (message id, step sent)
-        self._send_no: dict[str, int] = {}  # message id -> send number, while undelivered
-        self._inbox: dict[int, dict[int, None]] = {p: {} for p in range(1, n + 1)}
+        self._inbox: dict[int, dict[str, int]] = {p: {} for p in range(1, n + 1)}
         self.ops = [OpRecord(op.kind, op.proc) for op in self.workload]
         self._queue: dict[int, deque] = {p: deque() for p in range(1, n + 1)}
         for i, op in enumerate(self.workload):
@@ -188,8 +189,7 @@ class Simulator:
             no = len(self._sends)
             self._sends.append((mid, self.step))
             self.network[mid] = msg
-            self._send_no[mid] = no
-            self._inbox[msg.dest][no] = None
+            self._inbox[msg.dest][mid] = no
             if self._mode[msg.dest] == _OPEN:
                 self._deliverable.append(no)  # the newest send sorts last
             self._record("send", msg.sender, {"id": mid, **_msg_fields(msg)})
@@ -206,12 +206,12 @@ class Simulator:
             self._mode[p] = mode
             deliverable = self._deliverable
             if old == _OPEN:
-                for no in self._inbox[p]:
+                for no in self._inbox[p].values():
                     del deliverable[bisect_left(deliverable, no)]
             elif old == _SCAN:
                 self._scanning.remove(p)
             if mode == _OPEN:
-                for no in self._inbox[p]:
+                for no in self._inbox[p].values():
                     insort(deliverable, no)
             elif mode == _SCAN:
                 insort(self._scanning, p)
@@ -248,8 +248,8 @@ class Simulator:
         the indexes."""
         kind, x = ev if isinstance(ev, tuple) and len(ev) == 2 else (None, None)
         if not (
-            kind == "invoke" and x in self._invokes
-            or kind == "hstep" and x in self._scanning
+            kind == "invoke" and type(x) is int and x in self._invokes  # no bool or float: True == 1, 0.0 == 0
+            or kind == "hstep" and type(x) is int and x in self._scanning
             or kind == "deliver" and isinstance(x, str) and x in self.network and self._mode[self.network[x].dest] == _OPEN
         ):
             raise ScriptError(f"event {ev!r} not enabled at step {self.step}")
@@ -304,8 +304,7 @@ class Simulator:
         else:  # deliver
             mid = ev[1]
             msg = self.network.pop(mid)
-            no = self._send_no.pop(mid)
-            del self._inbox[msg.dest][no]
+            no = self._inbox[msg.dest].pop(mid)
             deliverable = self._deliverable
             del deliverable[bisect_left(deliverable, no)]
             self._record("deliver", msg.dest, {"id": mid, **_msg_fields(msg)})
@@ -356,6 +355,9 @@ class Simulator:
             self._fire(chooser())
             if self.step > MAX_STEPS:
                 raise SimError(f"step budget {MAX_STEPS} exceeded")
+        left = tuple(chooser.rest) if schedule.policy == "scripted" else ()
+        if left:
+            raise ScriptError(f"run quiescent at step {self.step} with {len(left)} script event(s) left, from {left[0]!r}")
         return self
 
 
@@ -402,6 +404,7 @@ def _make_chooser(sim: Simulator, schedule: Schedule):
             sim._require_enabled(ev)
             return ev
 
+        scripted.rest = it  # run requires it empty at quiescence
         return scripted
     raise SimError(f"unknown policy {schedule.policy!r}")
 

@@ -165,12 +165,11 @@ def _max_unbridged_side(n: int, reach: list[int]) -> int:
 
 
 def t_bridge(bag: Bag) -> ToleranceResult:
-    """Threshold via the bridge graph.
+    """Threshold by a branch-and-bound for the largest unbridged pair.
 
     Finds s*, the largest s for which two disjoint size-s sides exist
-    with no bridge edge between them (0 when none), and returns
-    t = n - s* - 1.  s* is a maximum balanced biclique in the graph of
-    unbridged pairs.  A depth-first branch-and-bound over the left side
+    that no sharing set meets both of (0 when none), and returns
+    t = n - s* - 1.  A depth-first branch-and-bound over the left side
     finds it, cutting by the free set's size, by the left side's largest
     reachable size and by a bound on how far both can still be balanced
     (see `_max_unbridged_side`); the other side is any subset of the
@@ -186,12 +185,6 @@ def t_bridge(bag: Bag) -> ToleranceResult:
     t = n - s_star - 1
     witness = smallest_failing_pair(n, reach, s_star) if s_star >= 1 else None
     return ToleranceResult(t, witness)
-
-
-def t_bridge_or_none(bag: Bag) -> int | None:
-    """t_bridge's threshold, or None where n exceeds the bridge search
-    budget, for callers that report the threshold but do not need it."""
-    return t_bridge(bag).t if bag.n <= BRIDGE_LIMIT else None
 
 
 def t_uniform(g: Graph) -> ToleranceResult:

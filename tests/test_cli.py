@@ -508,3 +508,14 @@ class TestEntryPoint:
         missing = self.mmreg("tolerance", "--spec", str(tmp_path / "nope.json"), cwd=tmp_path)
         assert missing.returncode == 2
         assert missing.stderr.startswith("error:") and "Traceback" not in missing.stderr
+
+    def test_check_exit_codes(self, tmp_path):
+        spec = spec_from_dict(FIG1)
+        trace = tmp_path / "clean.jsonl"
+        emit_trace(run_simulation(spec, 3, [WorkloadOp("write", 1, "a"), WorkloadOp("read", 4)], Schedule("fifo")).trace, trace)
+        clean = self.mmreg("check", "--trace", str(trace), cwd=tmp_path)
+        assert clean.returncode == 0 and json.loads(clean.stdout) == {"ok": True, "violations": []}
+
+        missing = self.mmreg("check", "--trace", str(tmp_path / "nope.jsonl"), cwd=tmp_path)
+        assert missing.returncode == 2 and missing.stdout == ""
+        assert missing.stderr.startswith("error:") and "Traceback" not in missing.stderr

@@ -27,6 +27,7 @@ from mmreg import (
     make_spec,
     normalize_bag,
     run_simulation,
+    schedule_from_trace,
     t_bridge,
 )
 from mmreg.cli import fuzz
@@ -130,7 +131,7 @@ def e3_lines(spec, t):
     w = report["witness"]
     witness = WitnessPartition(tuple(w["P"]), tuple(w["P_prime"]), tuple(w["Q"]))
     run = build_e3(replace(spec, writer=report["writer"]), t, witness)
-    return [json.dumps(run.schedule.script)] + trace_lines(run.sim.trace)
+    return [json.dumps(schedule_from_trace(run.sim.trace))] + trace_lines(run.sim.trace)
 
 
 def test_e3_readme_system():

@@ -12,6 +12,7 @@ from mmreg import (
     isolation_holds,
     make_spec,
     run_simulation,
+    schedule_from_trace,
 )
 from mmreg.model import bag_of, normalize_bag, Bag
 
@@ -61,7 +62,8 @@ class TestBuildE3:
     def test_schedule_is_replayable(self, fig1_spec):
         witness = find_witness(fig1_spec.bag, 4)
         run = build_e3(fig1_spec, 4, witness)
-        replay = run_simulation(fig1_spec, 4, run.sim.workload, run.schedule)
+        schedule = Schedule("scripted", script=schedule_from_trace(run.sim.trace))
+        replay = run_simulation(fig1_spec, 4, run.sim.workload, schedule)
         assert history_from_trace(replay.trace) == history_from_trace(run.sim.trace)
 
     def test_isolation_during_split_phases(self, fig1_spec):

@@ -39,6 +39,13 @@ def write_then_read(reader=2):
     ]
 
 
+def replay_with_one_event_more(spec):
+    """Replay a fair run's script with one more event at its end."""
+    original = run_simulation(spec, 1, write_then_read(), Schedule("fair", seed=3))
+    script = schedule_from_trace(original.trace) + (("invoke", 7),)
+    return run_simulation(spec, 1, write_then_read(), Schedule("scripted", script=script))
+
+
 class TestBasicRuns:
     def test_read_sees_completed_write(self, msg3_spec):
         sim = run_simulation(msg3_spec, 1, write_then_read(), Schedule("fifo"))
@@ -236,8 +243,18 @@ class TestTraceRoundTrip:
             ([("invoke", 0), ("deliver", "1.2"), ("hstep", 2), ("hstep", 2), ("deliver", "1.2")], (), 8),
             ([("invoke", 0), ("invoke", 2)], (), 4),
             ([("invoke", 0), ("hstep", 3)], (), 4),
+            ([("invoke", True)], (), 0),
+            ([("invoke", 0.0)], (), 0),
         ],
-        ids=["deliver-to-mid-scan", "deliver-to-crashed", "deliver-twice", "invoke-before-at-step", "hstep-of-idle"],
+        ids=[
+            "deliver-to-mid-scan",
+            "deliver-to-crashed",
+            "deliver-twice",
+            "invoke-before-at-step",
+            "hstep-of-idle",
+            "invoke-of-bool",
+            "invoke-of-float",
+        ],
     )
     def test_scripted_run_rejects_what_enabled_does_not_list(self, msg3_spec, script, crash_plan, step):
         wl = [WorkloadOp("write", 1, "a", 0), WorkloadOp("read", 2, None, 0), WorkloadOp("read", 3, None, 100)]
@@ -261,8 +278,12 @@ class TestTraceRoundTrip:
                 lambda spec: run_simulation(spec, 1, write_then_read(), Schedule("scripted")),
                 "script ended with events still enabled",
             ),
+            (
+                replay_with_one_event_more,
+                re.escape("run quiescent at step 1032 with 1 script event(s) left, from ('invoke', 7)"),
+            ),
         ],
-        ids=["unknown-op-kind", "unknown-policy", "script-ends-early"],
+        ids=["unknown-op-kind", "unknown-policy", "script-ends-early", "script-left-over"],
     )
     def test_bad_run_input_raises(self, msg3_spec, start, message):
         with pytest.raises(SimError, match=message):

@@ -21,7 +21,7 @@ from mmreg import (
     t_uniform,
     verify_witness,
 )
-from mmreg.tolerance import BRIDGE_LIMIT, reach_masks, smallest_failing_pair, t_bridge_or_none
+from mmreg.tolerance import BRIDGE_LIMIT, reach_masks, smallest_failing_pair
 
 
 def naive_t(bag: Bag) -> int:
@@ -172,10 +172,6 @@ class TestBridge:
         bag = normalize_bag(Bag(BRIDGE_LIMIT + 1, ()))
         with pytest.raises(ToleranceError, match="budget"):
             t_bridge(bag)
-
-    def test_or_none_is_none_exactly_above_budget(self, fig1_spec):
-        assert t_bridge_or_none(fig1_spec.bag) == t_bridge(fig1_spec.bag).t == 3
-        assert t_bridge_or_none(normalize_bag(Bag(BRIDGE_LIMIT + 1, ()))) is None
 
     @settings(max_examples=60, deadline=None)
     @given(covered_bags())

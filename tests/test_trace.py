@@ -17,7 +17,7 @@ import trace_oracle as oracle
 from mmreg import Schedule, bag_of, check_all, emit_trace, load_trace, make_spec, run_simulation
 from mmreg.checker import PROPERTIES
 from mmreg.cli import main, random_crash_plan, random_workload
-from mmreg.trace import KINDS, TraceError, trace_lines
+from mmreg.trace import KINDS, TraceError, register_writes, schedule_from_trace, trace_lines
 
 SPECS = [
     make_spec(bag=bag_of(2, [1, 2]), writer=1),
@@ -211,3 +211,22 @@ def test_a_bad_line_raises_what_json_loads_raises(tmp_path, line):
 
 def test_the_runs_have_every_kind():
     assert {ev["kind"] for run in RUNS for ev in run.trace} == set(KINDS)
+
+
+BOGUS = {"step": 1, "kind": "bogus", "actor": 1, "payload": {}}
+READ = {"step": 0, "kind": "invoke", "actor": 2, "payload": {"op": 0, "kind": "read"}}
+
+
+@pytest.mark.parametrize(
+    "reader, trace, message",
+    [
+        (schedule_from_trace, [READ, BOGUS], "trace event 2 has kind 'bogus', not one of " + ", ".join(KINDS)),
+        (register_writes, [READ, BOGUS], "trace event 2 has kind 'bogus', not one of " + ", ".join(KINDS)),
+        (schedule_from_trace, [{**READ, "payload": []}], "invoke event 1 has payload [], not an object"),
+    ],
+    ids=["script-unknown-kind", "writes-unknown-kind", "script-payload-not-object"],
+)
+def test_the_script_and_write_readers_reject_bad_events(reader, trace, message):
+    with pytest.raises(TraceError) as raised:
+        reader(trace)
+    assert str(raised.value) == message
