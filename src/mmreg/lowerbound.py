@@ -125,9 +125,8 @@ def isolation_holds(run: E3Run, witness: WitnessPartition) -> bool:
     readable_by_pp = set()
     for p in witness.p_prime:
         readable_by_pp.update(run.sim.spec.readable_registers(p))
-    for step, actor, reg, _ in register_writes(run.sim.trace):
-        if step >= run.phase2_end:
-            break
+    # build_e3's run has no idle tick, so event i is step i.
+    for _, actor, reg, _ in register_writes(run.sim.trace[: run.phase2_end]):
         if actor in p_set and reg in readable_by_pp:
             return False
     return True

@@ -86,6 +86,8 @@ class Graph:
     edges: frozenset[tuple[int, int]]
 
     def __post_init__(self):
+        if self.n < 1:
+            raise ModelError(f"process count must be >= 1, got {self.n}")
         for u, v in self.edges:
             if not (1 <= u <= self.n and 1 <= v <= self.n):
                 raise ModelError(f"edge ({u},{v}) outside 1..{self.n}")

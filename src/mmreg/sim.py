@@ -92,6 +92,11 @@ _OPEN, _SCAN, _DOWN = "open", "scan", "down"
 class Simulator:
     """One deterministic run of the protocol over a system spec.
 
+    The workload's rules are checked here, in `__init__`: each op is a
+    "write" by the spec's writer or a "read", its proc an int in 1..n,
+    its payload a str or None and its at_step an int >= 0.  The first op
+    that breaks one raises SimError naming the op's index.
+
     The simulator holds the shared SWMR registers (`registers`) and
     enforces their access rights: registers belong to the system, not
     to a host, so they survive the crash of their owner.  Each access
@@ -131,13 +136,22 @@ class Simulator:
         quorum = ack_quorum(n, t)
         self.spec = spec
         self.workload = list(workload)
-        for op in self.workload:
-            if not 1 <= op.proc <= n:
-                raise SimError(f"workload process p{op.proc} outside 1..{n}")
-            if op.kind == "write" and op.proc != spec.writer:
-                raise SimError(f"write assigned to p{op.proc}, but the writer is p{spec.writer}")
-            if op.kind not in ("write", "read"):
-                raise SimError(f"unknown op kind {op.kind!r}")
+        self._queue: dict[int, deque] = {p: deque() for p in range(1, n + 1)}
+        for i, op in enumerate(self.workload):
+            kind, proc, at = op.kind, op.proc, op.at_step
+            if kind not in ("write", "read"):
+                raise SimError(f"workload op {i}: unknown op kind {kind!r}")
+            if type(proc) is not int:  # bool is an int subclass
+                raise SimError(f"workload op {i}: proc {proc!r} is not an integer")
+            if not 1 <= proc <= n:
+                raise SimError(f"workload process p{proc} outside 1..{n}, at op {i}")
+            if kind == "write" and proc != spec.writer:
+                raise SimError(f"workload op {i}: write assigned to p{proc}, but the writer is p{spec.writer}")
+            if not (op.payload is None or isinstance(op.payload, str)):
+                raise SimError(f"workload op {i}: payload {op.payload!r} is not a string or None")
+            if type(at) is not int or at < 0:
+                raise SimError(f"workload op {i}: at_step {at!r} is not a non-negative integer")
+            self._queue[proc].append(i)
 
         self.step = 0
         self.trace: list[dict] = []
@@ -149,9 +163,6 @@ class Simulator:
         self._sends: list[tuple[str, int]] = []  # by send number: (message id, step sent)
         self._inbox: dict[int, dict[str, int]] = {p: {} for p in range(1, n + 1)}
         self.ops = [OpRecord(op.kind, op.proc) for op in self.workload]
-        self._queue: dict[int, deque] = {p: deque() for p in range(1, n + 1)}
-        for i, op in enumerate(self.workload):
-            self._queue[op.proc].append(i)
         self.crashed: set[int] = set()
 
         self._mode: dict[int, str | None] = {p: None for p in range(1, n + 1)}

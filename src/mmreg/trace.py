@@ -107,9 +107,7 @@ def _payload(i: int, kind: str, ev: dict) -> dict:
 def _op_event(records: dict, i: int, kind: str, ev: dict) -> None:
     """Fold one invoke or respond event into the op records.  A write's
     value is fixed at invocation, a read's at its response."""
-    payload, step = ev.get("payload"), ev.get("step")
-    if type(payload) is not dict:
-        raise _bad(i, kind, "payload", payload, "an object")
+    payload, step = _payload(i, kind, ev), ev.get("step")
     op = payload.get("op")
     if type(op) is not int:
         raise _bad(i, kind, "op", op, "an integer")
@@ -122,13 +120,10 @@ def _op_event(records: dict, i: int, kind: str, ev: dict) -> None:
         op_kind = payload.get("kind")
         if op_kind != "read" and op_kind != "write":
             raise TraceError(f'op {op} has kind {op_kind!r}, not "read" or "write"')
-        proc = ev.get("actor")
-        if type(proc) is not int:
-            raise _bad(i, kind, "actor", proc, "an integer")
         records[op] = {
             "op": op,
             "kind": op_kind,
-            "proc": proc,
+            "proc": _actor(i, kind, ev),
             "invoke": step,
             "response": None,
             "value": payload.get("value"),
@@ -147,18 +142,13 @@ def _op_event(records: dict, i: int, kind: str, ev: dict) -> None:
 def _register_write(i: int, kind: str, ev: dict) -> tuple:
     """(step, actor, register, sn) of a reg-write event, the register as
     a (set index, owner) tuple; the step is not read as a number."""
-    payload = ev.get("payload")
-    if type(payload) is not dict:
-        raise _bad(i, kind, "payload", payload, "an object")
+    payload = _payload(i, kind, ev)
     reg, value = payload.get("register"), payload.get("value")
     if not (isinstance(reg, (list, tuple)) and len(reg) == 2 and type(reg[0]) is int and type(reg[1]) is int):
         raise _bad(i, kind, "register", reg, "[set index, owner]")
     if not (isinstance(value, (list, tuple)) and value and type(value[0]) is int):
         raise _bad(i, kind, "value", value, "[sn, payload] with an integer sn")
-    actor = ev.get("actor")
-    if type(actor) is not int:
-        raise _bad(i, kind, "actor", actor, "an integer")
-    return ev.get("step"), actor, (reg[0], reg[1]), value[0]
+    return ev.get("step"), _actor(i, kind, ev), (reg[0], reg[1]), value[0]
 
 
 @dataclass

@@ -3,6 +3,7 @@ import pytest
 from mmreg import (
     LowerBoundError,
     Schedule,
+    Simulator,
     WitnessPartition,
     build_e3,
     check_property1,
@@ -75,6 +76,18 @@ class TestBuildE3:
         run = build_e3(fig1_spec, 4, find_witness(fig1_spec.bag, 4))
         # p1 writes R_1[1] in phase 1, and p2 shares S_1 = {1, 2}.
         assert not isolation_holds(run, WitnessPartition((1,), (2,), (3, 4, 5)))
+
+    def test_event_i_is_step_i(self, fig1_spec, singleton5_spec):
+        """isolation_holds reads phases 1-2 as trace[:phase2_end], which
+        needs a run with no idle tick."""
+        for spec, t in ((fig1_spec, 4), (singleton5_spec, 3), (singleton5_spec, 4)):
+            trace = build_e3(spec, t, find_witness(spec.bag, t)).sim.trace
+            assert [ev["step"] for ev in trace] == list(range(len(trace)))
+
+    def test_stuck_construction_raises(self, fig1_spec, monkeypatch):
+        monkeypatch.setattr(Simulator, "enabled", lambda sim: [])
+        with pytest.raises(LowerBoundError, match="construction stuck: no permitted event is enabled"):
+            build_e3(fig1_spec, 4, find_witness(fig1_spec.bag, 4))
 
     def test_writer_outside_p_rejected(self, fig1_spec):
         witness = find_witness(fig1_spec.bag, 4)  # P = {1}

@@ -199,8 +199,9 @@ class TestSystemSpec:
         (lambda: Graph(3, frozenset({(2, 1)})), "must be ordered u < v"),
         (lambda: SystemSpec(bag_of(3, [1, 2]), 1), "normalize first"),
         (lambda: make_spec(), "exactly one of bag/graph"),
+        (lambda: Graph.from_edges(0, []), "process count must be >= 1, got 0"),
     ],
-    ids=["no-processes", "edge-outside", "edge-unordered", "uncovered-spec", "neither-bag-nor-graph"],
+    ids=["no-processes", "edge-outside", "edge-unordered", "uncovered-spec", "neither-bag-nor-graph", "graph-no-processes"],
 )
 def test_bad_model_input_raises(build, message):
     with pytest.raises(ModelError, match=message):

@@ -295,6 +295,65 @@ class TestTraceRoundTrip:
             run_simulation(msg3_spec, 1, write_then_read(), Schedule("fifo"))
 
 
+# Values that break one workload rule each, by WorkloadOp field.
+JUNK = {
+    "kind": ["fetch", None, 1],
+    "proc": [0, 4, True, "2", 2.0, None],
+    "payload": [7, 1.5, b"x", ["a"], True],
+    "at_step": [-1, 2.5, "x", None, True, 0.0],
+}
+
+
+@st.composite
+def maybe_bad_ops(draw):
+    """An op of the msg3 system, valid or with one field from JUNK."""
+    at = draw(st.sampled_from([0, 0, 5, 40, 120]))
+    if draw(st.booleans()):
+        op = WorkloadOp("write", 1, draw(st.sampled_from(["a", ""])), at)
+    else:
+        op = WorkloadOp("read", draw(st.integers(1, 3)), None, at)
+    if draw(st.integers(0, 3)) == 0:  # one op in four
+        field = draw(st.sampled_from(sorted(JUNK)))
+        op = replace(op, **{field: draw(st.sampled_from(JUNK[field]))})
+    return op
+
+
+class TestWorkloadContract:
+    """The Simulator checks every workload rule itself, so a library
+    caller cannot start a run whose trace the checker would reject."""
+
+    @pytest.mark.parametrize(
+        "op, message",
+        [
+            (WorkloadOp("read", True), "workload op 1: proc True is not an integer"),
+            (WorkloadOp("read", "2"), "workload op 1: proc '2' is not an integer"),
+            (WorkloadOp("read", 2, None, 2.5), "workload op 1: at_step 2.5 is not a non-negative integer"),
+            (WorkloadOp("read", 2, None, "x"), "workload op 1: at_step 'x' is not a non-negative integer"),
+            (WorkloadOp("write", 1, 7), "workload op 1: payload 7 is not a string or None"),
+            (WorkloadOp("read", 2, None, -1), "workload op 1: at_step -1 is not a non-negative integer"),
+            (WorkloadOp("write", 2, "b"), "workload op 1: write assigned to p2, but the writer is p1"),
+            (WorkloadOp("read", 4), "workload process p4 outside 1..3, at op 1"),
+        ],
+        ids=["proc-bool", "proc-string", "at-step-float", "at-step-string", "payload-int", "at-step-negative",
+             "write-by-reader", "proc-outside"],
+    )
+    def test_bad_workload_op_raises(self, msg3_spec, op, message):
+        with pytest.raises(SimError, match=f"^{re.escape(message)}$"):
+            Simulator(msg3_spec, 1, [WorkloadOp("write", 1, "a"), op])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(maybe_bad_ops(), max_size=4), st.integers(0, 2**16))
+    def test_built_runs_check_clean(self, workload, seed):
+        spec = make_spec(bag=bag_of(3, [1], [2], [3]), writer=1)
+        try:
+            sim = Simulator(spec, 1, workload)
+        except SimError as e:
+            assert str(e).startswith("workload")
+            return
+        sim.run(Schedule("fair", seed=seed))
+        assert check_all(sim.trace, t=1).ok  # raises no TraceError or HistoryError
+
+
 class TestReliability:
     def test_every_message_delivered_exactly_once(self, fig1_spec):
         sim = run_simulation(fig1_spec, 3, write_then_read(3), Schedule("fair", seed=13))
