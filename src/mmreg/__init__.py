@@ -8,7 +8,6 @@ from .model import (
     Graph,
     ModelError,
     SystemSpec,
-    access_maps,
     bag_of,
     graph_square,
     induce_uniform,
@@ -52,7 +51,6 @@ __all__ = [
     "Graph",
     "ModelError",
     "SystemSpec",
-    "access_maps",
     "bag_of",
     "graph_square",
     "induce_uniform",

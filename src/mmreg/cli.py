@@ -108,23 +108,13 @@ def fuzz(spec, runs: int, base_seed: int, crashes: int | None = None, t: int | N
 
 def cmd_tolerance(args) -> int:
     spec = load_spec(args.spec)
-    out: dict = {"n": spec.n}
-    # "both" cross-checks with the exhaustive search only where it runs.
-    if args.method == "direct" or (args.method == "both" and spec.n <= DIRECT_LIMIT):
-        res = t_direct(spec.bag)
-        out["t"] = res.t
-        if args.witness:
-            out["witness"] = list(map(list, res.witness)) if res.witness else None
-    if args.method in ("bridge", "both"):
-        res = t_bridge(spec.bag)
-        if "t" in out and out["t"] != res.t:
-            print(f"error: direct and bridge disagree: {out['t']} vs {res.t}", file=sys.stderr)
-            return 1
-        out["t"] = res.t
-        if args.witness and "witness" not in out:
-            out["witness"] = list(map(list, res.witness)) if res.witness else None
-    out["method"] = args.method
-    print(json.dumps(out))
+    res = t_bridge(spec.bag)
+    # Cross-check with the exhaustive search where it runs.
+    direct = t_direct(spec.bag) if spec.n <= DIRECT_LIMIT else res
+    if direct != res:
+        print(f"error: direct and bridge disagree: {direct.t} vs {res.t}, witnesses {direct.witness} vs {res.witness}", file=sys.stderr)
+        return 1
+    print(json.dumps({"n": spec.n, "t": res.t, "witness": list(map(list, res.witness)) if res.witness else None}))
     return 0
 
 
@@ -191,8 +181,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tolerance", help="compute the crash-tolerance threshold")
     p.add_argument("--spec", required=True)
-    p.add_argument("--method", choices=["direct", "bridge", "both"], default="both")
-    p.add_argument("--witness", action="store_true")
     p.set_defaults(func=cmd_tolerance)
 
     p = sub.add_parser("simulate", help="run a workload and emit a trace")

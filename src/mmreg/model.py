@@ -134,11 +134,12 @@ RegisterId = tuple[int, int]
 
 @dataclass(frozen=True)
 class SystemSpec:
-    """An m&m system: a covered bag, the designated writer, and the
-    derived register identities R_i[p] for every p in S_i.
+    """An m&m system: a covered bag and the designated writer.
 
-    R_i[p] is writable only by p and readable exactly by the members of
-    S_i.  Use :func:`make_spec` to normalize the bag automatically.
+    Set S_i holds a register R_i[p] for each member p, written only by p
+    and read exactly by the members of S_i.  `readers` is the one
+    statement of that rule; the register lists below are views of it.
+    Use :func:`make_spec` to normalize the bag automatically.
     """
 
     bag: Bag
@@ -155,25 +156,27 @@ class SystemSpec:
         return self.bag.n
 
     @cached_property
+    def readers(self) -> dict[RegisterId, tuple[int, ...]]:
+        """Each register R_i[p], ascending by (i, p), to the processes
+        that may read it: the members of S_i, ascending.  Only p writes it."""
+        out = {}
+        for i, s in enumerate(self.bag.sets, start=1):
+            members = tuple(sorted(s))
+            for p in members:
+                out[(i, p)] = members
+        return out
+
+    @cached_property
     def registers(self) -> tuple[RegisterId, ...]:
-        return tuple(
-            (i, p)
-            for i, s in enumerate(self.bag.sets, start=1)
-            for p in sorted(s)
-        )
+        return tuple(self.readers)
 
     def writable_registers(self, p: int) -> tuple[RegisterId, ...]:
         """Registers p owns, ascending by set index."""
-        return tuple((i, p) for i, s in enumerate(self.bag.sets, start=1) if p in s)
+        return tuple(reg for reg in self.readers if reg[1] == p)
 
     def readable_registers(self, p: int) -> tuple[RegisterId, ...]:
         """Registers p may read, ascending by (set index, owner)."""
-        return tuple(
-            (i, q)
-            for i, s in enumerate(self.bag.sets, start=1)
-            if p in s
-            for q in sorted(s)
-        )
+        return tuple(reg for reg, members in self.readers.items() if p in members)
 
 
 def make_spec(bag: Bag | None = None, graph: Graph | None = None, writer: int = 1) -> SystemSpec:
@@ -183,13 +186,6 @@ def make_spec(bag: Bag | None = None, graph: Graph | None = None, writer: int = 
     if graph is not None:
         bag = induce_uniform(graph)
     return SystemSpec(normalize_bag(bag), writer)
-
-
-def access_maps(spec: SystemSpec):
-    """Materialized access rule: who may read and write each register."""
-    readable = {reg: tuple(sorted(spec.bag.sets[reg[0] - 1])) for reg in spec.registers}
-    writable = {reg: reg[1] for reg in spec.registers}
-    return readable, writable
 
 
 def _int_lists(d: dict, key: str) -> list[list[int]]:

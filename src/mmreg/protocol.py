@@ -69,6 +69,8 @@ class Message(NamedTuple):
 
 def ack_quorum(n: int, t: int) -> int:
     """Acknowledgements to wait for when up to t crashes are tolerated."""
+    if type(t) is not int:  # bool is an int subclass
+        raise ProtocolError(f"t={t!r} is not an integer")
     q = n - t
     if not 1 <= q <= n:
         raise ProtocolError(f"t={t} gives ack quorum {q}, outside 1..{n}")

@@ -8,7 +8,7 @@ seed give a byte-identical trace.
 Links are reliable: a message is delivered exactly once, never lost or
 forged, with no ordering guarantee unless the fifo policy is selected.
 Crashed processes take no further steps; their registers stay readable
-and writable by the survivors.
+by the survivors.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass
 
-from .model import SystemSpec, access_maps
+from .model import SystemSpec
 from .protocol import INITIAL_VALUE, Message, ProcessCore, TaggedValue, ack_quorum
 
 # Bound here only for bench/, which calls and wraps them on this module
@@ -57,8 +57,8 @@ class Schedule:
     policy: "fair" (seeded uniform choice with aging so every pending
     message is eventually delivered), "fifo" (deterministic, delivery in
     send order), or "scripted" (replay an explicit event list, to its end).
-    crash_plan entries are (process, step): `Simulator.run` crashes each
-    named process once the step counter reaches its step.
+    crash_plan entries are (process, step) pairs of ints: `Simulator.run`
+    crashes each named process once the step counter reaches its step.
     """
 
     policy: str = "fair"
@@ -98,9 +98,9 @@ class Simulator:
     that breaks one raises SimError naming the op's index.
 
     The simulator holds the shared SWMR registers (`registers`) and
-    enforces their access rights: registers belong to the system, not
-    to a host, so they survive the crash of their owner.  Each access
-    is recorded in the trace as one step.
+    enforces the access rule that `spec.readers` states: registers
+    belong to the system, not to a host, so they survive the crash of
+    their owner.  Each access is recorded in the trace as one step.
 
     The scheduler-facing surface is `enabled()` / `apply(event)`; `run`
     drives them under a policy.  Events are small tuples:
@@ -156,7 +156,7 @@ class Simulator:
         self.step = 0
         self.trace: list[dict] = []
         self.procs = {p: ProcessCore(p, spec, quorum) for p in range(1, n + 1)}
-        self._readers, self._writer = access_maps(spec)
+        self._readers = spec.readers
         self.registers = {reg: INITIAL_VALUE for reg in spec.registers}
         self.network: dict[str, Message] = {}  # insertion order = send order
         self._send_seq = {p: 0 for p in range(1, n + 1)}
@@ -181,6 +181,7 @@ class Simulator:
         self.step += 1
 
     def read(self, reg, by: int) -> TaggedValue:
+        """R_i[q]'s value, for a member `by` of S_i; else AccessError."""
         if by not in self._readers.get(reg, ()):
             raise AccessError(f"p{by} cannot read R_{reg[0]}[p{reg[1]}]")
         value = self.registers[reg]
@@ -188,7 +189,8 @@ class Simulator:
         return value
 
     def write(self, reg, by: int, value: TaggedValue) -> None:
-        if self._writer.get(reg) != by:
+        """Set R_i[q] to value, for its owner `by` = q; else AccessError."""
+        if not (reg in self._readers and reg[1] == by):
             raise AccessError(f"p{by} cannot write R_{reg[0]}[p{reg[1]}]")
         self.registers[reg] = value
         self._record("reg-write", by, {"register": list(reg), "value": list(value)})
@@ -338,7 +340,10 @@ class Simulator:
         process of its crash plan once the step counter reaches the
         planned step."""
         n = self.spec.n
-        for p, step in schedule.crash_plan:
+        for entry in schedule.crash_plan:
+            if not (isinstance(entry, tuple) and len(entry) == 2 and all(type(x) is int for x in entry)):  # bool is an int subclass
+                raise SimError(f"crash plan entry {entry!r} is not a pair of integers")
+            p, step = entry
             if not 1 <= p <= n:
                 raise SimError(f"crash of p{p} outside 1..{n}")
             if step < 0:

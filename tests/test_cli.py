@@ -62,7 +62,7 @@ class TestTolerance:
         assert out["t"] == 3
 
     def test_witness_flag(self, fig1_file, capsys):
-        assert main(["tolerance", "--spec", fig1_file, "--method", "direct", "--witness"]) == 0
+        assert main(["tolerance", "--spec", fig1_file]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["witness"] == [[1], [4]]
 
@@ -75,8 +75,6 @@ class TestTolerance:
         path.write_text(json.dumps({"n": 16, "bag": [], "writer": 1}))
         assert main(["tolerance", "--spec", str(path)]) == 0
         assert json.loads(capsys.readouterr().out)["t"] == 7
-        assert main(["tolerance", "--spec", str(path), "--method", "direct"]) == 2
-        assert "exhaustive limit" in capsys.readouterr().err
 
     def test_direct_and_bridge_disagreeing_is_an_error(self, fig1_file, monkeypatch, capsys):
         def one_less(bag):
@@ -92,9 +90,35 @@ class TestTolerance:
     def test_witness_past_the_exhaustive_limit_is_the_bridges(self, tmp_path, capsys):
         path = tmp_path / "n16.json"
         path.write_text(json.dumps({"n": 16, "bag": [], "writer": 1}))
-        assert main(["tolerance", "--spec", str(path), "--witness"]) == 0
+        assert main(["tolerance", "--spec", str(path)]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["witness"] == [list(range(1, 9)), list(range(9, 17))]
+
+    def test_output_is_n_t_and_witness(self, fig1_file, tmp_path, capsys):
+        assert main(["tolerance", "--spec", fig1_file]) == 0
+        assert capsys.readouterr().out == '{"n": 5, "t": 3, "witness": [[1], [4]]}\n'
+        path = tmp_path / "full3.json"
+        path.write_text(json.dumps({"n": 3, "bag": [[1, 2, 3]], "writer": 1}))
+        assert main(["tolerance", "--spec", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out) == {"n": 3, "t": 2, "witness": None}
+
+    @pytest.mark.parametrize("flag", [["--witness"], ["--method", "both"]])
+    def test_removed_flags_are_unrecognized(self, fig1_file, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["tolerance", "--spec", fig1_file, *flag])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_direct_and_bridge_witnesses_disagreeing_is_an_error(self, fig1_file, monkeypatch, capsys):
+        def swapped(bag):
+            res = t_direct(bag)
+            return replace(res, witness=res.witness[::-1])
+
+        monkeypatch.setattr("mmreg.cli.t_direct", swapped)
+        assert main(["tolerance", "--spec", fig1_file]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "direct and bridge disagree: 3 vs 3, witnesses ((4,), (1,)) vs ((1,), (4,))" in captured.err
 
 
 FUZZ_ONE = ["fuzz", "--runs", "1"]
@@ -175,6 +199,14 @@ class TestSimulateCheckPipeline:
         )
         assert rc == 0
         assert json.loads(capsys.readouterr().out)["responded"] == 2
+
+    def test_policy_and_threshold_flags(self, fig1_file, workload_file, tmp_path, capsys):
+        trace = tmp_path / "trace.jsonl"
+        argv = ["simulate", "--spec", fig1_file, "--workload", workload_file, "--trace", str(trace)]
+        assert main([*argv, "--policy", "fifo", "--threshold", "1"]) == 0
+        wl = [WorkloadOp("write", 1, "a", 0), WorkloadOp("read", 2, None, 500)]
+        expected = run_simulation(load_spec(fig1_file), 1, wl, Schedule("fifo"))
+        assert trace.read_text().splitlines() == trace_lines(expected.trace)
 
     def test_bad_crash_spec_is_usage_error(self, msg3_file, workload_file, tmp_path, capsys):
         trace = str(tmp_path / "trace.jsonl")

@@ -8,7 +8,6 @@ from mmreg import (
     Graph,
     ModelError,
     SystemSpec,
-    access_maps,
     bag_of,
     graph_square,
     induce_uniform,
@@ -169,19 +168,15 @@ class TestSystemSpec:
         assert regs == expected
 
     def test_fig1_access_example(self, fig1_spec):
-        readable, writable = access_maps(fig1_spec)
-        assert readable[(2, 1)] == (1, 2, 3)
-        assert writable[(2, 1)] == 1
+        assert fig1_spec.readers[(2, 1)] == (1, 2, 3)
 
     def test_local_register_readable_by_owner_only(self):
         spec = make_spec(bag=bag_of(3, [1, 2], [3]), writer=1)
-        readable, _ = access_maps(spec)
-        assert readable[(2, 3)] == (3,)
+        assert spec.readers[(2, 3)] == (3,)
 
     def test_full_sharing_readable_by_all(self):
         spec = make_spec(bag=bag_of(4, [1, 2, 3, 4]), writer=2)
-        readable, _ = access_maps(spec)
-        assert all(v == (1, 2, 3, 4) for v in readable.values())
+        assert all(v == (1, 2, 3, 4) for v in spec.readers.values())
 
     def test_registers_sorted_by_set_then_owner(self, fig1_spec):
         assert list(fig1_spec.registers) == sorted(fig1_spec.registers)

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from mmreg import INITIAL_VALUE, Message, ProcessCore, ProtocolError, TaggedValue, max_tagged, make_spec, bag_of
@@ -107,6 +109,12 @@ class TestWriteHandler:
 def test_bad_step_raises(msg3_spec, act, message):
     with pytest.raises(ProtocolError, match=message):
         act(ProcessCore(2, msg3_spec, quorum=2), registers_of(msg3_spec))
+
+
+@pytest.mark.parametrize("t", [1.5, True, "1", None], ids=repr)
+def test_non_integer_t_raises(msg3_spec, t):
+    with pytest.raises(ProtocolError, match=f"^t={re.escape(repr(t))} is not an integer$"):
+        Simulator(msg3_spec, t, [])
 
 
 class TestReadHandler:

@@ -142,6 +142,11 @@ class TestCrashes:
         with pytest.raises(SimError, match="twice"):
             run_simulation(msg3_spec, 1, [], Schedule(crash_plan=((1, 0), (1, 5))))
 
+    @pytest.mark.parametrize("entry", [(True, 0), (2.0, 3), (2, 2.5), ("2", 1), (2,)], ids=repr)
+    def test_crash_plan_entry_must_be_a_pair_of_ints(self, msg3_spec, entry):
+        with pytest.raises(SimError, match=f"^crash plan entry {re.escape(repr(entry))} is not a pair of integers$"):
+            run_simulation(msg3_spec, 1, [WorkloadOp("write", 1, "a", 0)], Schedule("fair", crash_plan=(entry,)))
+
     def test_second_run_cannot_crash_a_process_again(self, fig1_spec):
         schedule = Schedule("fair", seed=1, crash_plan=((2, 0),))
         sim = Simulator(fig1_spec, 3, write_then_read(4)).run(schedule)
