@@ -37,9 +37,7 @@ from .checker import (
     check_property2,
 )
 from .lowerbound import (
-    E3Run,
     LowerBoundError,
-    WitnessPartition,
     build_e3,
     demo,
     find_witness,
@@ -86,9 +84,7 @@ __all__ = [
     "check_monotonicity",
     "check_property1",
     "check_property2",
-    "E3Run",
     "LowerBoundError",
-    "WitnessPartition",
     "build_e3",
     "demo",
     "find_witness",

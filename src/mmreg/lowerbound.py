@@ -1,8 +1,9 @@
 """Adversarial schedule showing the tolerance threshold is tight.
 
-For any crash budget t above the threshold there is a partition
-(P, P', Q) of the processes with |P| = |P'| = n - t such that P and P'
-share no register pool.  Running the protocol with the correspondingly
+For any crash budget t above the threshold there are two disjoint sides
+P and P' of n - t processes each that share no register pool, a
+`tolerance.Witness` pair; at t = t_L + 1 it is `t_bridge`'s witness.
+Q is every other process.  Running the protocol with the correspondingly
 smaller ack quorum n - t, an adversary can then:
 
   phase 1: let the writer (in P) complete a write using acks from P
@@ -15,17 +16,18 @@ No process ever crashes, yet the read returns the initial value after
 the write completed: a certified atomicity violation, from delay alone.
 
 The construction needs only the witness search and the simulator's event
-surface; it never computes the threshold itself.
+surface; it never computes the threshold itself, and it keeps no types of
+its own: `build_e3` returns the `Simulator` it ran.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 from .checker import check_property1
 from .model import Bag, SystemSpec
 from .sim import Schedule, Simulator, WorkloadOp
-from .tolerance import reach_masks, require_covered, smallest_failing_pair, verify_witness
+from .tolerance import Witness, reach_masks, require_covered, smallest_failing_pair, verify_witness
 from .trace import project, register_writes
 
 PAYLOAD = "v-new"  # the value the adversarial write stores
@@ -35,24 +37,15 @@ class LowerBoundError(ValueError):
     """The requested construction does not exist or cannot be scripted."""
 
 
-@dataclass(frozen=True)
-class WitnessPartition:
-    """Disjoint P, P', Q covering the process set; no sharing set meets
-    both P and P'."""
-
-    p_side: tuple[int, ...]
-    p_prime: tuple[int, ...]
-    q_side: tuple[int, ...]
-
-    def swapped(self) -> "WitnessPartition":
-        return WitnessPartition(self.p_prime, self.p_side, self.q_side)
-
-
-def find_witness(bag: Bag, t: int) -> WitnessPartition:
-    """The lexicographically smallest witness that t crashes break the
-    system.  Requires t above the threshold: a failing pair of size n-t
-    exists exactly when t > t_L, so one witness search decides both."""
+def find_witness(bag: Bag, t: int) -> Witness:
+    """The lexicographically smallest witness (P, P') that t crashes
+    break the system, as `smallest_failing_pair` returns it; at
+    t = t_L + 1 it equals `t_bridge(bag).witness`.  Requires an int t
+    above the threshold: a failing pair of size n-t exists exactly when
+    t > t_L, so one witness search decides both."""
     require_covered(bag)
+    if type(t) is not int:
+        raise LowerBoundError(f"t={t!r} is not an integer")
     if t < 0:
         raise LowerBoundError(f"t={t} is negative: a crash budget must be >= 0")
     if t > bag.n - 1:
@@ -63,38 +56,25 @@ def find_witness(bag: Bag, t: int) -> WitnessPartition:
             f"t={t} <= t_L: every two disjoint sides of size n-t={bag.n - t} share a set, "
             "so the system tolerates this many crashes"
         )
-    left, right = pair
-    q = tuple(sorted(set(range(1, bag.n + 1)) - set(left) - set(right)))
-    return WitnessPartition(left, right, q)
+    return pair
 
 
-@dataclass
-class E3Run:
-    """One executed adversarial run.  The workload is `sim.workload`,
-    and the run replays through `schedule_from_trace(sim.trace)`."""
-
-    sim: Simulator
-    reader: int
-    phase2_end: int
-
-
-def build_e3(spec: SystemSpec, t: int, witness: WitnessPartition) -> E3Run:
-    """Script and execute the three-phase adversarial run.
+def build_e3(spec: SystemSpec, t: int, witness: Witness) -> Simulator:
+    """Script and execute the three-phase adversarial run on the witness
+    (P, P') and return the simulator that ran it.
 
     The writer must lie in P (it has to reach its quorum inside P), and
-    each side must have exactly n - t members.
+    the reader, op 1 of `sim.workload`, is the smallest member of P'.
     """
-    p_set = set(witness.p_side)
-    pp_set = set(witness.p_prime)
-    if len(p_set) != spec.n - t or len(pp_set) != spec.n - t:
-        raise LowerBoundError(f"witness sides must have size n-t={spec.n - t}")
-    if not verify_witness(spec.bag, t - 1, (witness.p_side, witness.p_prime)):
-        raise LowerBoundError("invalid witness: sides intersect or share a register pool")
+    if not verify_witness(spec.bag, t - 1, witness):
+        raise LowerBoundError(
+            f"invalid witness: the sides must be disjoint, of size n-t={spec.n - t}, and share no set"
+        )
+    p_set, pp_set = set(witness[0]), set(witness[1])
     if spec.writer not in p_set:
         raise LowerBoundError(f"writer p{spec.writer} must belong to the witness side P")
-    reader = min(pp_set)
 
-    sim = Simulator(spec, t, [WorkloadOp("write", spec.writer, PAYLOAD, 0), WorkloadOp("read", reader, None, 0)])
+    sim = Simulator(spec, t, [WorkloadOp("write", spec.writer, PAYLOAD, 0), WorkloadOp("read", min(pp_set), None, 0)])
 
     # Phases 1-2: the write completes inside P, then the read inside P';
     # each step fires the first enabled event of the op's side.
@@ -111,22 +91,21 @@ def build_e3(spec: SystemSpec, t: int, witness: WitnessPartition) -> E3Run:
                     break
             else:
                 raise LowerBoundError("construction stuck: no permitted event is enabled")
-    phase2_end = sim.step
 
     # Phase 3: release everything, deterministically, to quiescence.
-    sim.run(Schedule("fifo"))
-    return E3Run(sim, reader, phase2_end)
+    return sim.run(Schedule("fifo"))
 
 
-def isolation_holds(run: E3Run, witness: WitnessPartition) -> bool:
-    """During phases 1-2, no register readable by P' is written by a P
+def isolation_holds(sim: Simulator, witness: Witness) -> bool:
+    """During phases 1-2 of `build_e3`'s run, which end when the read
+    (op 1) responds, no register readable by P' is written by a P
     process."""
-    p_set = set(witness.p_side)
+    p_set = set(witness[0])
     readable_by_pp = set()
-    for p in witness.p_prime:
-        readable_by_pp.update(run.sim.spec.readable_registers(p))
+    for p in witness[1]:
+        readable_by_pp.update(sim.spec.readable_registers(p))
     # build_e3's run has no idle tick, so event i is step i.
-    for _, actor, reg, _ in register_writes(run.sim.trace[: run.phase2_end]):
+    for _, actor, reg, _ in register_writes(sim.trace[: sim.ops[1].response_step]):
         if actor in p_set and reg in readable_by_pp:
             return False
     return True
@@ -139,13 +118,13 @@ def demo(spec: SystemSpec, t: int) -> dict:
     the smallest member of P as writer (the impossibility holds for
     some writer, not every writer); the report names the writer used.
     """
-    witness = find_witness(spec.bag, t)
-    if spec.writer in witness.p_prime:
-        witness = witness.swapped()
-    elif spec.writer not in witness.p_side:
-        spec = replace(spec, writer=min(witness.p_side))
-    run = build_e3(spec, t, witness)
-    projection = project(run.sim.trace)
+    p_side, p_prime = find_witness(spec.bag, t)
+    if spec.writer in p_prime:
+        p_side, p_prime = p_prime, p_side
+    elif spec.writer not in p_side:
+        spec = replace(spec, writer=min(p_side))
+    sim = build_e3(spec, t, (p_side, p_prime))
+    projection = project(sim.trace)
     history = projection.get("history")
     verdict = check_property1(history)
 
@@ -163,16 +142,16 @@ def demo(spec: SystemSpec, t: int) -> dict:
         "n": spec.n,
         "t": t,
         "writer": spec.writer,
-        "reader": run.reader,
+        "reader": sim.workload[1].proc,
         "witness": {
-            "P": list(witness.p_side),
-            "P_prime": list(witness.p_prime),
-            "Q": list(witness.q_side),
+            "P": list(p_side),
+            "P_prime": list(p_prime),
+            "Q": [q for q in range(1, spec.n + 1) if q not in p_side + p_prime],
         },
         "violation_certified": certified,
         "no_crashes": no_crashes,
-        "isolation_ok": isolation_holds(run, witness),
+        "isolation_ok": isolation_holds(sim, (p_side, p_prime)),
         "violations": verdict.as_dicts(),
         "history": history,
-        "trace": run.sim.trace,
+        "trace": sim.trace,
     }

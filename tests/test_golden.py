@@ -19,7 +19,6 @@ from mmreg import (
     Bag,
     Graph,
     Schedule,
-    WitnessPartition,
     bag_of,
     build_e3,
     demo,
@@ -129,9 +128,8 @@ def e3_lines(spec, t):
     rebuilt with the writer and the witness that the report names."""
     report = demo(spec, t)
     w = report["witness"]
-    witness = WitnessPartition(tuple(w["P"]), tuple(w["P_prime"]), tuple(w["Q"]))
-    run = build_e3(replace(spec, writer=report["writer"]), t, witness)
-    return [json.dumps(schedule_from_trace(run.sim.trace))] + trace_lines(run.sim.trace)
+    sim = build_e3(replace(spec, writer=report["writer"]), t, (tuple(w["P"]), tuple(w["P_prime"])))
+    return [json.dumps(schedule_from_trace(sim.trace))] + trace_lines(sim.trace)
 
 
 def test_e3_readme_system():

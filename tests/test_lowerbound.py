@@ -4,7 +4,6 @@ from mmreg import (
     LowerBoundError,
     Schedule,
     Simulator,
-    WitnessPartition,
     build_e3,
     check_property1,
     demo,
@@ -16,20 +15,23 @@ from mmreg import (
     schedule_from_trace,
 )
 from mmreg.model import bag_of, normalize_bag, Bag
+from mmreg.trace import register_writes
 
 
 class TestFindWitness:
     def test_fig1_t4(self, fig1_spec):
-        w = find_witness(fig1_spec.bag, 4)
-        assert w == WitnessPartition((1,), (4,), (2, 3, 5))
+        assert find_witness(fig1_spec.bag, 4) == ((1,), (4,))
 
     def test_singletons_t3(self, singleton5_spec):
-        w = find_witness(singleton5_spec.bag, 3)
-        assert w == WitnessPartition((1, 2), (3, 4), (5,))
+        assert find_witness(singleton5_spec.bag, 3) == ((1, 2), (3, 4))
 
-    def test_partition_covers_everything(self, fig1_spec):
-        w = find_witness(fig1_spec.bag, 4)
-        assert sorted(w.p_side + w.p_prime + w.q_side) == [1, 2, 3, 4, 5]
+    def test_partition_covers_everything(self, fig1_spec, singleton5_spec):
+        """The report's P, P' and Q name each process exactly once; Q
+        exists only in the report."""
+        writer_in_q = make_spec(bag=fig1_spec.bag, writer=3)
+        for spec, t in ((fig1_spec, 4), (singleton5_spec, 3), (writer_in_q, 4)):
+            w = demo(spec, t)["witness"]
+            assert sorted(w["P"] + w["P_prime"] + w["Q"]) == list(range(1, spec.n + 1)), (spec, t)
 
     def test_rejects_tolerated_t(self, fig1_spec):
         with pytest.raises(LowerBoundError, match="tolerates"):
@@ -43,45 +45,61 @@ class TestFindWitness:
         with pytest.raises(LowerBoundError, match="t=-3 is negative"):
             find_witness(fig1_spec.bag, -3)
 
-    def test_swap(self):
-        w = WitnessPartition((1,), (4,), (2, 3, 5))
-        assert w.swapped() == WitnessPartition((4,), (1,), (2, 3, 5))
+    @pytest.mark.parametrize("t", [4.0, "4", None, True])
+    def test_rejects_non_integer_t(self, fig1_spec, t):
+        with pytest.raises(LowerBoundError, match=f"t={t!r} is not an integer"):
+            find_witness(fig1_spec.bag, t)
+        with pytest.raises(LowerBoundError, match=f"t={t!r} is not an integer"):
+            demo(fig1_spec, t)
 
 
 class TestBuildE3:
     def test_fig1_run_shape(self, fig1_spec):
         witness = find_witness(fig1_spec.bag, 4)
-        run = build_e3(fig1_spec, 4, witness)
-        write, read = history_from_trace(run.sim.trace)
+        sim = build_e3(fig1_spec, 4, witness)
+        write, read = history_from_trace(sim.trace)
         # Write completes before the read is even invoked ...
         assert write["response"] is not None
         assert write["response"] < read["invoke"]
         # ... yet the read returns the initial value.
         assert read["value"] == [0, None]
-        assert run.sim.is_quiescent()
+        assert sim.is_quiescent()
 
     def test_schedule_is_replayable(self, fig1_spec):
         witness = find_witness(fig1_spec.bag, 4)
-        run = build_e3(fig1_spec, 4, witness)
-        schedule = Schedule("scripted", script=schedule_from_trace(run.sim.trace))
-        replay = run_simulation(fig1_spec, 4, run.sim.workload, schedule)
-        assert history_from_trace(replay.trace) == history_from_trace(run.sim.trace)
+        sim = build_e3(fig1_spec, 4, witness)
+        schedule = Schedule("scripted", script=schedule_from_trace(sim.trace))
+        replay = run_simulation(fig1_spec, 4, sim.workload, schedule)
+        assert history_from_trace(replay.trace) == history_from_trace(sim.trace)
 
     def test_isolation_during_split_phases(self, fig1_spec):
         witness = find_witness(fig1_spec.bag, 4)
-        run = build_e3(fig1_spec, 4, witness)
-        assert isolation_holds(run, witness)
+        sim = build_e3(fig1_spec, 4, witness)
+        assert isolation_holds(sim, witness)
+
+    def test_isolation_ends_at_phase_2(self, fig1_spec):
+        sim = build_e3(fig1_spec, 4, find_witness(fig1_spec.bag, 4))
+        # p3 is in Q and first writes a register that p4 reads in phase 3
+        # (step 57), after the read responded (step 44); a check over the
+        # whole trace would fail.
+        phase3_writes = [
+            step
+            for step, actor, reg, _ in register_writes(sim.trace)
+            if actor == 3 and reg in fig1_spec.readable_registers(4)
+        ]
+        assert phase3_writes and min(phase3_writes) > sim.ops[1].response_step
+        assert isolation_holds(sim, ((3,), (4,)))
 
     def test_isolation_fails_for_a_side_that_reads_the_writer(self, fig1_spec):
-        run = build_e3(fig1_spec, 4, find_witness(fig1_spec.bag, 4))
+        sim = build_e3(fig1_spec, 4, find_witness(fig1_spec.bag, 4))
         # p1 writes R_1[1] in phase 1, and p2 shares S_1 = {1, 2}.
-        assert not isolation_holds(run, WitnessPartition((1,), (2,), (3, 4, 5)))
+        assert not isolation_holds(sim, ((1,), (2,)))
 
     def test_event_i_is_step_i(self, fig1_spec, singleton5_spec):
-        """isolation_holds reads phases 1-2 as trace[:phase2_end], which
-        needs a run with no idle tick."""
+        """isolation_holds reads phases 1-2 as trace[:response_step] of
+        the read, which needs a run with no idle tick."""
         for spec, t in ((fig1_spec, 4), (singleton5_spec, 3), (singleton5_spec, 4)):
-            trace = build_e3(spec, t, find_witness(spec.bag, t)).sim.trace
+            trace = build_e3(spec, t, find_witness(spec.bag, t)).trace
             assert [ev["step"] for ev in trace] == list(range(len(trace)))
 
     def test_stuck_construction_raises(self, fig1_spec, monkeypatch):
@@ -96,12 +114,12 @@ class TestBuildE3:
             build_e3(spec, 4, witness)
 
     def test_bogus_witness_rejected(self, fig1_spec):
-        bad = WitnessPartition((1,), (2,), (3, 4, 5))  # p1, p2 share S_1
+        bad = ((1,), (2,))  # p1, p2 share S_1
         with pytest.raises(LowerBoundError, match="invalid witness"):
             build_e3(fig1_spec, 4, bad)
 
     def test_wrong_side_size_rejected(self, fig1_spec):
-        bad = WitnessPartition((1,), (4, 5), (2, 3))
+        bad = ((1,), (4, 5))
         with pytest.raises(LowerBoundError, match="size"):
             build_e3(fig1_spec, 4, bad)
 
@@ -143,7 +161,7 @@ class TestDemo:
 
         monkeypatch.setattr("mmreg.tolerance.t_bridge", refuse)
         monkeypatch.setattr("mmreg.lowerbound.t_bridge", refuse, raising=False)
-        assert find_witness(fig1_spec.bag, 4) == WitnessPartition((1,), (4,), (2, 3, 5))
+        assert find_witness(fig1_spec.bag, 4) == ((1,), (4,))
         with pytest.raises(LowerBoundError, match="tolerates"):
             find_witness(fig1_spec.bag, 3)
         assert demo(fig1_spec, 4)["violation_certified"]

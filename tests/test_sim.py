@@ -584,9 +584,9 @@ class TestFreedByRefcount:
 
     def test_build_e3(self, fig1_spec):
         with collector_off():
-            run = build_e3(fig1_spec, 4, find_witness(fig1_spec.bag, 4))
-            ref = weakref.ref(run.sim)
-            del run
+            sim = build_e3(fig1_spec, 4, find_witness(fig1_spec.bag, 4))
+            ref = weakref.ref(sim)
+            del sim
             assert ref() is None
 
     def test_fuzz_batch_leaves_no_run_to_the_collector(self, fig1_spec):

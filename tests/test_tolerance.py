@@ -345,6 +345,7 @@ class TestLinearSearchAgainstOracle:
             reach = reach_masks(bag.n, bag.masks())
             for t in range(t_l + 1, bag.n):
                 w = find_witness(bag, t)
-                assert verify_witness(bag, t - 1, (w.p_side, w.p_prime))
-                assert (w.p_side, w.p_prime) == oracle_smallest_failing_pair(bag.n, reach, bag.n - t)
-                assert sorted(w.p_side + w.p_prime + w.q_side) == list(range(1, bag.n + 1))
+                assert verify_witness(bag, t - 1, w)
+                assert w == oracle_smallest_failing_pair(bag.n, reach, bag.n - t)
+            if t_l < bag.n - 1:
+                assert find_witness(bag, t_l + 1) == t_bridge(bag).witness
