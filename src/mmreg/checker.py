@@ -20,7 +20,8 @@ violations, in the same order, with the same messages.
 
 `check_all` reads a trace once, through `trace.project`, which builds
 the history, the monotonicity result and the crashed set together, so
-a trace file is checked as it is read.
+a trace file is checked as it is read and rejected at its first
+malformed event.
 """
 
 from __future__ import annotations
@@ -232,7 +233,7 @@ def _monotonicity(decreases) -> Verdict:
 
 def check_monotonicity(trace) -> Verdict:
     """Per register, successive written sequence numbers never decrease."""
-    return _monotonicity(project(trace).get("mono"))
+    return _monotonicity(project(trace).mono)
 
 
 def check_completion(history, crashed, t: int | None = None) -> Verdict:
@@ -262,12 +263,16 @@ def check_all(trace, history=None, crashed=None, t: int | None = None, props=PRO
     and Property 2, "mono" register monotonicity, and "live" completion.
     The trace is read once, through `project`; a `history` or `crashed`
     given here is used in place of the trace's.  Errors come in a fixed
-    order: the history's, then each property's in the order above."""
+    order: the TraceError of the first malformed event, whatever the
+    selection, then the history's HistoryError, then each property's in
+    the order above."""
+    if isinstance(props, str):
+        raise HistoryError(f"properties {props!r} is a string, not a sequence of names from {','.join(PROPERTIES)}")
     if not props or not set(props) <= set(PROPERTIES):
         raise HistoryError(f"properties {','.join(props)!r} not a selection from {','.join(PROPERTIES)}")
     projection = project(trace)
     if history is None:
-        history = projection.get("history")
+        history = projection.history
     if {"1", "2", "live"} & set(props):
         _validate(history)
         history = _Validated(history)
@@ -277,9 +282,9 @@ def check_all(trace, history=None, crashed=None, t: int | None = None, props=PRO
     if "2" in props:
         verdict = verdict.merged(check_property2(history))
     if "mono" in props:
-        verdict = verdict.merged(_monotonicity(projection.get("mono")))
+        verdict = verdict.merged(_monotonicity(projection.mono))
     if "live" in props:
         if crashed is None:
-            crashed = projection.get("crashed")
+            crashed = projection.crashed
         verdict = verdict.merged(check_completion(history, crashed, t))
     return verdict

@@ -68,7 +68,7 @@ def build_e3(spec: SystemSpec, t: int, witness: Witness) -> Simulator:
     """
     if not verify_witness(spec.bag, t - 1, witness):
         raise LowerBoundError(
-            f"invalid witness: the sides must be disjoint, of size n-t={spec.n - t}, and share no set"
+            f"invalid witness: the sides must be disjoint, of size n-t={spec.n - t}, within 1..{spec.n}, and share no set"
         )
     p_set, pp_set = set(witness[0]), set(witness[1])
     if spec.writer not in p_set:
@@ -124,8 +124,7 @@ def demo(spec: SystemSpec, t: int) -> dict:
     elif spec.writer not in p_side:
         spec = replace(spec, writer=min(p_side))
     sim = build_e3(spec, t, (p_side, p_prime))
-    projection = project(sim.trace)
-    history = projection.get("history")
+    history, _, crashed = project(sim.trace)
     verdict = check_property1(history)
 
     write, read = history  # ops 0 and 1, both invoked by the construction
@@ -136,7 +135,7 @@ def demo(spec: SystemSpec, t: int) -> dict:
         and write["response"] < read["invoke"]
         and read["value"][0] == 0
     )
-    no_crashes = not projection.get("crashed")
+    no_crashes = not crashed
 
     return {
         "n": spec.n,

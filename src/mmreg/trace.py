@@ -9,17 +9,17 @@ the events, and everything else reads them through this module.
 any iterable of events once, building all its parts together: the op
 records, the per-register monotonicity result and the crashed set.  So
 checking a trace file holds O(ops + registers), not every event.  A
-trace is outside input, so each part checks the fields it reads, and
-only those, and stops at its first TraceError naming the event (event
-i is line i of a file written by `emit_trace`) or the op; the error is
-raised only when that part is read.
+trace is outside input, so the pass checks the fields that its parts
+read, and only those.  A malformed event rejects the trace: the pass
+raises a TraceError naming the first one (event i is line i of a file
+written by `emit_trace`) or its op, and reads nothing after it.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 KINDS = ("invoke", "respond", "send", "deliver", "reg-read", "reg-write", "crash")
 
@@ -151,53 +151,32 @@ def _register_write(i: int, kind: str, ev: dict) -> tuple:
     return ev.get("step"), _actor(i, kind, ev), (reg[0], reg[1]), value[0]
 
 
-@dataclass
-class Projection:
+class Projection(NamedTuple):
     """The parts of a trace, as `project` builds them:
 
     - history: the op records, sorted by op: op, kind, proc, invoke and
       response steps, and value;
     - mono: (step, register, previous sn, sn) for each register write
       whose sn is below the one written to that register before it;
-    - crashed: the actors of the crash events.
+    - crashed: the actors of the crash events."""
 
-    A part stops at its first TraceError, which `errors` keeps under the
-    part's name and `get` raises."""
-
-    history: list[dict] | None
+    history: list[dict]
     mono: list[tuple]
-    crashed: set[int] | None
-    errors: dict[str, TraceError]
-
-    def get(self, part: str):
-        """The part, or its TraceError raised."""
-        error = self.errors.get(part)
-        if error is not None:
-            raise error
-        return getattr(self, part)
+    crashed: set[int]
 
 
 def project(trace) -> Projection:
     """One pass over the events of `trace`, any iterable, building every
-    part of the Projection together.  A part's errors are recorded, not
-    raised, and the pass reads to the end whatever fails, so an error of
-    the iterable itself (a bad line of `load_trace`) comes first.
-    Besides malformed fields, the history stops at an op invoked twice,
-    responding twice, responding with no invoke before it, or with no
-    value; value shapes are the checker's to check."""
+    part of the Projection together.  The first malformed event raises
+    its TraceError, and the pass reads no further.  Besides malformed
+    fields, an op invoked twice, responding twice, responding with no
+    invoke before it, or with no value is malformed; value shapes are
+    the checker's to check."""
     records, last, decreases, crashed = {}, {}, [], set()
-    errors = {}
     for i, ev in enumerate(trace, 1):
         kind = ev.get("kind")
         if kind == "reg-write":
-            if last is None:
-                continue
-            try:
-                step, _, reg, sn = _register_write(i, kind, ev)
-            except TraceError as e:
-                errors["mono"] = e
-                last = None
-                continue
+            step, _, reg, sn = _register_write(i, kind, ev)
             prev = last.get(reg)
             if prev is not None and sn < prev:
                 decreases.append((step, reg, prev, sn))
@@ -205,33 +184,19 @@ def project(trace) -> Projection:
         elif kind == "send" or kind == "deliver" or kind == "reg-read":
             continue  # no part reads these
         elif kind == "invoke" or kind == "respond":
-            if records is not None:
-                try:
-                    _op_event(records, i, kind, ev)
-                except TraceError as e:
-                    errors["history"] = e
-                    records = None
+            _op_event(records, i, kind, ev)
         elif kind == "crash":
-            if crashed is not None:
-                try:
-                    crashed.add(_actor(i, kind, ev))
-                except TraceError as e:
-                    errors["crashed"] = e
-                    crashed = None
-        elif kind not in KINDS:
-            e = _unknown_kind(i, kind)
-            for part in ("history", "mono", "crashed"):
-                errors.setdefault(part, e)
-            records = last = crashed = None
-    history = None if records is None else [records[k] for k in sorted(records)]
-    return Projection(history, decreases, crashed, errors)
+            crashed.add(_actor(i, kind, ev))
+        else:
+            raise _unknown_kind(i, kind)
+    return Projection([records[k] for k in sorted(records)], decreases, crashed)
 
 
 def history_from_trace(trace) -> list[dict]:
     """The run's operation records (see Projection), rebuilt from its
     invoke and respond events.  This is the one way a history is built,
     so the checker sees a run and its emitted trace alike."""
-    return project(trace).get("history")
+    return project(trace).history
 
 
 def register_writes(trace) -> list[tuple]:

@@ -200,6 +200,11 @@ class TestCheckAll:
         with pytest.raises(HistoryError, match="1,2,mono,live"):
             check_all([], history=[], props=())
 
+    @pytest.mark.parametrize("props", ["12", "mono"])
+    def test_a_string_selection_rejected(self, props):
+        with pytest.raises(HistoryError, match=f"properties '{props}' is a string"):
+            check_all([], props=props)
+
 
 def _outcome(check, history):
     """A check's Verdict, or the message of the HistoryError it raised."""

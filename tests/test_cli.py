@@ -17,6 +17,7 @@ from mmreg.cli import fuzz, main
 from mmreg.model import spec_from_dict
 from mmreg.tolerance import BRIDGE_LIMIT
 from mmreg.trace import KINDS, trace_lines
+from test_trace import SELECTIONS
 
 
 FIG1 = {"n": 5, "edges": [[1, 2], [2, 3], [3, 4], [3, 5]], "writer": 1}
@@ -310,7 +311,7 @@ class TestSimulateCheckPipeline:
         assert err.startswith("error: ") and message in err
         assert "Traceback" not in err
 
-    def test_a_part_the_selection_does_not_read_may_be_malformed(self, tmp_path, capsys):
+    def test_every_selection_rejects_a_malformed_trace(self, tmp_path, capsys):
         trace = tmp_path / "parts.jsonl"
         lines = [
             READ_INVOKE,
@@ -319,12 +320,23 @@ class TestSimulateCheckPipeline:
             READ_RESPOND,
         ]
         trace.write_text("".join(json.dumps(ev) + "\n" for ev in lines))
-        assert main(["check", "--trace", str(trace), "--properties", "1,2"]) == 0
-        assert json.loads(capsys.readouterr().out) == {"ok": True, "violations": []}
-        for properties, message in [("mono", "reg-write event 2 has value 5"), ("live", "crash event 3 has actor 'x'")]:
-            assert main(["check", "--trace", str(trace), "--properties", properties]) == 2
+        for selection in SELECTIONS:
+            assert main(["check", "--trace", str(trace), "--properties", ",".join(selection)]) == 2
             captured = capsys.readouterr()
-            assert captured.out == "" and captured.err.startswith("error: ") and message in captured.err
+            assert captured.out == ""
+            assert captured.err == "error: reg-write event 2 has value 5, not [sn, payload] with an integer sn\n"
+
+    def test_reading_stops_at_the_first_malformed_event(self, tmp_path, capsys):
+        bad_crash = {"step": 1, "kind": "crash", "actor": "x", "payload": {}}
+        trace = tmp_path / "stop.jsonl"
+        trace.write_text(json.dumps(READ_INVOKE) + "\n" + json.dumps(bad_crash) + "\n{\n")
+        assert main(["check", "--trace", str(trace)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: crash event 2 has actor 'x', not an integer\n"
+        events = iter([READ_INVOKE, bad_crash, REG_WRITE, READ_RESPOND])
+        with pytest.raises(ValueError, match="crash event 2 has actor 'x'"):
+            checker.check_all(events)
+        assert list(events) == [REG_WRITE, READ_RESPOND]
 
     @pytest.mark.parametrize("properties", ["foo", "1,2,monotonic", ""])
     def test_unknown_properties_are_usage_error(self, msg3_file, workload_file, tmp_path, capsys, properties):

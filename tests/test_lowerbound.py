@@ -13,6 +13,7 @@ from mmreg import (
     make_spec,
     run_simulation,
     schedule_from_trace,
+    verify_witness,
 )
 from mmreg.model import bag_of, normalize_bag, Bag
 from mmreg.trace import register_writes
@@ -117,6 +118,12 @@ class TestBuildE3:
         bad = ((1,), (2,))  # p1, p2 share S_1
         with pytest.raises(LowerBoundError, match="invalid witness"):
             build_e3(fig1_spec, 4, bad)
+
+    @pytest.mark.parametrize("side", [(99,), (0,), (True,)])
+    def test_side_outside_1_to_n_rejected(self, fig1_spec, side):
+        assert not verify_witness(fig1_spec.bag, 3, ((4,), side))
+        with pytest.raises(LowerBoundError, match="invalid witness"):
+            build_e3(fig1_spec, 4, (side, (4,)))
 
     def test_wrong_side_size_rejected(self, fig1_spec):
         bad = ((1,), (4, 5))

@@ -95,9 +95,13 @@ def test_one_pass_matches_the_three_scans(data):
     trace = faults(sim.trace, random.Random(data.draw(st.integers(0, 2**32 - 1))))
     history = oracle.history_from_trace(sim.trace)
     t = data.draw(st.sampled_from([None, 0, 1, 2]))
+    error = oracle.first_error(trace)  # the same for every selection
     for props in SELECTIONS:
         for supplied in ({}, {"history": history}, {"crashed": sim.crashed}, {"history": history, "crashed": sim.crashed}):
-            expected = outcome(oracle.check_all, trace, t=t, props=props, **supplied)
+            if error is None:
+                expected = outcome(oracle.check_all, trace, t=t, props=props, **supplied)
+            else:
+                expected = type(error).__name__, str(error)
             assert outcome(check_all, trace, t=t, props=props, **supplied) == expected, (props, supplied)
             assert outcome(check_all, iter(trace), t=t, props=props, **supplied) == expected, (props, supplied)
 
@@ -140,9 +144,15 @@ def check_file(path) -> tuple:
 
 
 def oracle_check_file(path) -> tuple:
-    """What `mmreg check` printed when it read the whole file first."""
+    """What `mmreg check` prints: the error of the first malformed event
+    before the file's first bad line, else that line's error, else the
+    verdict on the whole file."""
+    events, bad_line = oracle.read_trace(path)
     try:
-        verdict = oracle.check_all(oracle.load_trace(path))
+        error = oracle.first_error(events) or bad_line
+        if error is not None:
+            raise error
+        verdict = oracle.check_all(events)
     except (ValueError, RecursionError) as e:
         return 2, "", f"error: {e}\n"
     return int(not verdict.ok), json.dumps({"ok": verdict.ok, "violations": verdict.as_dicts()}) + "\n", ""

@@ -2,11 +2,14 @@
 library ran them before `mmreg check` became one streaming pass.  The
 reader holds every event of a file in a list, and `check_all` reads its
 trace once per projection: the history, the register writes and the
-crashed set.  The differential tests in test_trace.py hold the
-one-pass `check_all` and `mmreg check` to exactly these verdicts and
-error messages."""
+crashed set.  A malformed event rejects the trace, whatever the
+selection: `check_all` raises the error of the shortest prefix on
+which one of the scans raises, which names the first malformed event.
+The differential tests in test_trace.py hold the one-pass `check_all`
+and `mmreg check` to exactly these verdicts and error messages."""
 
 import json
+from bisect import bisect_left
 from pathlib import Path
 
 from mmreg.checker import (
@@ -21,19 +24,33 @@ from mmreg.checker import (
 from mmreg.trace import KINDS, TraceError
 
 
-def load_trace(path) -> list[dict]:
-    """The events of a JSONL trace file.  Raises TraceError on a line
-    that is not a JSON object."""
+def read_trace(path) -> tuple[list[dict], Exception | None]:
+    """The events of a JSONL trace file before its first bad line, and
+    the error that line raises (None if every line is good): TraceError
+    on a line that is not a JSON object, else what reading or
+    json.loads raises."""
     out = []
     with open(Path(path), encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.strip()
-            if line:
-                ev = json.loads(line)
-                if not isinstance(ev, dict):
-                    raise TraceError(f"trace line {lineno} is not a JSON object")
-                out.append(ev)
-    return out
+        try:
+            for lineno, line in enumerate(f, 1):
+                line = line.strip()
+                if line:
+                    ev = json.loads(line)
+                    if not isinstance(ev, dict):
+                        raise TraceError(f"trace line {lineno} is not a JSON object")
+                    out.append(ev)
+        except (ValueError, RecursionError) as e:
+            return out, e
+    return out, None
+
+
+def load_trace(path) -> list[dict]:
+    """The events of a JSONL trace file; raises the error of its first
+    bad line."""
+    events, error = read_trace(path)
+    if error is not None:
+        raise error
+    return events
 
 
 def _of_kind(trace, wanted):
@@ -144,12 +161,40 @@ def check_monotonicity(trace) -> Verdict:
     return Verdict(tuple(violations))
 
 
+def _scan_error(trace) -> TraceError | None:
+    """The TraceError that one of the three scans raises on `trace`."""
+    try:
+        history_from_trace(trace)
+        list(register_writes(trace))
+        crashed_from_trace(trace)
+    except TraceError as e:
+        return e
+    return None
+
+
+def first_error(trace) -> TraceError | None:
+    """The error of the shortest prefix of `trace` on which one of the
+    three scans raises, or None if none raises on the whole trace.  A
+    scan that raises on a prefix raises on every longer one, so the
+    prefix is found by bisection."""
+    trace = list(trace)
+    if _scan_error(trace) is None:
+        return None
+    k = bisect_left(range(len(trace)), True, key=lambda k: _scan_error(trace[:k]) is not None)
+    return _scan_error(trace[:k])
+
+
 def check_all(trace, history=None, crashed=None, t: int | None = None, props=PROPERTIES) -> Verdict:
     """The selected properties over one run: "1" and "2" are Property 1
     and Property 2, "mono" register monotonicity, and "live" completion,
-    with the crashed processes read from the trace unless supplied."""
+    with the crashed processes read from the trace unless supplied.  A
+    trace on which `first_error` finds an error raises it, whatever the
+    selection or the parts supplied."""
     if not props or not set(props) <= set(PROPERTIES):
         raise HistoryError(f"properties {','.join(props)!r} not a selection from {','.join(PROPERTIES)}")
+    error = first_error(trace)
+    if error is not None:
+        raise error
     if history is None:
         history = history_from_trace(trace)
     verdict = Verdict(())
