@@ -21,7 +21,8 @@ violations, in the same order, with the same messages.
 `check_all` reads a trace once, through `trace.project`, which builds
 the history, the monotonicity result and the crashed set together, so
 a trace file is checked as it is read and rejected at its first
-malformed event.
+malformed line or event.  A history handed to the checks is held to
+`trace.check_record`, which `project` applies as it reads a trace.
 """
 
 from __future__ import annotations
@@ -33,11 +34,7 @@ from itertools import accumulate
 from math import inf
 from typing import NamedTuple
 
-from .trace import project
-
-
-class HistoryError(ValueError):
-    """Malformed history input."""
+from .trace import HistoryError, check_record, project
 
 
 class Violation(NamedTuple):
@@ -63,28 +60,14 @@ class Verdict:
 
 
 class _Validated(list):
-    """A history that `check_all` has validated, so the properties it
-    composes do not validate it again."""
+    """A history that `check_all` has validated or `project` built, so
+    the properties it composes do not validate it again."""
 
 
 def _validate(history) -> None:
-    if type(history) is _Validated:
-        return
-    for h in history:
-        invoke, response, value = h.get("invoke"), h.get("response"), h.get("value")
-        if type(invoke) is not int:
-            if invoke is None:
-                raise HistoryError(f"op {h.get('op')} has a response but no invocation")
-            raise HistoryError(f"op {h['op']} has invoke step {invoke!r}, not an integer")
-        if response is not None:
-            if type(response) is not int:
-                raise HistoryError(f"op {h['op']} has response step {response!r}, not an integer")
-            if response <= invoke:
-                raise HistoryError(f"op {h['op']} responds at or before its invocation")
-            if value is None and h["kind"] == "read":
-                raise HistoryError(f"completed read {h['op']} has no value")
-        if value is not None and not (isinstance(value, (list, tuple)) and value and type(value[0]) is int):
-            raise HistoryError(f"op {h['op']} has value {value!r}, not [sn, payload] with an integer sn")
+    if type(history) is not _Validated:
+        for h in history:
+            check_record(h)
 
 
 def _precedes(a: dict, b: dict) -> bool:
@@ -263,19 +246,16 @@ def check_all(trace, history=None, crashed=None, t: int | None = None, props=PRO
     and Property 2, "mono" register monotonicity, and "live" completion.
     The trace is read once, through `project`; a `history` or `crashed`
     given here is used in place of the trace's.  Errors come in a fixed
-    order: the TraceError of the first malformed event, whatever the
-    selection, then the history's HistoryError, then each property's in
-    the order above."""
+    order, whatever the selection: the first malformed line or event's,
+    then a given history's HistoryError, then each property's as above."""
     if isinstance(props, str):
         raise HistoryError(f"properties {props!r} is a string, not a sequence of names from {','.join(PROPERTIES)}")
     if not props or not set(props) <= set(PROPERTIES):
         raise HistoryError(f"properties {','.join(props)!r} not a selection from {','.join(PROPERTIES)}")
     projection = project(trace)
-    if history is None:
-        history = projection.history
-    if {"1", "2", "live"} & set(props):
+    if history is not None:
         _validate(history)
-        history = _Validated(history)
+    history = _Validated(projection.history if history is None else history)
     verdict = Verdict(())
     if "1" in props:
         verdict = verdict.merged(check_property1(history))

@@ -206,11 +206,10 @@ def t_uniform(g: Graph) -> ToleranceResult:
 def verify_witness(bag: Bag, t: int, witness: Witness) -> bool:
     """Check a claimed witness for t+1: disjoint size-(n-(t+1)) sides
     of processes in 1..n, with no set meeting both.  O(m*n)."""
-    left, right = (set(witness[0]), set(witness[1]))
-    size = bag.n - (t + 1)
-    if len(left) != size or len(right) != size or left & right:
+    if any(type(p) is not int or not 1 <= p <= bag.n for p in (*witness[0], *witness[1])):  # bool is an int subclass
         return False
-    if any(type(p) is not int or not 1 <= p <= bag.n for p in left | right):  # bool is an int subclass
+    left, right, size = set(witness[0]), set(witness[1]), bag.n - (t + 1)
+    if len(left) != size or len(right) != size or left & right:
         return False
     for s in bag.sets:
         if s & left and s & right:

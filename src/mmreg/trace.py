@@ -9,10 +9,10 @@ the events, and everything else reads them through this module.
 any iterable of events once, building all its parts together: the op
 records, the per-register monotonicity result and the crashed set.  So
 checking a trace file holds O(ops + registers), not every event.  A
-trace is outside input, so the pass checks the fields that its parts
-read, and only those.  A malformed event rejects the trace: the pass
-raises a TraceError naming the first one (event i is line i of a file
-written by `emit_trace`) or its op, and reads nothing after it.
+trace is outside input: the reader holds each line, and the pass each
+event and op record (`check_record`), to its rule.  The first malformed
+line or event raises, naming it (event i is line i of a file written
+by `emit_trace`) or its op, and nothing after it is read.
 """
 
 from __future__ import annotations
@@ -26,6 +26,30 @@ KINDS = ("invoke", "respond", "send", "deliver", "reg-read", "reg-write", "crash
 
 class TraceError(ValueError):
     """Malformed trace input."""
+
+
+class HistoryError(ValueError):
+    """Malformed history input."""
+
+
+def check_record(h) -> None:
+    """The rule for one op record, raising HistoryError: integer steps,
+    a response after its invocation and, on a completed read, a value;
+    a value is [sn, payload] with an integer sn."""
+    invoke, response, value = h.get("invoke"), h.get("response"), h.get("value")
+    if type(invoke) is not int:
+        if invoke is None and response is not None:
+            raise HistoryError(f"op {h.get('op')} has a response but no invocation")
+        raise HistoryError(f"op {h.get('op')} has invoke step {invoke!r}, not an integer")
+    if response is not None:
+        if type(response) is not int:
+            raise HistoryError(f"op {h['op']} has response step {response!r}, not an integer")
+        if response <= invoke:
+            raise HistoryError(f"op {h['op']} responds at or before its invocation")
+        if value is None and h["kind"] == "read":
+            raise HistoryError(f"completed read {h['op']} has no value")
+    if value is not None and not (isinstance(value, (list, tuple)) and value and type(value[0]) is int):
+        raise HistoryError(f"op {h['op']} has value {value!r}, not [sn, payload] with an integer sn")
 
 
 # One encoder for every event: json.dumps with non-default separators
@@ -52,23 +76,20 @@ def emit_trace(trace, path) -> None:
 
 def load_trace(path):
     """The events of a JSONL trace file, yielded as its lines are read.
-    Raises TraceError on a line that is not a JSON object; a line that
-    is not one JSON document raises json.loads' own JSONDecodeError."""
-    with open(Path(path), encoding="utf-8") as f:
+    A line ends at "\n" and holds one JSON object, or only whitespace,
+    once decoded as UTF-8; any other line raises TraceError."""
+    with open(Path(path), "rb") as f:
         for lineno, line in enumerate(f, 1):
-            line = line.strip()
-            if line:
-                try:
-                    ev, end = _DECODE(line)
-                except json.JSONDecodeError:
-                    end = None
-                if end != len(line):
-                    # json.loads reports the error, and its position, as
-                    # it always has: "{} x" fails at char 3, not 2.
-                    ev = json.loads(line)
-                if not isinstance(ev, dict):
-                    raise TraceError(f"trace line {lineno} is not a JSON object")
-                yield ev
+            try:
+                line = line.decode("utf-8").strip()
+                if not line:
+                    continue
+                ev, end = _DECODE(line)
+            except (ValueError, RecursionError):  # not UTF-8, not JSON, or nested too deep
+                end = None
+            if end != len(line) or not isinstance(ev, dict):
+                raise TraceError(f"trace line {lineno} is not a JSON object")
+            yield ev
 
 
 def _unknown_kind(i: int, kind) -> TraceError:
@@ -105,14 +126,12 @@ def _payload(i: int, kind: str, ev: dict) -> dict:
 
 
 def _op_event(records: dict, i: int, kind: str, ev: dict) -> None:
-    """Fold one invoke or respond event into the op records.  A write's
-    value is fixed at invocation, a read's at its response."""
+    """Fold one invoke or respond event into its op record and check
+    it.  A write's value is fixed at invocation, a read's at its response."""
     payload, step = _payload(i, kind, ev), ev.get("step")
     op = payload.get("op")
     if type(op) is not int:
         raise _bad(i, kind, "op", op, "an integer")
-    if type(step) is not int:
-        raise TraceError(f"{kind} event of op {op} has step {step!r}, not an integer")
     rec = records.get(op)
     if kind == "invoke":
         if rec is not None:
@@ -120,7 +139,7 @@ def _op_event(records: dict, i: int, kind: str, ev: dict) -> None:
         op_kind = payload.get("kind")
         if op_kind != "read" and op_kind != "write":
             raise TraceError(f'op {op} has kind {op_kind!r}, not "read" or "write"')
-        records[op] = {
+        rec = records[op] = {
             "op": op,
             "kind": op_kind,
             "proc": _actor(i, kind, ev),
@@ -134,9 +153,12 @@ def _op_event(records: dict, i: int, kind: str, ev: dict) -> None:
         raise TraceError(f"op {op} responds twice")
     elif "value" not in payload:
         raise TraceError(f"op {op} responds with no value")
+    elif step is None:
+        raise TraceError(f"op {op} responds with no step")
     else:
         rec["response"] = step
         rec["value"] = payload["value"]
+    check_record(rec)
 
 
 def _register_write(i: int, kind: str, ev: dict) -> tuple:
@@ -167,11 +189,10 @@ class Projection(NamedTuple):
 
 def project(trace) -> Projection:
     """One pass over the events of `trace`, any iterable, building every
-    part of the Projection together.  The first malformed event raises
-    its TraceError, and the pass reads no further.  Besides malformed
-    fields, an op invoked twice, responding twice, responding with no
-    invoke before it, or with no value is malformed; value shapes are
-    the checker's to check."""
+    part of the Projection together.  The first malformed event raises,
+    and the pass reads no further: besides bad fields, an op invoked or
+    responding twice, responding before any invoke, with no value or no
+    step, or leaving a record that breaks `check_record`."""
     records, last, decreases, crashed = {}, {}, [], set()
     for i, ev in enumerate(trace, 1):
         kind = ev.get("kind")

@@ -196,6 +196,12 @@ class TestCheckAll:
         check_completion(history, set())
         assert validated == [0, 1, 2] * 3
 
+    @pytest.mark.parametrize("props", [("mono",), ("1",), ("2", "live")])
+    def test_a_given_history_is_validated_whatever_the_selection(self, props):
+        history = [{"op": 0, "kind": "read", "proc": 1, "invoke": 9, "response": 5, "value": [0, None]}]
+        with pytest.raises(HistoryError, match="op 0 responds at or before its invocation"):
+            check_all([], history=history, crashed=set(), props=props)
+
     def test_empty_selection_rejected(self):
         with pytest.raises(HistoryError, match="1,2,mono,live"):
             check_all([], history=[], props=())

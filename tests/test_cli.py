@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mmreg import Schedule, WorkloadOp, checker, demo, emit_trace, load_spec, run_simulation, t_direct
+from mmreg.checker import PROPERTIES
 from mmreg.cli import fuzz, main
 from mmreg.model import spec_from_dict
 from mmreg.tolerance import BRIDGE_LIMIT
@@ -166,21 +167,21 @@ def test_bad_input_is_usage_error(tmp_path, monkeypatch, capsys, spec, command, 
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, message",
     [
-        ["check", "--trace", "deep.json"],
-        ["tolerance", "--spec", "deep.json"],
-        ["simulate", "--spec", "spec.json", "--workload", "deep.json", "--trace", "trace.jsonl"],
+        (["check", "--trace", "deep.json"], "trace line 1 is not a JSON object"),
+        (["tolerance", "--spec", "deep.json"], "recursion"),
+        (["simulate", "--spec", "spec.json", "--workload", "deep.json", "--trace", "trace.jsonl"], "recursion"),
     ],
     ids=["trace", "spec", "workload"],
 )
-def test_json_nested_too_deep_is_usage_error(tmp_path, monkeypatch, capsys, argv):
+def test_json_nested_too_deep_is_usage_error(tmp_path, monkeypatch, capsys, argv, message):
     monkeypatch.chdir(tmp_path)
     Path("deep.json").write_text("[" * 200_000 + "]" * 200_000)
     Path("spec.json").write_text(json.dumps(SINGLETONS))
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "recursion" in err
+    assert err.startswith("error: ") and message in err
     assert "Traceback" not in err
 
 
@@ -269,7 +270,7 @@ class TestSimulateCheckPipeline:
             ([json.dumps(READ_INVOKE), "[1, 2]"], "trace line 2 is not a JSON object"),
             (["5"], "trace line 1 is not a JSON object"),
             ([json.dumps(READ_INVOKE), json.dumps({**READ_RESPOND, "payload": {"op": 0, "value": 5}})], "op 0 has value 5"),
-            ([json.dumps({**READ_INVOKE, "step": "a"}), json.dumps(READ_RESPOND)], "has step 'a'"),
+            ([json.dumps({**READ_INVOKE, "step": "a"}), json.dumps(READ_RESPOND)], "op 0 has invoke step 'a'"),
             ([json.dumps(READ_RESPOND)], "op 0 responds but was never invoked"),
             ([json.dumps(REG_WRITE), json.dumps({**REG_WRITE, "payload": {"register": [1, 1], "value": 5}})],
              "reg-write event 2 has value 5"),
@@ -337,6 +338,42 @@ class TestSimulateCheckPipeline:
         with pytest.raises(ValueError, match="crash event 2 has actor 'x'"):
             checker.check_all(events)
         assert list(events) == [REG_WRITE, READ_RESPOND]
+
+    @staticmethod
+    def _check_bytes(tmp_path, capsys, data: bytes, properties=",".join(PROPERTIES)) -> tuple:
+        trace = tmp_path / "trace.jsonl"
+        trace.write_bytes(data)
+        rc = main(["check", "--trace", str(trace), "--properties", properties])
+        captured = capsys.readouterr()
+        return rc, captured.out, captured.err
+
+    def test_a_line_with_data_after_its_object_is_not_an_object(self, tmp_path, capsys):
+        data = b'{"step":0,"kind":"crash","actor":1,"payload":{}}\n{"step":1,"kind":"crash","actor":2,"payload":{}} x\n'
+        assert self._check_bytes(tmp_path, capsys, data) == (2, "", "error: trace line 2 is not a JSON object\n")
+
+    def test_a_bad_event_is_named_before_a_later_line_that_is_not_utf8(self, tmp_path, capsys):
+        crashes = [{"step": 0, "kind": "crash", "actor": 1, "payload": {}}, {"step": 1, "kind": "crash", "actor": "x", "payload": {}}]
+        data = b"".join(json.dumps(ev).encode() + b"\n" for ev in crashes) + b"\xff\n"
+        assert self._check_bytes(tmp_path, capsys, data) == (2, "", "error: crash event 2 has actor 'x', not an integer\n")
+
+    def test_a_response_before_its_invocation_is_rejected_under_every_selection(self, tmp_path, capsys):
+        events = [{**READ_INVOKE, "step": 5}, {**READ_RESPOND, "step": 3}]
+        data = b"".join(json.dumps(ev).encode() + b"\n" for ev in events)
+        for selection in SELECTIONS:
+            assert self._check_bytes(tmp_path, capsys, data, ",".join(selection)) == (
+                2, "", "error: op 0 responds at or before its invocation\n"
+            ), selection
+
+    def test_a_bad_read_value_is_named_before_a_later_bad_event(self, tmp_path, capsys):
+        events = [
+            READ_INVOKE,
+            {**READ_RESPOND, "step": 3, "payload": {"op": 0, "value": "zz"}},
+            {"step": 4, "kind": "crash", "actor": "x", "payload": {}},
+        ]
+        data = b"".join(json.dumps(ev).encode() + b"\n" for ev in events)
+        assert self._check_bytes(tmp_path, capsys, data) == (
+            2, "", "error: op 0 has value 'zz', not [sn, payload] with an integer sn\n"
+        )
 
     @pytest.mark.parametrize("properties", ["foo", "1,2,monotonic", ""])
     def test_unknown_properties_are_usage_error(self, msg3_file, workload_file, tmp_path, capsys, properties):

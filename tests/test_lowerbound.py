@@ -125,6 +125,12 @@ class TestBuildE3:
         with pytest.raises(LowerBoundError, match="invalid witness"):
             build_e3(fig1_spec, 4, (side, (4,)))
 
+    @pytest.mark.parametrize("witness", [(([1],), (4,)), ((1,), ([4],))], ids=["list-in-P", "list-in-P-prime"])
+    def test_side_member_that_is_a_list_rejected(self, fig1_spec, witness):
+        assert not verify_witness(fig1_spec.bag, 3, witness)
+        with pytest.raises(LowerBoundError, match="invalid witness"):
+            build_e3(fig1_spec, 4, witness)
+
     def test_wrong_side_size_rejected(self, fig1_spec):
         bad = ((1,), (4, 5))
         with pytest.raises(LowerBoundError, match="size"):

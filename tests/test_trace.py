@@ -208,15 +208,33 @@ def test_load_trace_yields_events_lazily(tmp_path):
         next(events)
 
 
-@pytest.mark.parametrize("line", ["{} x", '{"a": 1} {"b": 2}', '{"a": }', "{", "\ufeff{}", "nul"])
+@pytest.mark.parametrize(
+    "line",
+    [
+        "{} x",
+        '{"a": 1} {"b": 2}',
+        '{"a": }',
+        "{",
+        "\ufeff{}",
+        "nul",
+        pytest.param(b"\xff", id="not-utf8"),
+        pytest.param("[" * 200_000 + "]" * 200_000, id="nested-too-deep"),
+    ],
+)
 def test_a_bad_line_raises_what_json_loads_raises(tmp_path, line):
+    """After a good line, a line that is not one JSON object raises the
+    same TraceError from `load_trace` and from the oracle's json.loads
+    reader, after the good event."""
+    good = {"kind": "crash", "actor": 1, "step": 0, "payload": {}}
     path = tmp_path / "trace.jsonl"
-    path.write_text(line + "\n")
-    with pytest.raises(json.JSONDecodeError) as new:
-        list(load_trace(path))
-    with pytest.raises(json.JSONDecodeError) as old:
-        oracle.load_trace(path)
-    assert str(new.value) == str(old.value)
+    path.write_bytes(json.dumps(good).encode() + b"\n" + (line if isinstance(line, bytes) else line.encode()) + b"\n")
+    events = load_trace(path)
+    assert next(events) == good
+    with pytest.raises(TraceError) as raised:
+        next(events)
+    assert str(raised.value) == "trace line 2 is not a JSON object"
+    old_events, old_error = oracle.read_trace(path)
+    assert old_events == [good] and str(old_error) == str(raised.value)
 
 
 def test_the_runs_have_every_kind():

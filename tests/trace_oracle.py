@@ -2,9 +2,11 @@
 library ran them before `mmreg check` became one streaming pass.  The
 reader holds every event of a file in a list, and `check_all` reads its
 trace once per projection: the history, the register writes and the
-crashed set.  A malformed event rejects the trace, whatever the
-selection: `check_all` raises the error of the shortest prefix on
-which one of the scans raises, which names the first malformed event.
+crashed set.  The history scan holds each op record to the library's
+`check_record` after each op event.  A malformed event rejects the
+trace, whatever the selection: `check_all` raises the error of the
+shortest prefix on which one of the scans raises, which names the first
+malformed event.
 The differential tests in test_trace.py hold the one-pass `check_all`
 and `mmreg check` to exactly these verdicts and error messages."""
 
@@ -21,36 +23,28 @@ from mmreg.checker import (
     check_property1,
     check_property2,
 )
-from mmreg.trace import KINDS, TraceError
+from mmreg.trace import KINDS, TraceError, check_record
 
 
-def read_trace(path) -> tuple[list[dict], Exception | None]:
+def read_trace(path) -> tuple[list[dict], TraceError | None]:
     """The events of a JSONL trace file before its first bad line, and
-    the error that line raises (None if every line is good): TraceError
-    on a line that is not a JSON object, else what reading or
-    json.loads raises."""
+    the TraceError of that line (None if every line is good): a line,
+    read as bytes up to "\n", is bad unless it is blank or json.loads
+    of its UTF-8 text gives an object."""
     out = []
-    with open(Path(path), encoding="utf-8") as f:
-        try:
-            for lineno, line in enumerate(f, 1):
-                line = line.strip()
-                if line:
-                    ev = json.loads(line)
-                    if not isinstance(ev, dict):
-                        raise TraceError(f"trace line {lineno} is not a JSON object")
-                    out.append(ev)
-        except (ValueError, RecursionError) as e:
-            return out, e
+    with open(Path(path), "rb") as f:
+        for lineno, line in enumerate(f, 1):
+            try:
+                text = line.decode("utf-8").strip()
+                if not text:
+                    continue
+                ev = json.loads(text)
+            except (ValueError, RecursionError):
+                ev = None
+            if not isinstance(ev, dict):
+                return out, TraceError(f"trace line {lineno} is not a JSON object")
+            out.append(ev)
     return out, None
-
-
-def load_trace(path) -> list[dict]:
-    """The events of a JSONL trace file; raises the error of its first
-    bad line."""
-    events, error = read_trace(path)
-    if error is not None:
-        raise error
-    return events
 
 
 def _of_kind(trace, wanted):
@@ -89,16 +83,15 @@ def history_from_trace(trace) -> list[dict]:
     This is the one way a history is built, so the checker sees a run
     and its emitted trace alike.  Besides malformed fields, raises
     TraceError on an op invoked twice, responding twice, responding with
-    no invoke before it, or with no value; value shapes are the
-    checker's to check."""
+    no invoke before it, or with no value or step, and check_record's
+    HistoryError on the first op event that leaves a record breaking
+    it."""
     records: dict[int, dict] = {}
     for i, kind, ev in _of_kind(trace, ("invoke", "respond")):
         payload, step = _payload(i, kind, ev), ev.get("step")
         op = payload.get("op")
         if type(op) is not int:
             raise _bad(i, kind, "op", op, "an integer")
-        if type(step) is not int:
-            raise TraceError(f"{kind} event of op {op} has step {step!r}, not an integer")
         rec = records.get(op)
         if kind == "invoke":
             if rec is not None:
@@ -106,7 +99,7 @@ def history_from_trace(trace) -> list[dict]:
             op_kind = payload.get("kind")
             if op_kind != "read" and op_kind != "write":
                 raise TraceError(f'op {op} has kind {op_kind!r}, not "read" or "write"')
-            records[op] = {
+            rec = records[op] = {
                 "op": op,
                 "kind": op_kind,
                 "proc": _actor(i, kind, ev),
@@ -120,9 +113,12 @@ def history_from_trace(trace) -> list[dict]:
             raise TraceError(f"op {op} responds twice")
         elif "value" not in payload:
             raise TraceError(f"op {op} responds with no value")
+        elif step is None:
+            raise TraceError(f"op {op} responds with no step")
         else:
             rec["response"] = step
             rec["value"] = payload["value"]
+        check_record(rec)
     return [records[k] for k in sorted(records)]
 
 
@@ -161,18 +157,19 @@ def check_monotonicity(trace) -> Verdict:
     return Verdict(tuple(violations))
 
 
-def _scan_error(trace) -> TraceError | None:
-    """The TraceError that one of the three scans raises on `trace`."""
+def _scan_error(trace) -> ValueError | None:
+    """The TraceError or HistoryError that one of the three scans
+    raises on `trace`."""
     try:
         history_from_trace(trace)
         list(register_writes(trace))
         crashed_from_trace(trace)
-    except TraceError as e:
+    except (TraceError, HistoryError) as e:
         return e
     return None
 
 
-def first_error(trace) -> TraceError | None:
+def first_error(trace) -> ValueError | None:
     """The error of the shortest prefix of `trace` on which one of the
     three scans raises, or None if none raises on the whole trace.  A
     scan that raises on a prefix raises on every longer one, so the
@@ -189,7 +186,8 @@ def check_all(trace, history=None, crashed=None, t: int | None = None, props=PRO
     and Property 2, "mono" register monotonicity, and "live" completion,
     with the crashed processes read from the trace unless supplied.  A
     trace on which `first_error` finds an error raises it, whatever the
-    selection or the parts supplied."""
+    selection or the parts supplied, and so does a supplied history
+    that breaks `check_record`."""
     if not props or not set(props) <= set(PROPERTIES):
         raise HistoryError(f"properties {','.join(props)!r} not a selection from {','.join(PROPERTIES)}")
     error = first_error(trace)
@@ -197,6 +195,8 @@ def check_all(trace, history=None, crashed=None, t: int | None = None, props=PRO
         raise error
     if history is None:
         history = history_from_trace(trace)
+    for h in history:
+        check_record(h)
     verdict = Verdict(())
     if "1" in props:
         verdict = verdict.merged(check_property1(history))
