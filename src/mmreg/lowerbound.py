@@ -68,7 +68,7 @@ def build_e3(spec: SystemSpec, t: int, witness: Witness) -> Simulator:
     """
     if not verify_witness(spec.bag, t - 1, witness):
         raise LowerBoundError(
-            f"invalid witness: the sides must be disjoint, of size n-t={spec.n - t}, within 1..{spec.n}, and share no set"
+            f"invalid witness: it must be a pair of disjoint sides of size n-t={spec.n - t}, within 1..{spec.n}, that share no set"
         )
     p_set, pp_set = set(witness[0]), set(witness[1])
     if spec.writer not in p_set:

@@ -22,6 +22,13 @@ class ModelError(ValueError):
     """Malformed bag, graph, or system spec."""
 
 
+def _check_count(n) -> None:
+    if type(n) is not int:  # bool is an int subclass
+        raise ModelError(f"process count must be an integer, got {n!r}")
+    if n < 1:
+        raise ModelError(f"process count must be >= 1, got {n}")
+
+
 @dataclass(frozen=True)
 class Bag:
     """A bag of non-empty subsets of the process set {1..n}.
@@ -34,16 +41,17 @@ class Bag:
     sets: tuple[frozenset[int], ...]
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ModelError(f"process count must be >= 1, got {self.n}")
+        _check_count(self.n)
+        n = self.n
         for idx, s in enumerate(self.sets, start=1):
             if not s:
                 raise ModelError(f"set S_{idx} is empty")
-            bad = sorted(p for p in s if not (1 <= p <= self.n))
+            bad = [p for p in s if type(p) is not int or not 1 <= p <= n]
             if bad:
-                raise ModelError(
-                    f"set S_{idx} mentions processes outside 1..{self.n}: {bad}"
-                )
+                odd = sorted((p for p in bad if type(p) is not int), key=repr)
+                if odd:
+                    raise ModelError(f"set S_{idx} mentions non-integer processes: {odd}")
+                raise ModelError(f"set S_{idx} mentions processes outside 1..{n}: {sorted(bad)}")
 
     def covered(self) -> bool:
         """True iff every process appears in at least one set."""
@@ -86,9 +94,10 @@ class Graph:
     edges: frozenset[tuple[int, int]]
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ModelError(f"process count must be >= 1, got {self.n}")
+        _check_count(self.n)
         for u, v in self.edges:
+            if type(u) is not int or type(v) is not int:
+                raise ModelError(f"edge ({u!r},{v!r}) has an endpoint that is not an integer")
             if not (1 <= u <= self.n and 1 <= v <= self.n):
                 raise ModelError(f"edge ({u},{v}) outside 1..{self.n}")
             if u >= v:
@@ -98,9 +107,11 @@ class Graph:
     def from_edges(n: int, pairs) -> "Graph":
         canon = set()
         for u, v in pairs:
-            if u == v:
-                raise ModelError(f"self-loop at p{u}")
-            canon.add((min(u, v), max(u, v)))
+            if type(u) is int and type(v) is int:  # any other endpoint is left for __post_init__ to name
+                if u == v:
+                    raise ModelError(f"self-loop at p{u}")
+                u, v = min(u, v), max(u, v)
+            canon.add((u, v))
         return Graph(n, frozenset(canon))
 
     def neighbors(self, p: int) -> frozenset[int]:
@@ -146,6 +157,8 @@ class SystemSpec:
     writer: int
 
     def __post_init__(self):
+        if type(self.writer) is not int:
+            raise ModelError(f"writer {self.writer!r} is not an integer")
         if not (1 <= self.writer <= self.bag.n):
             raise ModelError(f"writer p{self.writer} outside 1..{self.bag.n}")
         if not self.bag.covered():

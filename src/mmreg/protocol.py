@@ -1,10 +1,12 @@
-"""Event-driven state machines for the register emulation protocol.
+"""The register emulation protocol: four procedures, each a generator.
 
-Every process runs the same four handlers: the writer's fan-out write,
-the read with write-back, and the two message handlers that touch the
-shared registers.  Handlers are driven one atomic step at a time by the
-enclosing simulator; each shared-register access is its own step, never
-batched with another.
+Every process runs the same four: the writer's fan-out write, the read
+with write-back, and the two message handlers that touch the shared
+registers.  `_write` and `_read` yield the sends of each event and are
+sent the next ack; `_w_handler` and `_r_handler` are sent the
+simulator at each register access and return their ack.  `ProcessCore`
+holds the running ones and drives them one atomic step at a time; each
+shared-register access is its own step, never batched with another.
 
 A process sends W/R messages to itself through the network like to
 anyone else, so quorum counting is uniform.  The W handler is the same
@@ -14,7 +16,6 @@ it replies to the actual sender.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 W = "W"
@@ -77,27 +78,50 @@ def ack_quorum(n: int, t: int) -> int:
     return q
 
 
-@dataclass
-class PendingOp:
-    """The one in-flight local operation of a process."""
+def _round(kind: str, pid: int, n: int, quorum: int, sn: int, value: TaggedValue | None = None):
+    """Send `kind` (W or R) with sn to every process and yield the sends,
+    then nothing on each ack sent in, until `quorum` distinct senders
+    have acked it echoing sn; return each one's first reply by sender.
+    Any other ack is stale and ignored."""
+    ack, replies = (ACK_W if kind == W else ACK_R), {}
+    msg = yield [Message(kind, pid, dest, sn, value) for dest in range(1, n + 1)]
+    while True:
+        if msg.kind == ack and msg.sn == sn:
+            replies.setdefault(msg.sender, msg.value)
+            if len(replies) >= quorum:
+                return replies
+        msg = yield []
 
-    op_id: int
-    phase: str  # write-quorum | read-quorum | write-back
-    sn: int  # sequence number the awaited acks must echo
-    value: TaggedValue | None
-    acked: set = field(default_factory=set)  # distinct ack senders
-    replies: dict = field(default_factory=dict)  # sender -> TaggedValue (reads)
+
+def _write(op_id: int, pid: int, n: int, quorum: int, value: TaggedValue):
+    """Fan value out as W and wait for n - t ACK-Ws echoing its sn."""
+    yield from _round(W, pid, n, quorum, value.sn, value)
+    return op_id, value
 
 
-@dataclass
-class Scan:
-    """An in-progress W or R handler, advanced one register access at a time."""
+def _read(op_id: int, pid: int, n: int, quorum: int, sn: int):
+    """Fan out R, wait for n - t ACK-Rs echoing sn, then write the freshest
+    reply back with its own sequence number: no new number is minted."""
+    replies = yield from _round(R, pid, n, quorum, sn)
+    return (yield from _write(op_id, pid, n, quorum, max_tagged(replies.values())))
 
-    msg: Message
-    regs: list  # the registers to visit, in order
-    at: int = 0  # index in regs of the next one
-    pending_write: tuple | None = None  # guarded write decided by the last read
-    best: TaggedValue | None = None  # running max of an R scan
+
+def _w_handler(pid: int, regs: list, msg: Message):
+    """Store msg's value in each register of regs holding an older one.
+    Sent the simulator at each access; returns the ACK-W."""
+    for reg in regs:
+        if msg.value.sn > (yield).read(reg, pid).sn:
+            (yield).write(reg, pid, msg.value)
+    return Message(ACK_W, pid, msg.sender, msg.sn)
+
+
+def _r_handler(pid: int, regs: list, msg: Message):
+    """Read each register of regs.  Sent the simulator at each access;
+    returns the ACK-R carrying the freshest value read."""
+    best = None
+    for reg in regs:
+        best = _fresher(best, (yield).read(reg, pid))
+    return Message(ACK_R, pid, msg.sender, msg.sn, best)
 
 
 class ProcessCore:
@@ -107,6 +131,12 @@ class ProcessCore:
     state and one event to a new state plus emissions.  The simulator,
     which holds the shared registers, is passed in so that every access
     is one observable step.
+
+    `pending` is the running `_write` or `_read` generator of the one
+    in-flight local operation, `scan` the running `_w_handler` or
+    `_r_handler` generator; each is None when there is none.  Neither
+    holds the core or the simulator, so a run that a crash leaves
+    mid-operation holds no reference cycle.
     """
 
     def __init__(self, pid: int, spec, quorum: int):
@@ -117,99 +147,57 @@ class ProcessCore:
         self.readable = list(spec.readable_registers(pid))
         self.sn_w = 0  # used by the writer only
         self.sn_r = 0
-        self.pending: PendingOp | None = None
-        self.scan: Scan | None = None
-
-    def _fan_out(self, kind: str, sn: int, value: TaggedValue | None = None):
-        return [Message(kind, self.pid, dest, sn, value) for dest in range(1, self.n + 1)]
+        self.pending = None
+        self.scan = None
 
     def invoke_write(self, op_id: int, payload: str):
         if self.pending is not None:
             raise ProtocolError(f"p{self.pid}: operation invoked while another is pending")
         self.sn_w += 1
-        value = TaggedValue(self.sn_w, payload)
-        self.pending = PendingOp(op_id, "write-quorum", value.sn, value)
-        return self._fan_out(W, value.sn, value)
+        self.pending = _write(op_id, self.pid, self.n, self.quorum, TaggedValue(self.sn_w, payload))
+        return next(self.pending)
 
     def invoke_read(self, op_id: int):
         if self.pending is not None:
             raise ProtocolError(f"p{self.pid}: operation invoked while another is pending")
         self.sn_r += 1
-        self.pending = PendingOp(op_id, "read-quorum", self.sn_r, None)
-        return self._fan_out(R, self.sn_r)
+        self.pending = _read(op_id, self.pid, self.n, self.quorum, self.sn_r)
+        return next(self.pending)
 
     def deliver(self, msg: Message):
         """Handle one delivered message.
 
         Returns (sends, response); response is (op_id, value) when the
         local pending operation just completed.  W and R start a scan
-        and must not arrive while another scan is active.
+        and must not arrive while another scan is active; an ack goes
+        to the pending operation, if any.
         """
         if msg.kind in (W, R):
             if self.scan is not None:
                 raise ProtocolError(f"p{self.pid}: delivery while a handler is mid-scan")
-            regs = self.writable if msg.kind == W else self.readable
-            self.scan = Scan(msg, regs)
+            handler, regs = (_w_handler, self.writable) if msg.kind == W else (_r_handler, self.readable)
+            self.scan = handler(self.pid, regs, msg)
+            next(self.scan)  # up to the first access, which touches nothing yet
             return [], None
-
-        p = self.pending
-        if msg.kind == ACK_W:
-            if p is None or p.phase not in ("write-quorum", "write-back") or msg.sn != p.sn:
-                return [], None  # stale ack
-            p.acked.add(msg.sender)
-            if len(p.acked) >= self.quorum:
-                self.pending = None
-                return [], (p.op_id, p.value)
-            return [], None
-
-        if msg.kind == ACK_R:
-            if p is None or p.phase != "read-quorum" or msg.sn != p.sn:
-                return [], None
-            p.replies.setdefault(msg.sender, msg.value)
-            if len(p.replies) >= self.quorum:
-                chosen = max_tagged(p.replies.values())
-                # Write back the chosen tuple with its original sequence
-                # number; no new number is minted.
-                p.phase = "write-back"
-                p.sn = chosen.sn
-                p.value = chosen
-                p.acked = set()
-                return self._fan_out(W, chosen.sn, chosen), None
-            return [], None
-
-        raise ProtocolError(f"unknown message kind {msg.kind!r}")
+        if msg.kind not in (ACK_W, ACK_R):
+            raise ProtocolError(f"unknown message kind {msg.kind!r}")
+        if self.pending is None:
+            return [], None  # stale ack
+        try:
+            return self.pending.send(msg), None
+        except StopIteration as done:
+            self.pending = None
+            return [], done.value
 
     def reg_step(self, store):
-        """Execute one atomic register access of the active scan, on
-        the simulator's registers through `store.read` / `store.write`.
-
-        Returns the sends: the acknowledgement once the scan is
-        exhausted, else nothing.
-        """
-        scan = self.scan
-        if scan is None:
+        """Execute one atomic register access of the active scan, on the
+        simulator's registers through `store.read` / `store.write`.
+        Returns the sends: the ack once the scan ends, else nothing."""
+        if self.scan is None:
             raise ProtocolError(f"p{self.pid}: no handler in progress")
-
-        msg = scan.msg
-        if msg.kind == W:
-            if scan.pending_write is not None:
-                reg = scan.pending_write
-                scan.pending_write = None
-                store.write(reg, self.pid, msg.value)
-            else:
-                reg = scan.regs[scan.at]
-                scan.at += 1
-                if msg.value.sn > store.read(reg, self.pid).sn:
-                    scan.pending_write = reg
-            if scan.at == len(scan.regs) and scan.pending_write is None:
-                self.scan = None
-                return [Message(ACK_W, self.pid, msg.sender, msg.sn)]
-            return []
-
-        reg = scan.regs[scan.at]
-        scan.at += 1
-        scan.best = _fresher(scan.best, store.read(reg, self.pid))
-        if scan.at == len(scan.regs):
+        try:
+            self.scan.send(store)
+        except StopIteration as done:
             self.scan = None
-            return [Message(ACK_R, self.pid, msg.sender, msg.sn, scan.best)]
+            return [done.value]
         return []

@@ -301,7 +301,7 @@ class Simulator:
                 # The written tuple is fixed at invocation; record it now so
                 # a crash-interrupted write still explains the value readers
                 # may have observed.
-                payload["value"] = list(core.pending.value)
+                payload["value"] = list(sends[0].value)
             else:
                 sends = core.invoke_read(idx)
             self._sync(op.proc)

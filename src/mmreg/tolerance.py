@@ -205,7 +205,10 @@ def t_uniform(g: Graph) -> ToleranceResult:
 
 def verify_witness(bag: Bag, t: int, witness: Witness) -> bool:
     """Check a claimed witness for t+1: disjoint size-(n-(t+1)) sides
-    of processes in 1..n, with no set meeting both.  O(m*n)."""
+    of processes in 1..n, with no set meeting both.  O(m*n).  Anything
+    but a pair of tuples or lists is no witness."""
+    if not (isinstance(witness, (tuple, list)) and len(witness) == 2 and all(isinstance(side, (tuple, list)) for side in witness)):
+        return False
     if any(type(p) is not int or not 1 <= p <= bag.n for p in (*witness[0], *witness[1])):  # bool is an int subclass
         return False
     left, right, size = set(witness[0]), set(witness[1]), bag.n - (t + 1)

@@ -96,10 +96,17 @@ def _unknown_kind(i: int, kind) -> TraceError:
     return TraceError(f"trace event {i} has kind {kind!r}, not one of {', '.join(KINDS)}")
 
 
+def _not_object(i: int, ev) -> TraceError:
+    return TraceError(f"trace event {i} is {ev!r}, not an object")
+
+
 def _of_kind(trace, wanted):
     """(i, kind, event) for each event whose kind is in `wanted`, i
-    counting from 1.  Raises TraceError on a kind outside KINDS."""
+    counting from 1.  Raises TraceError on an event that is not an
+    object or has a kind outside KINDS."""
     for i, ev in enumerate(trace, 1):
+        if type(ev) is not dict:
+            raise _not_object(i, ev)
         kind = ev.get("kind")
         if kind in wanted:
             yield i, kind, ev
@@ -190,11 +197,14 @@ class Projection(NamedTuple):
 def project(trace) -> Projection:
     """One pass over the events of `trace`, any iterable, building every
     part of the Projection together.  The first malformed event raises,
-    and the pass reads no further: besides bad fields, an op invoked or
-    responding twice, responding before any invoke, with no value or no
-    step, or leaving a record that breaks `check_record`."""
+    and the pass reads no further: besides an event that is not an
+    object and bad fields, an op invoked or responding twice, responding
+    before any invoke, with no value or no step, or leaving a record
+    that breaks `check_record`."""
     records, last, decreases, crashed = {}, {}, [], set()
     for i, ev in enumerate(trace, 1):
+        if type(ev) is not dict:
+            raise _not_object(i, ev)
         kind = ev.get("kind")
         if kind == "reg-write":
             step, _, reg, sn = _register_write(i, kind, ev)

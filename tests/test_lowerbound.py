@@ -131,6 +131,19 @@ class TestBuildE3:
         with pytest.raises(LowerBoundError, match="invalid witness"):
             build_e3(fig1_spec, 4, witness)
 
+    @pytest.mark.parametrize(
+        "witness",
+        [(1, (4,)), ((1,),), None, ((1,), 4), ((1,), (4,), (5,)), "14", ((1,), "4")],
+        ids=["int-side", "one-side", "none", "int-other-side", "three-sides", "string", "string-side"],
+    )
+    @pytest.mark.parametrize("function", ["verify_witness", "build_e3"])
+    def test_witness_that_is_not_a_pair_of_sides_rejected(self, fig1_spec, function, witness):
+        if function == "verify_witness":
+            assert verify_witness(fig1_spec.bag, 3, witness) is False
+        else:
+            with pytest.raises(LowerBoundError, match="invalid witness: it must be a pair"):
+                build_e3(fig1_spec, 4, witness)
+
     def test_wrong_side_size_rejected(self, fig1_spec):
         bad = ((1,), (4, 5))
         with pytest.raises(LowerBoundError, match="size"):

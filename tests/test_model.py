@@ -203,6 +203,25 @@ def test_bad_model_input_raises(build, message):
         build()
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Graph.from_edges(True, []), "process count must be an integer, got True"),
+        (lambda: Bag(2.5, ()), "process count must be an integer, got 2.5"),
+        (lambda: bag_of(3, [True, 2]), r"set S_1 mentions non-integer processes: \[True\]"),
+        (lambda: bag_of(3, [1, "a"]), r"set S_1 mentions non-integer processes: \['a'\]"),
+        (lambda: Graph.from_edges(3, [(1, "a")]), r"edge \(1,'a'\) has an endpoint that is not an integer"),
+        (lambda: Graph.from_edges(3, [(True, 1)]), r"edge \(True,1\) has an endpoint that is not an integer"),
+        (lambda: make_spec(bag=bag_of(3, [1, 2]), writer=True), "writer True is not an integer"),
+        (lambda: make_spec(bag=bag_of(3, [1, 2]), writer=1.0), "writer 1.0 is not an integer"),
+    ],
+    ids=["graph-bool-n", "bag-float-n", "bool-member", "str-member", "str-endpoint", "bool-endpoint", "bool-writer", "float-writer"],
+)
+def test_non_integer_model_input_raises(build, message):
+    with pytest.raises(ModelError, match=f"^{message}$"):
+        build()
+
+
 class TestSpecFiles:
     def test_bag_round_trip(self, tmp_path):
         path = tmp_path / "spec.json"

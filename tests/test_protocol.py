@@ -52,6 +52,40 @@ class TestWriteInvoke:
         with pytest.raises(ProtocolError, match="pending"):
             core.invoke_read(2)
 
+    @pytest.mark.parametrize("first", ["write", "read"])
+    def test_refused_invoke_bumps_no_counter(self, msg3_spec, first):
+        core = ProcessCore(1, msg3_spec, quorum=2)
+        if first == "write":
+            core.invoke_write(0, "a")
+        else:
+            core.invoke_read(0)
+        counters = (core.sn_w, core.sn_r)
+        for invoke in (lambda: core.invoke_write(1, "b"), lambda: core.invoke_read(1)):
+            with pytest.raises(ProtocolError, match="pending"):
+                invoke()
+            assert (core.sn_w, core.sn_r) == counters
+
+
+class TestWriteQuorum:
+    def test_write_counts_only_acks_w_echoing_its_sn(self, msg3_spec):
+        core = ProcessCore(1, msg3_spec, quorum=2)
+        core.invoke_write(0, "a")
+        for stale in (Message(ACK_W, 2, 1, 2), Message(ACK_R, 3, 1, 1, INITIAL_VALUE)):
+            assert core.deliver(stale) == ([], None)
+        # Had either stale ack counted, this one would reach quorum 2.
+        assert core.deliver(Message(ACK_W, 1, 1, 1)) == ([], None)
+        assert core.deliver(Message(ACK_W, 2, 1, 1)) == ([], (0, TaggedValue(1, "a")))
+
+    def test_write_back_ignores_acks_r(self, msg3_spec):
+        core = ProcessCore(2, msg3_spec, quorum=2)
+        core.invoke_read(0)
+        core.deliver(Message(ACK_R, 1, 2, 1, TaggedValue(1, "a")))
+        sends, _ = core.deliver(Message(ACK_R, 3, 2, 1, TaggedValue(1, "a")))
+        assert [m.kind for m in sends] == [W, W, W]
+        assert core.deliver(Message(ACK_R, 2, 2, 1, TaggedValue(1, "a"))) == ([], None)
+        assert core.deliver(Message(ACK_W, 1, 2, 1)) == ([], None)
+        assert core.deliver(Message(ACK_W, 3, 2, 1)) == ([], (0, TaggedValue(1, "a")))
+
 
 class TestWriteHandler:
     def test_fresh_value_written_then_acked(self, msg3_spec):
@@ -165,7 +199,10 @@ class TestReadQuorum:
         core.invoke_read(1)  # sn_r is now 2
         sends, resp = core.deliver(Message(ACK_R, 1, 2, 1, TaggedValue(0, None)))
         assert sends == [] and resp is None
-        assert core.pending.replies == {}
+        # Had the stale ack counted, p3's fresh one would reach quorum 2.
+        assert core.deliver(Message(ACK_R, 3, 2, 2, TaggedValue(0, None))) == ([], None)
+        sends, resp = core.deliver(Message(ACK_R, 1, 2, 2, TaggedValue(0, None)))
+        assert resp is None and [m.kind for m in sends] == [W, W, W]
 
     def test_duplicate_sender_counted_once(self, msg3_spec):
         core = ProcessCore(2, msg3_spec, quorum=2)

@@ -582,6 +582,16 @@ class TestFreedByRefcount:
             del sim
             assert ref() is None
 
+    def test_mid_operation_and_mid_scan(self, msg3_spec):
+        with collector_off():
+            sim = Simulator(msg3_spec, 1, write_then_read())
+            for ev in [("invoke", 0), ("deliver", "1.1")]:
+                sim.apply(ev)
+            assert sim.procs[1].pending is not None and sim.procs[1].scan is not None
+            ref = weakref.ref(sim.procs[1])
+            del sim
+            assert ref() is None
+
     def test_build_e3(self, fig1_spec):
         with collector_off():
             sim = build_e3(fig1_spec, 4, find_witness(fig1_spec.bag, 4))

@@ -17,7 +17,7 @@ import trace_oracle as oracle
 from mmreg import Schedule, bag_of, check_all, emit_trace, load_trace, make_spec, run_simulation
 from mmreg.checker import PROPERTIES
 from mmreg.cli import main, random_crash_plan, random_workload
-from mmreg.trace import KINDS, TraceError, register_writes, schedule_from_trace, trace_lines
+from mmreg.trace import KINDS, TraceError, project, register_writes, schedule_from_trace, trace_lines
 
 SPECS = [
     make_spec(bag=bag_of(2, [1, 2]), writer=1),
@@ -258,3 +258,11 @@ def test_the_script_and_write_readers_reject_bad_events(reader, trace, message):
     with pytest.raises(TraceError) as raised:
         reader(trace)
     assert str(raised.value) == message
+
+
+@pytest.mark.parametrize("reader", [check_all, project, schedule_from_trace, register_writes])
+@pytest.mark.parametrize("event", [5, None, "invoke", [READ]], ids=["int", "none", "string", "list"])
+def test_an_event_that_is_not_an_object_is_named(reader, event):
+    with pytest.raises(TraceError) as raised:
+        reader([READ, event])
+    assert str(raised.value) == f"trace event 2 is {event!r}, not an object"
