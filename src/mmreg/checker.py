@@ -66,8 +66,8 @@ class _Validated(list):
 
 def _validate(history) -> None:
     if type(history) is not _Validated:
-        for h in history:
-            check_record(h)
+        for i, h in enumerate(history):
+            check_record(h, i)
 
 
 def _precedes(a: dict, b: dict) -> bool:

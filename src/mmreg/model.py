@@ -67,7 +67,13 @@ class Bag:
 
 def bag_of(n: int, *sets) -> Bag:
     """Convenience constructor from iterables of process ids."""
-    return Bag(n, tuple(frozenset(s) for s in sets))
+    frozen = []
+    for idx, s in enumerate(sets, start=1):
+        try:
+            frozen.append(frozenset(s))
+        except TypeError:  # not iterable, or holds an unhashable member
+            raise ModelError(f"set S_{idx} is {s!r}, not a collection of process ids") from None
+    return Bag(n, tuple(frozen))
 
 
 def normalize_bag(bag: Bag) -> Bag:
@@ -106,7 +112,11 @@ class Graph:
     @staticmethod
     def from_edges(n: int, pairs) -> "Graph":
         canon = set()
-        for u, v in pairs:
+        for edge in pairs:
+            try:
+                u, v = edge
+            except (TypeError, ValueError):  # not iterable, or not two items
+                raise ModelError(f"edge {edge!r} is not a pair of endpoints") from None
             if type(u) is int and type(v) is int:  # any other endpoint is left for __post_init__ to name
                 if u == v:
                     raise ModelError(f"self-loop at p{u}")

@@ -18,6 +18,7 @@ by `emit_trace`) or its op, and nothing after it is read.
 from __future__ import annotations
 
 import json
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from pathlib import Path
 from typing import NamedTuple
 
@@ -32,10 +33,13 @@ class HistoryError(ValueError):
     """Malformed history input."""
 
 
-def check_record(h) -> None:
-    """The rule for one op record, raising HistoryError: integer steps,
-    a response after its invocation and, on a completed read, a value;
-    a value is [sn, payload] with an integer sn."""
+def check_record(h, i: int | None = None) -> None:
+    """The rule for one op record, raising HistoryError: a dict with
+    integer steps, a response after its invocation and, on a completed
+    read, a value; a value is [sn, payload] with an integer sn.  i is
+    the record's position in its history, named if it is not a dict."""
+    if not isinstance(h, dict):
+        raise HistoryError(f"history[{i}] is {h!r}, not an op record (a dict)")
     invoke, response, value = h.get("invoke"), h.get("response"), h.get("value")
     if type(invoke) is not int:
         if invoke is None and response is not None:
@@ -52,9 +56,16 @@ def check_record(h) -> None:
         raise HistoryError(f"op {h['op']} has value {value!r}, not [sn, payload] with an integer sn")
 
 
-# One encoder for every event: json.dumps with non-default separators
-# builds a new JSONEncoder on each call.
+# One C encoder for every event, built once (JSONEncoder.encode builds one
+# per call), with the settings of JSONEncoder(separators=(",", ":")).  It
+# relies on CPython's _json accelerator, whose constructor signature is the
+# same on 3.10-3.13.  Events are trees, built by the simulator or decoded
+# from JSON, so markers=None skips the circular-reference check: a cyclic
+# event raises RecursionError, and a failed encode leaves no stale marker.
 _ENCODER = json.JSONEncoder(separators=(",", ":"))
+_ENCODE = c_make_encoder(
+    None, _ENCODER.default, encode_basestring_ascii, None, _ENCODER.key_separator,
+    _ENCODER.item_separator, _ENCODER.sort_keys, _ENCODER.skipkeys, _ENCODER.allow_nan)
 
 # One decoder for every line: json.loads adds a Python-level wrapper and
 # two whitespace matches to each call, and a stripped line needs neither.
@@ -62,8 +73,8 @@ _DECODE = json.JSONDecoder().raw_decode
 
 
 def trace_lines(trace) -> list[str]:
-    encode = _ENCODER.encode
-    return [encode(ev) for ev in trace]
+    encode, join = _ENCODE, "".join
+    return [join(encode(ev, 0)) for ev in trace]
 
 
 def emit_trace(trace, path) -> None:
@@ -237,13 +248,21 @@ def register_writes(trace) -> list[tuple]:
 
 
 def schedule_from_trace(trace) -> tuple:
-    """The replayable choice sequence of a completed trace."""
+    """The replayable choice sequence of a completed trace.  An invoke
+    whose op is not an integer, or a deliver whose id is not a string,
+    raises TraceError."""
     script = []
     for i, kind, ev in _of_kind(trace, ("invoke", "deliver", "reg-read", "reg-write")):
         if kind == "invoke":
-            script.append(("invoke", _payload(i, kind, ev).get("op")))
+            op = _payload(i, kind, ev).get("op")
+            if type(op) is not int:
+                raise _bad(i, kind, "op", op, "an integer")
+            script.append(("invoke", op))
         elif kind == "deliver":
-            script.append(("deliver", _payload(i, kind, ev).get("id")))
+            msg_id = _payload(i, kind, ev).get("id")
+            if type(msg_id) is not str:
+                raise _bad(i, kind, "id", msg_id, "a string")
+            script.append(("deliver", msg_id))
         else:
             script.append(("hstep", _actor(i, kind, ev)))
     return tuple(script)

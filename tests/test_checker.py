@@ -70,6 +70,15 @@ class TestProperty1:
             check_property1([{"op": 0, "kind": "read", "proc": 1, "invoke": 9, "response": 5, "value": [0, None]}])
 
 
+    @pytest.mark.parametrize("record", [5, None, [0, "read"]], ids=["int", "none", "list"])
+    def test_a_record_that_is_not_a_dict_is_named(self, record):
+        write = {"op": 0, "kind": "write", "proc": 1, "invoke": 0, "response": 5, "value": [1, "a"]}
+        message = f"history[1] is {record!r}, not an op record (a dict)"
+        checks = (check_property1, check_property2, lambda h: check_completion(h, set()), lambda h: check_all([], history=h))
+        for check in checks:
+            with pytest.raises(HistoryError, match=f"^{re.escape(message)}$"):
+                check([write, record])
+
     @pytest.mark.parametrize(
         "fields, message",
         [

@@ -2,6 +2,7 @@ import copy
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mmreg import Schedule, WorkloadOp, checker, demo, emit_trace, load_spec, run_simulation, t_direct
+from mmreg import Schedule, SimError, WorkloadOp, checker, demo, emit_trace, load_spec, run_simulation, t_direct
 from mmreg.checker import PROPERTIES
 from mmreg.cli import fuzz, main
 from mmreg.model import spec_from_dict
@@ -510,6 +511,22 @@ class TestViolate:
 
 
 class TestFuzz:
+    @pytest.mark.parametrize(
+        "args, kwargs, message",
+        [
+            ((2.5, 0), {}, "runs must be an integer, got 2.5"),
+            ((True, 0), {}, "runs must be an integer, got True"),
+            ((1, 0), {"crashes": 1.0}, "crashes must be an integer or None, got 1.0"),
+            ((1, 0), {"crashes": False}, "crashes must be an integer or None, got False"),
+            ((1, 0), {"t": "1"}, "t must be an integer or None, got '1'"),
+            ((1, 0), {"t": True, "crashes": 0}, "t must be an integer or None, got True"),
+        ],
+        ids=["float-runs", "bool-runs", "float-crashes", "bool-crashes", "str-t", "bool-t"],
+    )
+    def test_non_integer_arguments_rejected(self, fig1_file, args, kwargs, message):
+        with pytest.raises(SimError, match=f"^{re.escape(message)}$"):
+            fuzz(load_spec(fig1_file), *args, **kwargs)
+
     def test_small_clean_batch(self, fig1_file, capsys):
         assert main(["fuzz", "--spec", fig1_file, "--runs", "30", "--seed", "5"]) == 0
         out = json.loads(capsys.readouterr().out)

@@ -195,8 +195,15 @@ class TestSystemSpec:
         (lambda: SystemSpec(bag_of(3, [1, 2]), 1), "normalize first"),
         (lambda: make_spec(), "exactly one of bag/graph"),
         (lambda: Graph.from_edges(0, []), "process count must be >= 1, got 0"),
+        (lambda: Graph.from_edges(3, [(1, 2, 3)]), r"^edge \(1, 2, 3\) is not a pair of endpoints$"),
+        (lambda: Graph.from_edges(3, [(1, 2), 5]), "^edge 5 is not a pair of endpoints$"),
+        (lambda: bag_of(3, 5), "^set S_1 is 5, not a collection of process ids$"),
+        (lambda: bag_of(3, [1], [[2]]), r"^set S_2 is \[\[2\]\], not a collection of process ids$"),
     ],
-    ids=["no-processes", "edge-outside", "edge-unordered", "uncovered-spec", "neither-bag-nor-graph", "graph-no-processes"],
+    ids=[
+        "no-processes", "edge-outside", "edge-unordered", "uncovered-spec", "neither-bag-nor-graph", "graph-no-processes",
+        "edge-triple", "edge-not-iterable", "set-not-iterable", "set-unhashable-member",
+    ],
 )
 def test_bad_model_input_raises(build, message):
     with pytest.raises(ModelError, match=message):

@@ -243,6 +243,7 @@ def test_the_runs_have_every_kind():
 
 BOGUS = {"step": 1, "kind": "bogus", "actor": 1, "payload": {}}
 READ = {"step": 0, "kind": "invoke", "actor": 2, "payload": {"op": 0, "kind": "read"}}
+DELIVER = {"step": 1, "kind": "deliver", "actor": 1, "payload": {"id": "2.1", "type": "R", "from": 2, "to": 1, "sn": 1}}
 
 
 @pytest.mark.parametrize(
@@ -251,8 +252,15 @@ READ = {"step": 0, "kind": "invoke", "actor": 2, "payload": {"op": 0, "kind": "r
         (schedule_from_trace, [READ, BOGUS], "trace event 2 has kind 'bogus', not one of " + ", ".join(KINDS)),
         (register_writes, [READ, BOGUS], "trace event 2 has kind 'bogus', not one of " + ", ".join(KINDS)),
         (schedule_from_trace, [{**READ, "payload": []}], "invoke event 1 has payload [], not an object"),
+        (schedule_from_trace, [{**READ, "payload": {}}], "invoke event 1 has op None, not an integer"),
+        (schedule_from_trace, [{**READ, "payload": {"op": True}}], "invoke event 1 has op True, not an integer"),
+        (schedule_from_trace, [READ, {**DELIVER, "payload": {"id": 5}}], "deliver event 2 has id 5, not a string"),
+        (schedule_from_trace, [READ, {**DELIVER, "payload": {}}], "deliver event 2 has id None, not a string"),
     ],
-    ids=["script-unknown-kind", "writes-unknown-kind", "script-payload-not-object"],
+    ids=[
+        "script-unknown-kind", "writes-unknown-kind", "script-payload-not-object",
+        "script-invoke-no-op", "script-invoke-bool-op", "script-deliver-int-id", "script-deliver-no-id",
+    ],
 )
 def test_the_script_and_write_readers_reject_bad_events(reader, trace, message):
     with pytest.raises(TraceError) as raised:
@@ -266,3 +274,46 @@ def test_an_event_that_is_not_an_object_is_named(reader, event):
     with pytest.raises(TraceError) as raised:
         reader([READ, event])
     assert str(raised.value) == f"trace event 2 is {event!r}, not an object"
+
+
+# Text that JSON escapes: quotes, backslashes, control characters, lone
+# surrogates and non-ASCII, besides any code point.
+_TEXT = st.text(st.characters(exclude_categories=()) | st.sampled_from('"\\/\x00\x1f\x7f\b\n\u2028\ud800\udfff\xe9\U0001f600'))
+_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=2**64, max_value=2**200)
+    | st.floats()
+    | st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0])
+    | _TEXT
+)
+_KEYS = _TEXT | st.integers() | st.floats() | st.booleans() | st.none()
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple) | st.dictionaries(_KEYS, inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.dictionaries(_KEYS, _VALUES, max_size=5), max_size=4))
+def test_trace_lines_are_json_dumps(events):
+    assert trace_lines(events) == [json.dumps(ev, separators=(",", ":")) for ev in events]
+
+
+def test_trace_lines_raise_what_the_encoder_raised():
+    """A value JSON cannot hold raises json.dumps' TypeError, and a
+    cyclic event RecursionError; neither leaves anything behind for the
+    next event."""
+    bad = {**READ, "payload": {"value": {1, 2}}}
+    with pytest.raises(TypeError) as expected:
+        json.dumps(bad, separators=(",", ":"))
+    with pytest.raises(TypeError) as raised:
+        trace_lines([READ, bad])
+    assert str(raised.value) == str(expected.value) == "Object of type set is not JSON serializable"
+    cyclic = {**READ, "payload": {}}
+    cyclic["payload"]["self"] = cyclic
+    with pytest.raises(RecursionError):
+        trace_lines([cyclic])
+    assert trace_lines([READ]) == [json.dumps(READ, separators=(",", ":"))]

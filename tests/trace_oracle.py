@@ -195,8 +195,8 @@ def check_all(trace, history=None, crashed=None, t: int | None = None, props=PRO
         raise error
     if history is None:
         history = history_from_trace(trace)
-    for h in history:
-        check_record(h)
+    for i, h in enumerate(history):
+        check_record(h, i)
     verdict = Verdict(())
     if "1" in props:
         verdict = verdict.merged(check_property1(history))
