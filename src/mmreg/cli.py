@@ -72,8 +72,9 @@ def fuzz(spec, runs: int, base_seed: int, crashes: int | None = None, t: int | N
     monotonicity, and for completion when the run crashes at most as
     many processes as the t it runs with.  Crash plans stay within the
     tolerated budget unless overridden."""
-    if type(runs) is not int:  # bool is an int subclass
-        raise SimError(f"runs must be an integer, got {runs!r}")
+    for name, value in (("runs", runs), ("base_seed", base_seed)):
+        if type(value) is not int:  # bool is an int subclass
+            raise SimError(f"{name} must be an integer, got {value!r}")
     for name, value in (("crashes", crashes), ("t", t)):
         if value is not None and type(value) is not int:
             raise SimError(f"{name} must be an integer or None, got {value!r}")

@@ -92,6 +92,17 @@ def normalize_bag(bag: Bag) -> Bag:
     return Bag(bag.n, bag.sets + extra)
 
 
+def _endpoints(edge) -> tuple[int, int]:
+    """An edge's two endpoints, each an int; else ModelError."""
+    try:
+        u, v = edge
+    except (TypeError, ValueError):  # not iterable, or not two items
+        raise ModelError(f"edge {edge!r} is not a pair of endpoints") from None
+    if type(u) is not int or type(v) is not int:  # bool is an int subclass
+        raise ModelError(f"edge ({u!r},{v!r}) has an endpoint that is not an integer")
+    return u, v
+
+
 @dataclass(frozen=True)
 class Graph:
     """Undirected graph over processes; edges stored as (u, v) with u < v."""
@@ -101,9 +112,8 @@ class Graph:
 
     def __post_init__(self):
         _check_count(self.n)
-        for u, v in self.edges:
-            if type(u) is not int or type(v) is not int:
-                raise ModelError(f"edge ({u!r},{v!r}) has an endpoint that is not an integer")
+        for edge in self.edges:
+            u, v = _endpoints(edge)
             if not (1 <= u <= self.n and 1 <= v <= self.n):
                 raise ModelError(f"edge ({u},{v}) outside 1..{self.n}")
             if u >= v:
@@ -111,17 +121,16 @@ class Graph:
 
     @staticmethod
     def from_edges(n: int, pairs) -> "Graph":
+        try:
+            edges = iter(pairs)
+        except TypeError:
+            raise ModelError(f"edges {pairs!r} are not a collection of pairs") from None
         canon = set()
-        for edge in pairs:
-            try:
-                u, v = edge
-            except (TypeError, ValueError):  # not iterable, or not two items
-                raise ModelError(f"edge {edge!r} is not a pair of endpoints") from None
-            if type(u) is int and type(v) is int:  # any other endpoint is left for __post_init__ to name
-                if u == v:
-                    raise ModelError(f"self-loop at p{u}")
-                u, v = min(u, v), max(u, v)
-            canon.add((u, v))
+        for edge in edges:
+            u, v = _endpoints(edge)
+            if u == v:
+                raise ModelError(f"self-loop at p{u}")
+            canon.add((min(u, v), max(u, v)))
         return Graph(n, frozenset(canon))
 
     def neighbors(self, p: int) -> frozenset[int]:

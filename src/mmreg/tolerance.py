@@ -3,8 +3,8 @@
 The threshold is the largest t such that every pair of (n-t)-sized
 process subsets either intersects or is bridged by a common sharing
 set.  Two independent routes compute it: a direct check that tries the
-subset sizes in turn, testing each subset of a size as the left side of
-a failing pair, and a branch-and-bound for the largest pair of equal,
+subset sizes in turn, searching each size's left sides for one of a
+failing pair, and a branch-and-bound for the largest pair of equal,
 disjoint, unbridged sides, which cuts every left side that bounds on
 both sides' sizes show cannot beat the best pair found.  Both are
 exponential in n in the worst case, so each has a limit on n.  The test
@@ -13,22 +13,21 @@ suite holds them equal on random inputs.
 Both rest on one observation: for a left side A, the valid right sides
 are exactly the subsets of ``free(A)``, the processes that neither lie
 in A nor share a set with it.  So a failing pair with left side A
-exists iff ``|free(A)| >= size``, and one pass over the left sides
+exists iff ``|free(A)| >= size``, and one search over the left sides
 decides a size.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .model import Bag, Graph, graph_square, induce_uniform
 
 # Subset enumeration is fine at desk scale only.
 DIRECT_LIMIT = 14
-# t_bridge's search stays fast past this n; its witness pass
-# (smallest_failing_pair) does not, taking up to 0.7 s at n = 24 on
-# random bags of n sets of 1 to 4 processes.
+# t_bridge's search and its witness search (smallest_failing_pair) both
+# stay fast past this n; raising it waits on a measured worst case over
+# many random bags above n = 22.
 BRIDGE_LIMIT = 22
 
 
@@ -78,27 +77,39 @@ def smallest_failing_pair(n: int, reach: list[int], size: int) -> Witness | None
     """Lexicographically smallest pair of size-`size` subsets that neither
     intersect nor are bridged, or None if every pair is fine.
 
-    One pass over the left sides A in lexicographic order: the first A
-    whose free set holds `size` processes is the left side, and the
-    lowest `size` of them are the smallest right side.  Costs
-    C(n, size) * n at most.
+    A depth-first search over the left sides' prefixes in lexicographic
+    order: the first left side A whose free set holds `size` processes
+    is the left side, and the lowest `size` of them are the smallest
+    right side.  Free sets only shrink as a prefix grows, so a prefix
+    whose free set holds fewer than `size` processes is cut with every
+    left side that extends it.
     """
     if size < 1 or 2 * size > n:  # disjoint sides need 2 * size <= n
         return None
-    full = (1 << n) - 1
-    for combo in combinations(range(n), size):
-        r = 0
-        for i in combo:
-            r |= reach[i]
-        free = full & ~r
-        if free.bit_count() >= size:
-            right = []
-            for _ in range(size):
-                low = free & -free
-                right.append(low.bit_length())
-                free ^= low
-            return (tuple(i + 1 for i in combo), tuple(right))
-    return None
+    left: list[int] = []
+
+    def grow(start: int, free: int) -> int | None:
+        if len(left) == size:
+            return free
+        for i in range(start, n - size + len(left) + 1):  # leave room for the rest of A
+            f = free & ~reach[i]
+            if f.bit_count() >= size:
+                left.append(i)
+                found = grow(i + 1, f)
+                if found is not None:
+                    return found
+                left.pop()
+        return None
+
+    free = grow(0, (1 << n) - 1)
+    if free is None:
+        return None
+    right = []
+    for _ in range(size):
+        low = free & -free
+        right.append(low.bit_length())
+        free ^= low
+    return (tuple(i + 1 for i in left), tuple(right))
 
 
 def _scan(n: int, reach: list[int]) -> ToleranceResult:
@@ -117,7 +128,7 @@ def _scan(n: int, reach: list[int]) -> ToleranceResult:
 
 
 def t_direct(bag: Bag) -> ToleranceResult:
-    """Threshold by subset enumeration: for each size in turn, one pass
+    """Threshold by subset enumeration: for each size in turn, one search
     over the left sides looks for a failing pair.  Costs at most
     2^n * n in all."""
     require_covered(bag)

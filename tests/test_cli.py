@@ -520,8 +520,12 @@ class TestFuzz:
             ((1, 0), {"crashes": False}, "crashes must be an integer or None, got False"),
             ((1, 0), {"t": "1"}, "t must be an integer or None, got '1'"),
             ((1, 0), {"t": True, "crashes": 0}, "t must be an integer or None, got True"),
+            ((2, None), {}, "base_seed must be an integer, got None"),
+            ((2, "7"), {}, "base_seed must be an integer, got '7'"),
+            ((2, 1.5), {}, "base_seed must be an integer, got 1.5"),
+            ((2, True), {}, "base_seed must be an integer, got True"),
         ],
-        ids=["float-runs", "bool-runs", "float-crashes", "bool-crashes", "str-t", "bool-t"],
+        ids=["float-runs", "bool-runs", "float-crashes", "bool-crashes", "str-t", "bool-t", "none-seed", "str-seed", "float-seed", "bool-seed"],
     )
     def test_non_integer_arguments_rejected(self, fig1_file, args, kwargs, message):
         with pytest.raises(SimError, match=f"^{re.escape(message)}$"):

@@ -199,10 +199,15 @@ class TestSystemSpec:
         (lambda: Graph.from_edges(3, [(1, 2), 5]), "^edge 5 is not a pair of endpoints$"),
         (lambda: bag_of(3, 5), "^set S_1 is 5, not a collection of process ids$"),
         (lambda: bag_of(3, [1], [[2]]), r"^set S_2 is \[\[2\]\], not a collection of process ids$"),
+        (lambda: Graph(3, frozenset({(1, 2, 3)})), r"^edge \(1, 2, 3\) is not a pair of endpoints$"),
+        (lambda: Graph(3, [5]), "^edge 5 is not a pair of endpoints$"),
+        (lambda: Graph.from_edges(3, [([1], 2)]), r"^edge \(\[1\],2\) has an endpoint that is not an integer$"),
+        (lambda: Graph.from_edges(3, 5), "^edges 5 are not a collection of pairs$"),
     ],
     ids=[
         "no-processes", "edge-outside", "edge-unordered", "uncovered-spec", "neither-bag-nor-graph", "graph-no-processes",
         "edge-triple", "edge-not-iterable", "set-not-iterable", "set-unhashable-member",
+        "graph-edge-triple", "graph-edge-not-iterable", "edge-unhashable-endpoint", "edges-not-iterable",
     ],
 )
 def test_bad_model_input_raises(build, message):

@@ -147,6 +147,14 @@ class TestCrashes:
         with pytest.raises(SimError, match=f"^crash plan entry {re.escape(repr(entry))} is not a pair of integers$"):
             run_simulation(msg3_spec, 1, [WorkloadOp("write", 1, "a", 0)], Schedule("fair", crash_plan=(entry,)))
 
+    @pytest.mark.parametrize("seed", [None, [1], True, 1.5, "7"], ids=repr)
+    @pytest.mark.parametrize("policy", ["fair", "fifo"])
+    def test_seed_must_be_an_int(self, msg3_spec, policy, seed):
+        # None would seed the fair draw from the OS, so two runs of the
+        # same inputs could differ.
+        with pytest.raises(SimError, match=f"^seed {re.escape(repr(seed))} is not an integer$"):
+            run_simulation(msg3_spec, 1, write_then_read(), Schedule(policy, seed=seed))
+
     def test_second_run_cannot_crash_a_process_again(self, fig1_spec):
         schedule = Schedule("fair", seed=1, crash_plan=((2, 0),))
         sim = Simulator(fig1_spec, 3, write_then_read(4)).run(schedule)
@@ -544,6 +552,49 @@ class TestFairChooserAgainstOracle:
         assert chosen_events(spec, t, workload, schedule, real) == chosen_events(
             spec, t, workload, schedule, oracle.fair_chooser
         )
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_wide_runs_cross_64_and_128_enabled_events(self, seed):
+        """40 processes passing messages, each starting an op at step 0:
+        the enabled count k rises past 128 and falls back through 64, so
+        the width of the draw changes both ways."""
+        n = 40
+        spec = make_spec(bag=bag_of(n, *([p] for p in range(1, n + 1))), writer=1)
+        workload = [WorkloadOp("write", 1, "a", 0), *(WorkloadOp("read", p, None, 0) for p in range(2, n + 1))]
+        schedule = Schedule("fair", seed=seed, crash_plan=((n, 40),))
+        widths = []
+
+        def sized(sim, sched):
+            choose = oracle.fair_chooser(sim, sched)
+
+            def recorded():
+                widths.append(len(oracle.enabled(sim)))
+                return choose()
+
+            return recorded
+
+        expected = chosen_events(spec, 19, workload, schedule, sized)
+        assert any(k > 128 for k in widths) and any(64 < k <= 128 for k in widths) and any(k <= 64 for k in widths)
+        assert chosen_events(spec, 19, workload, schedule, sim_module._make_chooser) == expected
+
+
+def test_no_two_events_share_a_payload_or_a_value_list(fig1_spec):
+    """Mark every event's payload dict and every list in it with the
+    event's step: an object that two events share ends up with the
+    wrong mark, or with two."""
+    workload = [*write_then_read(4), WorkloadOp("read", 3, None, 0), WorkloadOp("write", 1, "b", 30)]
+    sim = run_simulation(fig1_spec, 3, workload, Schedule("fair", seed=4, crash_plan=((5, 50),)))
+    assert {ev["kind"] for ev in sim.trace} == set(KINDS)
+    lists = []
+    for ev in sim.trace:
+        payload = ev["payload"]
+        payload["mark"] = ev["step"]
+        for value in payload.values():
+            if isinstance(value, list):
+                lists.append((ev["step"], len(value), value))
+                value.append(ev["step"])
+    assert all(ev["payload"]["mark"] == ev["step"] for ev in sim.trace)
+    assert lists and all(len(value) == size + 1 and value[-1] == step for step, size, value in lists)
 
 
 # -- a finished run is freed by reference counting -----------------------

@@ -205,8 +205,8 @@ class TestBridgeSearch:
     # Singletons at n = 21..24, (k, b) = (12, 2), (8, 3), (6, 4), and one set.
     @pytest.mark.parametrize("k,b", [(21, 1), (22, 1), (23, 1), (24, 1), (12, 2), (8, 3), (6, 4), (1, 24)])
     def test_disjoint_sets_closed_form(self, monkeypatch, k, b):
-        # The limit bounds the witness pass's time on random bags; on
-        # these bags both the search and the witness are immediate.
+        # The limit stands until a measured worst case over random bags
+        # raises it; on these bags both searches are immediate.
         monkeypatch.setattr(tolerance, "BRIDGE_LIMIT", 24)
         bag = disjoint_sets(k, b)
         n = k * b
@@ -321,6 +321,16 @@ def seeded_bags(seed, count, max_n):
         n = rng.randint(1, max_n)
         sets = [rng.sample(range(1, n + 1), rng.randint(1, min(n, 4))) for _ in range(rng.randint(0, n))]
         yield normalize_bag(bag_of(n, *sets))
+
+
+class TestPrefixSearchAgainstOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(bridge_bags(max_n=20))
+    def test_same_pair_as_the_lexicographic_pass_at_every_size(self, bag):
+        n = bag.n
+        reach = reach_masks(n, bag.masks())
+        for size in range(0, n + 2):
+            assert smallest_failing_pair(n, reach, size) == oracle.smallest_failing_pair(n, reach, size), size
 
 
 class TestLinearSearchAgainstOracle:

@@ -1,9 +1,40 @@
-"""Test-only oracle: the bridge threshold by a 2^n closure table and a
+"""Test-only oracles: the bridge threshold by a 2^n closure table and a
 scan of every subset, as `t_bridge` computed it before it moved to a
-branch-and-bound.  The differential tests in test_tolerance.py hold
-`t_bridge` to exactly these results."""
+branch-and-bound, and its witness by one lexicographic pass over the
+left sides, as `smallest_failing_pair` found it before it moved to a
+prefix search.  The differential tests in test_tolerance.py hold
+`t_bridge` and `smallest_failing_pair` to exactly these results."""
 
-from mmreg.tolerance import ToleranceResult, reach_masks, require_covered, smallest_failing_pair
+from itertools import combinations
+
+from mmreg.tolerance import ToleranceResult, Witness, reach_masks, require_covered
+
+
+def smallest_failing_pair(n: int, reach: list[int], size: int) -> Witness | None:
+    """Lexicographically smallest pair of size-`size` subsets that neither
+    intersect nor are bridged, or None if every pair is fine.
+
+    One pass over the left sides A in lexicographic order: the first A
+    whose free set holds `size` processes is the left side, and the
+    lowest `size` of them are the smallest right side.  Costs
+    C(n, size) * n at most.
+    """
+    if size < 1 or 2 * size > n:  # disjoint sides need 2 * size <= n
+        return None
+    full = (1 << n) - 1
+    for combo in combinations(range(n), size):
+        r = 0
+        for i in combo:
+            r |= reach[i]
+        free = full & ~r
+        if free.bit_count() >= size:
+            right = []
+            for _ in range(size):
+                low = free & -free
+                right.append(low.bit_length())
+                free ^= low
+            return (tuple(i + 1 for i in combo), tuple(right))
+    return None
 
 
 def t_bridge(bag) -> ToleranceResult:
