@@ -12,12 +12,18 @@ smaller ack quorum n - t, an adversary can then:
            withholding everything from P and Q;
   phase 3: release all withheld messages and run to quiescence.
 
+Each step of phases 1-2 is `Simulator.step_within(op, side)`: it fires
+the first enabled event, in `enabled()` order, that stays inside the
+op's side (the op's own invocation, a handler step of a side member, or
+a delivery between two side members), and the phase ends when the op
+responds.  Phase 3 is the deterministic fifo schedule.
+
 No process ever crashes, yet the read returns the initial value after
 the write completed: a certified atomicity violation, from delay alone.
 
-The construction needs only the witness search and the simulator's event
-surface; it never computes the threshold itself, and it keeps no types of
-its own: `build_e3` returns the `Simulator` it ran.
+The construction needs only the witness search and the simulator's
+public methods; it never computes the threshold itself, and it keeps no
+types of its own: `build_e3` returns the `Simulator` it ran.
 """
 
 from __future__ import annotations
@@ -37,6 +43,11 @@ class LowerBoundError(ValueError):
     """The requested construction does not exist or cannot be scripted."""
 
 
+def _require_int(t) -> None:
+    if type(t) is not int:  # bool is an int subclass
+        raise LowerBoundError(f"t={t!r} is not an integer")
+
+
 def find_witness(bag: Bag, t: int) -> Witness:
     """The lexicographically smallest witness (P, P') that t crashes
     break the system, as `smallest_failing_pair` returns it; at
@@ -44,8 +55,7 @@ def find_witness(bag: Bag, t: int) -> Witness:
     above the threshold: a failing pair of size n-t exists exactly when
     t > t_L, so one witness search decides both."""
     require_covered(bag)
-    if type(t) is not int:
-        raise LowerBoundError(f"t={t!r} is not an integer")
+    _require_int(t)
     if t < 0:
         raise LowerBoundError(f"t={t} is negative: a crash budget must be >= 0")
     if t > bag.n - 1:
@@ -66,6 +76,7 @@ def build_e3(spec: SystemSpec, t: int, witness: Witness) -> Simulator:
     The writer must lie in P (it has to reach its quorum inside P), and
     the reader, op 1 of `sim.workload`, is the smallest member of P'.
     """
+    _require_int(t)
     if not verify_witness(spec.bag, t - 1, witness):
         raise LowerBoundError(
             f"invalid witness: it must be a pair of disjoint sides of size n-t={spec.n - t}, within 1..{spec.n}, that share no set"
@@ -76,20 +87,10 @@ def build_e3(spec: SystemSpec, t: int, witness: Witness) -> Simulator:
 
     sim = Simulator(spec, t, [WorkloadOp("write", spec.writer, PAYLOAD, 0), WorkloadOp("read", min(pp_set), None, 0)])
 
-    # Phases 1-2: the write completes inside P, then the read inside P';
-    # each step fires the first enabled event of the op's side.
+    # Phases 1-2: the write completes inside P, then the read inside P'.
     for op, side in ((0, p_set), (1, pp_set)):
         while sim.ops[op].response_step is None:
-            for ev in sim.enabled():
-                kind, x = ev
-                if (
-                    kind == "invoke" and x == op
-                    or kind == "hstep" and x in side
-                    or kind == "deliver" and {sim.network[x].sender, sim.network[x].dest} <= side
-                ):
-                    sim.apply(ev)
-                    break
-            else:
+            if not sim.step_within(op, side):
                 raise LowerBoundError("construction stuck: no permitted event is enabled")
 
     # Phase 3: release everything, deterministically, to quiescence.

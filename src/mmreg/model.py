@@ -43,7 +43,13 @@ class Bag:
     def __post_init__(self):
         _check_count(self.n)
         n = self.n
-        for idx, s in enumerate(self.sets, start=1):
+        try:
+            sets = iter(self.sets)
+        except TypeError:
+            raise ModelError(f"sets {self.sets!r} are not a collection of process sets") from None
+        for idx, s in enumerate(sets, start=1):
+            if not isinstance(s, frozenset):  # a Bag is a value type, so it must hash
+                raise ModelError(f"set S_{idx} is {s!r}, not a frozenset of process ids")
             if not s:
                 raise ModelError(f"set S_{idx} is empty")
             bad = [p for p in s if type(p) is not int or not 1 <= p <= n]
@@ -52,6 +58,8 @@ class Bag:
                 if odd:
                     raise ModelError(f"set S_{idx} mentions non-integer processes: {odd}")
                 raise ModelError(f"set S_{idx} mentions processes outside 1..{n}: {sorted(bad)}")
+        if not isinstance(self.sets, tuple):  # after the sets, so a bad set names itself
+            raise ModelError(f"sets must be a tuple of frozensets, not a {type(self.sets).__name__}")
 
     def covered(self) -> bool:
         """True iff every process appears in at least one set."""
@@ -112,12 +120,18 @@ class Graph:
 
     def __post_init__(self):
         _check_count(self.n)
-        for edge in self.edges:
+        try:
+            edges = iter(self.edges)
+        except TypeError:
+            raise ModelError(f"edges {self.edges!r} are not a collection of pairs") from None
+        for edge in edges:
             u, v = _endpoints(edge)
             if not (1 <= u <= self.n and 1 <= v <= self.n):
                 raise ModelError(f"edge ({u},{v}) outside 1..{self.n}")
             if u >= v:
                 raise ModelError(f"edge ({u},{v}) must be ordered u < v (no self-loops)")
+        if not isinstance(self.edges, frozenset):  # after the edges, so a bad edge names itself
+            raise ModelError(f"edges must be a frozenset of pairs, not a {type(self.edges).__name__}")
 
     @staticmethod
     def from_edges(n: int, pairs) -> "Graph":
@@ -202,13 +216,26 @@ class SystemSpec:
     def registers(self) -> tuple[RegisterId, ...]:
         return tuple(self.readers)
 
+    @cached_property
+    def _register_lists(self) -> dict[int, tuple[tuple[RegisterId, ...], tuple[RegisterId, ...]]]:
+        """Each process to the registers it owns and the registers it may
+        read, each in `readers` order; built in one pass, on first use."""
+        owns: dict[int, list] = {p: [] for p in range(1, self.n + 1)}
+        reads: dict[int, list] = {p: [] for p in range(1, self.n + 1)}
+        for reg, members in self.readers.items():
+            owns[reg[1]].append(reg)
+            for p in members:
+                reads[p].append(reg)
+        return {p: (tuple(owns[p]), tuple(reads[p])) for p in owns}
+
     def writable_registers(self, p: int) -> tuple[RegisterId, ...]:
-        """Registers p owns, ascending by set index."""
-        return tuple(reg for reg in self.readers if reg[1] == p)
+        """Registers p owns, ascending by set index; () for p outside 1..n."""
+        return self._register_lists.get(p, ((), ()))[0]
 
     def readable_registers(self, p: int) -> tuple[RegisterId, ...]:
-        """Registers p may read, ascending by (set index, owner)."""
-        return tuple(reg for reg, members in self.readers.items() if p in members)
+        """Registers p may read, ascending by (set index, owner); () for p
+        outside 1..n."""
+        return self._register_lists.get(p, ((), ()))[1]
 
 
 def make_spec(bag: Bag | None = None, graph: Graph | None = None, writer: int = 1) -> SystemSpec:

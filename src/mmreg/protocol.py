@@ -106,7 +106,7 @@ def _read(op_id: int, pid: int, n: int, quorum: int, sn: int):
     return (yield from _write(op_id, pid, n, quorum, max_tagged(replies.values())))
 
 
-def _w_handler(pid: int, regs: list, msg: Message):
+def _w_handler(pid: int, regs: tuple, msg: Message):
     """Store msg's value in each register of regs holding an older one.
     Sent the simulator at each access; returns the ACK-W."""
     for reg in regs:
@@ -115,7 +115,7 @@ def _w_handler(pid: int, regs: list, msg: Message):
     return Message(ACK_W, pid, msg.sender, msg.sn)
 
 
-def _r_handler(pid: int, regs: list, msg: Message):
+def _r_handler(pid: int, regs: tuple, msg: Message):
     """Read each register of regs.  Sent the simulator at each access;
     returns the ACK-R carrying the freshest value read."""
     best = None
@@ -143,8 +143,8 @@ class ProcessCore:
         self.pid = pid
         self.n = spec.n
         self.quorum = quorum
-        self.writable = list(spec.writable_registers(pid))
-        self.readable = list(spec.readable_registers(pid))
+        self.writable = spec.writable_registers(pid)
+        self.readable = spec.readable_registers(pid)
         self.sn_w = 0  # used by the writer only
         self.sn_r = 0
         self.pending = None

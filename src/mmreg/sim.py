@@ -105,8 +105,10 @@ class Simulator:
     their owner.  Each access is recorded in the trace as one step.
 
     The scheduler-facing surface is `enabled()` / `apply(event)`; `run`
-    drives them under a policy.  Events are small tuples:
-    ("invoke", op_index), ("hstep", pid), ("deliver", msg_id).
+    drives them under a policy, and `step_within` fires the first
+    enabled event inside a set of processes, the lower-bound run's
+    step.  Events are small tuples: ("invoke", op_index),
+    ("hstep", pid), ("deliver", msg_id).
 
     The enabled events are kept in three indexes, each in `enabled()`
     order, which `_sync` updates for the one process an event or a
@@ -288,6 +290,33 @@ class Simulator:
         self._require_enabled(ev)
         self._fire(ev)
 
+    def step_within(self, op: int, side) -> bool:
+        """Fire the first event of enabled() that stays inside `side`, a
+        set of processes: op's own invocation, a handler step of a side
+        member, or a delivery whose sender and destination both lie in
+        the side.  False, with nothing fired, when there is none.
+
+        Reads the indexes in enabled()'s order without building the list;
+        whatever it fires is enabled, so it goes straight to `_fire`.
+        """
+        self._due()
+        for i in self._invokes:
+            if i == op:  # fire the index the list holds, an int even if op is True
+                self._fire(("invoke", i))
+                return True
+        for p in self._scanning:
+            if p in side:
+                self._fire(("hstep", p))
+                return True
+        sends, network = self._sends, self.network
+        for no in self._deliverable:
+            mid = sends[no][0]
+            msg = network[mid]
+            if msg.dest in side and msg.sender in side:
+                self._fire(("deliver", mid))
+                return True
+        return False
+
     def _fire(self, ev: tuple) -> None:
         """The transition of an event that enabled() lists; unchecked."""
         kind = ev[0]
@@ -344,7 +373,11 @@ class Simulator:
         n = self.spec.n
         if type(schedule.seed) is not int:  # None would seed from the OS; bool is an int subclass
             raise SimError(f"seed {schedule.seed!r} is not an integer")
-        for entry in schedule.crash_plan:
+        try:
+            plan = tuple(schedule.crash_plan)
+        except TypeError:  # not iterable
+            raise SimError(f"crash plan {schedule.crash_plan!r} is not a collection of (process, step) pairs") from None
+        for entry in plan:
             if not (isinstance(entry, tuple) and len(entry) == 2 and all(type(x) is int for x in entry)):  # bool is an int subclass
                 raise SimError(f"crash plan entry {entry!r} is not a pair of integers")
             p, step = entry
@@ -354,9 +387,9 @@ class Simulator:
                 raise SimError(f"crash of p{p} at negative step {step}")
             if p in self.crashed:  # a second run on the same simulator
                 raise SimError(f"crash of p{p}, which has already crashed")
-        if len({p for p, _ in schedule.crash_plan}) != len(schedule.crash_plan):
+        if len({p for p, _ in plan}) != len(plan):
             raise SimError("crash plan names a process twice")
-        crashes = deque(sorted(schedule.crash_plan, key=lambda cs: (cs[1], cs[0])))
+        crashes = deque(sorted(plan, key=lambda cs: (cs[1], cs[0])))
         chooser = _make_chooser(self, schedule)
         invokes, scanning, deliverable, timed = self._invokes, self._scanning, self._deliverable, self._timed
         while True:
@@ -422,13 +455,20 @@ def _make_chooser(sim: Simulator, schedule: Schedule):
 
         return choose
     if schedule.policy == "scripted":
-        it = iter(schedule.script)
+        try:
+            it = iter(schedule.script)
+        except TypeError:
+            raise ScriptError(f"script {schedule.script!r} is not a sequence of events") from None
 
         def scripted():
             try:
-                ev = tuple(next(it))
+                entry = next(it)
             except StopIteration:
                 raise ScriptError("script ended with events still enabled") from None
+            try:
+                ev = tuple(entry)
+            except TypeError:  # not iterable
+                raise ScriptError(f"script event {entry!r} at step {sim.step} is not an event") from None
             sim._require_enabled(ev)
             return ev
 

@@ -217,7 +217,10 @@ def t_uniform(g: Graph) -> ToleranceResult:
 def verify_witness(bag: Bag, t: int, witness: Witness) -> bool:
     """Check a claimed witness for t+1: disjoint size-(n-(t+1)) sides
     of processes in 1..n, with no set meeting both.  O(m*n).  Anything
-    but a pair of tuples or lists is no witness."""
+    but a pair of tuples or lists is no witness; a t that is not an
+    int raises ToleranceError."""
+    if type(t) is not int:  # bool is an int subclass
+        raise ToleranceError(f"t={t!r} is not an integer")
     if not (isinstance(witness, (tuple, list)) and len(witness) == 2 and all(isinstance(side, (tuple, list)) for side in witness)):
         return False
     if any(type(p) is not int or not 1 <= p <= bag.n for p in (*witness[0], *witness[1])):  # bool is an int subclass

@@ -1,9 +1,14 @@
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+import lowerbound_oracle as oracle
 from mmreg import (
     LowerBoundError,
     Schedule,
     Simulator,
+    SystemSpec,
+    ToleranceError,
+    bag_of,
     build_e3,
     check_property1,
     demo,
@@ -13,10 +18,11 @@ from mmreg import (
     make_spec,
     run_simulation,
     schedule_from_trace,
+    t_bridge,
     verify_witness,
 )
-from mmreg.model import bag_of, normalize_bag, Bag
-from mmreg.trace import register_writes
+from mmreg.model import normalize_bag, Bag
+from mmreg.trace import register_writes, trace_lines
 
 
 class TestFindWitness:
@@ -48,10 +54,17 @@ class TestFindWitness:
 
     @pytest.mark.parametrize("t", [4.0, "4", None, True])
     def test_rejects_non_integer_t(self, fig1_spec, t):
+        """True would pass for t = 1 wherever an int is only compared or
+        added to; every entry point refuses it with its own error."""
+        witness = ((1,), (4,))  # the witness at t = 4
         with pytest.raises(LowerBoundError, match=f"t={t!r} is not an integer"):
             find_witness(fig1_spec.bag, t)
         with pytest.raises(LowerBoundError, match=f"t={t!r} is not an integer"):
             demo(fig1_spec, t)
+        with pytest.raises(LowerBoundError, match=f"^t={t!r} is not an integer$"):
+            build_e3(fig1_spec, t, witness)
+        with pytest.raises(ToleranceError, match=f"^t={t!r} is not an integer$"):
+            verify_witness(fig1_spec.bag, t, witness)
 
 
 class TestBuildE3:
@@ -104,7 +117,7 @@ class TestBuildE3:
             assert [ev["step"] for ev in trace] == list(range(len(trace)))
 
     def test_stuck_construction_raises(self, fig1_spec, monkeypatch):
-        monkeypatch.setattr(Simulator, "enabled", lambda sim: [])
+        monkeypatch.setattr(Simulator, "step_within", lambda sim, op, side: False)
         with pytest.raises(LowerBoundError, match="construction stuck: no permitted event is enabled"):
             build_e3(fig1_spec, 4, find_witness(fig1_spec.bag, 4))
 
@@ -148,6 +161,34 @@ class TestBuildE3:
         bad = ((1,), (4, 5))
         with pytest.raises(LowerBoundError, match="size"):
             build_e3(fig1_spec, 4, bad)
+
+
+@st.composite
+def breakable_bags(draw):
+    """Covered bags at 2 <= n <= 16 of up to n sets of one to four
+    processes, with a threshold below n - 1, so some t has a witness."""
+    n = draw(st.integers(2, 16))
+    sets = draw(st.lists(st.sets(st.integers(1, n), min_size=1, max_size=4), max_size=n))
+    bag = normalize_bag(bag_of(n, *sets))
+    assume(t_bridge(bag).t < bag.n - 1)
+    return bag
+
+
+class TestBuildE3AgainstOracle:
+    @settings(max_examples=30, deadline=None)
+    @given(breakable_bags())
+    def test_every_t_and_every_writer_place(self, bag):
+        """At every t in t_L+1..n-1, with the spec's writer in P, in P'
+        (demo swaps the sides) and in Q when Q is not empty (demo
+        replaces the writer), the run is the oracle's, line for line."""
+        for t in range(t_bridge(bag).t + 1, bag.n):
+            p_side, p_prime = find_witness(bag, t)
+            q = [p for p in range(1, bag.n + 1) if p not in p_side + p_prime]
+            for writer in (min(p_side), min(p_prime), *q[:1]):
+                report = demo(SystemSpec(bag, writer), t)
+                witness = (tuple(report["witness"]["P"]), tuple(report["witness"]["P_prime"]))
+                expected = oracle.build_e3(SystemSpec(bag, report["writer"]), t, witness)
+                assert trace_lines(report["trace"]) == trace_lines(expected.trace), (t, writer)
 
 
 class TestDemo:

@@ -1,19 +1,23 @@
 import json
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from mmreg import (
     Bag,
     Graph,
     ModelError,
+    Schedule,
+    Simulator,
     SystemSpec,
+    WorkloadOp,
     bag_of,
     graph_square,
     induce_uniform,
     make_spec,
     normalize_bag,
 )
+from mmreg.trace import trace_lines
 from mmreg.model import load_spec, spec_from_dict
 
 
@@ -185,6 +189,27 @@ class TestSystemSpec:
         with pytest.raises(ModelError):
             make_spec(bag=bag_of(2, [1], [2]), writer=3)
 
+    @settings(max_examples=60, deadline=None)
+    @given(small_bags())
+    def test_register_lists_match_the_comprehensions(self, bag):
+        """Each list is the filter of `readers` it was first written as,
+        order included, for every p in 0..n+1."""
+        spec = make_spec(bag=bag)
+        for p in range(0, spec.n + 2):
+            assert spec.writable_registers(p) == tuple(reg for reg in spec.readers if reg[1] == p)
+            assert spec.readable_registers(p) == tuple(reg for reg, members in spec.readers.items() if p in members)
+
+    @settings(max_examples=30, deadline=None)
+    @given(small_bags(), st.integers(0, 2**16))
+    def test_simulators_sharing_a_spec_write_identical_traces(self, bag, seed):
+        """The register lists are built once per spec and shared by every
+        simulator on it; two runs, built before either starts, agree."""
+        spec = make_spec(bag=bag)
+        workload = [WorkloadOp("write", 1, "a", 0)] + [WorkloadOp("read", p, None, 0) for p in range(1, spec.n + 1)]
+        first, second = Simulator(spec, 0, workload), Simulator(spec, 0, workload)
+        schedule = Schedule("fair", seed=seed)
+        assert trace_lines(first.run(schedule).trace) == trace_lines(second.run(schedule).trace)
+
 
 @pytest.mark.parametrize(
     "build, message",
@@ -203,11 +228,21 @@ class TestSystemSpec:
         (lambda: Graph(3, [5]), "^edge 5 is not a pair of endpoints$"),
         (lambda: Graph.from_edges(3, [([1], 2)]), r"^edge \(\[1\],2\) has an endpoint that is not an integer$"),
         (lambda: Graph.from_edges(3, 5), "^edges 5 are not a collection of pairs$"),
+        (lambda: Graph(3, [(1, 2)]), "^edges must be a frozenset of pairs, not a list$"),
+        (lambda: Graph(3, 5), "^edges 5 are not a collection of pairs$"),
+        (lambda: Graph(3, None), "^edges None are not a collection of pairs$"),
+        (lambda: Bag(3, [frozenset({1, 2, 3})]), "^sets must be a tuple of frozensets, not a list$"),
+        (lambda: Bag(3, ({1, 2, 3},)), r"^set S_1 is \{1, 2, 3\}, not a frozenset of process ids$"),
+        (lambda: Bag(3, 5), "^sets 5 are not a collection of process sets$"),
+        (lambda: Bag(3, None), "^sets None are not a collection of process sets$"),
+        (lambda: Bag(3, (5,)), "^set S_1 is 5, not a frozenset of process ids$"),
     ],
     ids=[
         "no-processes", "edge-outside", "edge-unordered", "uncovered-spec", "neither-bag-nor-graph", "graph-no-processes",
         "edge-triple", "edge-not-iterable", "set-not-iterable", "set-unhashable-member",
         "graph-edge-triple", "graph-edge-not-iterable", "edge-unhashable-endpoint", "edges-not-iterable",
+        "graph-edges-a-list", "graph-edges-an-int", "graph-edges-none",
+        "bag-sets-a-list", "bag-set-not-frozen", "bag-sets-an-int", "bag-sets-none", "bag-set-an-int",
     ],
 )
 def test_bad_model_input_raises(build, message):

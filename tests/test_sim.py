@@ -1,4 +1,5 @@
 import gc
+import random
 import re
 import weakref
 from contextlib import contextmanager
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import mmreg.cli as cli
 import mmreg.sim as sim_module
+import lowerbound_oracle
 import sim_oracle as oracle
 from mmreg import (
     Graph,
@@ -147,6 +149,11 @@ class TestCrashes:
         with pytest.raises(SimError, match=f"^crash plan entry {re.escape(repr(entry))} is not a pair of integers$"):
             run_simulation(msg3_spec, 1, [WorkloadOp("write", 1, "a", 0)], Schedule("fair", crash_plan=(entry,)))
 
+    @pytest.mark.parametrize("plan", [5, None], ids=repr)
+    def test_crash_plan_must_be_a_collection(self, msg3_spec, plan):
+        with pytest.raises(SimError, match=f"^crash plan {plan!r} is not a collection of \\(process, step\\) pairs$"):
+            run_simulation(msg3_spec, 1, [WorkloadOp("write", 1, "a", 0)], Schedule("fair", crash_plan=plan))
+
     @pytest.mark.parametrize("seed", [None, [1], True, 1.5, "7"], ids=repr)
     @pytest.mark.parametrize("policy", ["fair", "fifo"])
     def test_seed_must_be_an_int(self, msg3_spec, policy, seed):
@@ -281,6 +288,20 @@ class TestTraceRoundTrip:
         sim = Simulator(msg3_spec, 1, write_then_read())
         with pytest.raises(ScriptError):
             sim.run(Schedule("scripted", script=(("deliver", "9.9"),)))
+
+    @pytest.mark.parametrize(
+        "script, message",
+        [
+            ([5], "script event 5 at step 0 is not an event"),
+            ([("invoke", 0), None], "script event None at step 4 is not an event"),
+            (5, "script 5 is not a sequence of events"),
+            (None, "script None is not a sequence of events"),
+        ],
+        ids=["int-event", "none-event-mid-run", "int-script", "none-script"],
+    )
+    def test_script_that_is_not_events_rejected(self, msg3_spec, script, message):
+        with pytest.raises(ScriptError, match=f"^{message}$"):
+            run_simulation(msg3_spec, 1, write_then_read(), Schedule("scripted", script=script))
 
     @pytest.mark.parametrize(
         "start, message",
@@ -521,6 +542,40 @@ class TestIndexesAgainstRebuild:
         assert set(sim.network) == sent_to_crashed - delivered
         assert {msg.dest for msg in sim.network.values()} == {4, 5}
         assert not {("deliver", mid) for mid in sim.network} & seen
+
+
+class TestStepWithin:
+    def test_nothing_inside_the_side(self, msg3_spec):
+        sim = Simulator(msg3_spec, 1, [WorkloadOp("write", 1, "a", 0), WorkloadOp("read", 2, None, 0)])
+        sim.apply(("invoke", 0))  # sends W 1.1-1.3 from p1 to p1-p3
+        assert not sim.step_within(5, {2, 3})
+        assert sim.step == len(sim.trace) == 4
+
+    def test_invokes_the_op_index_the_workload_holds(self, msg3_spec):
+        sim = Simulator(msg3_spec, 1, [WorkloadOp("write", 1, "a", 0), WorkloadOp("read", 2, None, 0)])
+        assert sim.step_within(True, set())  # True == 1
+        assert sim.trace[0]["payload"] == {"op": 1, "kind": "read"}
+        assert type(sim.trace[0]["payload"]["op"]) is int
+
+    @settings(max_examples=100, deadline=None)
+    @given(sim_cases(), st.integers(0, 2**16))
+    def test_fires_the_oracles_event(self, case, seed):
+        """On random systems and workloads, with a random side and op
+        at each step, step_within fires what the rebuilt enabled list
+        puts first inside the side, and reports False exactly when that
+        is nothing."""
+        spec, t, workload, _ = case
+        rng = random.Random(seed)
+        sim, twin = Simulator(spec, t, workload), Simulator(spec, t, workload)
+        for _ in range(300):
+            side = {p for p in range(1, spec.n + 1) if rng.random() < 0.7}
+            op = rng.randrange(-1, len(workload) + 1)
+            ev = lowerbound_oracle.first_within(twin, op, side)
+            assert sim.step_within(op, side) == (ev is not None)
+            if ev is not None:
+                twin.apply(ev)
+            assert sim.enabled() == oracle.enabled(sim)
+        assert trace_lines(sim.trace) == trace_lines(twin.trace)
 
 
 def chosen_events(spec, t, workload, schedule, make_chooser):
