@@ -219,9 +219,15 @@ def check_monotonicity(trace) -> Verdict:
     return _monotonicity(project(trace).mono)
 
 
+def _check_tolerance(t) -> None:
+    if t is not None and type(t) is not int:  # bool is an int subclass
+        raise HistoryError(f"t={t!r} is not an integer")
+
+
 def check_completion(history, crashed, t: int | None = None) -> Verdict:
     """With at most t crashes, every operation of a surviving process
     responds; pending operations of crashed processes are exempt."""
+    _check_tolerance(t)
     _validate(history)
     if t is not None and len(crashed) > t:
         raise HistoryError(f"{len(crashed)} crashes exceed the tolerated {t}; liveness not promised")
@@ -246,24 +252,30 @@ def check_all(trace, history=None, crashed=None, t: int | None = None, props=PRO
     and Property 2, "mono" register monotonicity, and "live" completion.
     The trace is read once, through `project`; a `history` or `crashed`
     given here is used in place of the trace's.  Errors come in a fixed
-    order, whatever the selection: the first malformed line or event's,
-    then a given history's HistoryError, then each property's as above."""
+    order, whatever the selection: a malformed selection's or t's, then
+    the first malformed line or event's, then a given history's
+    HistoryError, then each property's as above."""
     if isinstance(props, str):
         raise HistoryError(f"properties {props!r} is a string, not a sequence of names from {','.join(PROPERTIES)}")
-    if not props or not set(props) <= set(PROPERTIES):
-        raise HistoryError(f"properties {','.join(props)!r} not a selection from {','.join(PROPERTIES)}")
+    try:
+        chosen = set(props)
+    except TypeError:  # not iterable, or holds an unhashable name
+        chosen = None
+    if not chosen or not chosen <= set(PROPERTIES):
+        raise HistoryError(f"properties {props!r} not a selection from {','.join(PROPERTIES)}")
+    _check_tolerance(t)
     projection = project(trace)
     if history is not None:
         _validate(history)
     history = _Validated(projection.history if history is None else history)
     verdict = Verdict(())
-    if "1" in props:
+    if "1" in chosen:
         verdict = verdict.merged(check_property1(history))
-    if "2" in props:
+    if "2" in chosen:
         verdict = verdict.merged(check_property2(history))
-    if "mono" in props:
+    if "mono" in chosen:
         verdict = verdict.merged(_monotonicity(projection.mono))
-    if "live" in props:
+    if "live" in chosen:
         if crashed is None:
             crashed = projection.crashed
         verdict = verdict.merged(check_completion(history, crashed, t))

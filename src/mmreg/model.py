@@ -126,6 +126,8 @@ class Graph:
             raise ModelError(f"edges {self.edges!r} are not a collection of pairs") from None
         for edge in edges:
             u, v = _endpoints(edge)
+            if not isinstance(edge, tuple):  # a frozenset {u, v} never equals the (u, v) that from_edges stores
+                raise ModelError(f"edge {edge!r} is a {type(edge).__name__}, not a (u, v) tuple")
             if not (1 <= u <= self.n and 1 <= v <= self.n):
                 raise ModelError(f"edge ({u},{v}) outside 1..{self.n}")
             if u >= v:

@@ -2,11 +2,13 @@
 
 Every process runs the same four: the writer's fan-out write, the read
 with write-back, and the two message handlers that touch the shared
-registers.  `_write` and `_read` yield the sends of each event and are
-sent the next ack; `_w_handler` and `_r_handler` are sent the
-simulator at each register access and return their ack.  `ProcessCore`
-holds the running ones and drives them one atomic step at a time; each
-shared-register access is its own step, never batched with another.
+registers.  `_write` and `_read` yield the sends of each event, are
+sent the next ack, and return the value written or read: they know
+sequence numbers and values, never which workload op they serve.
+`_w_handler` and `_r_handler` are sent the simulator at each register
+access and return their ack.  `ProcessCore` holds the running ones and
+drives them one atomic step at a time; each shared-register access is
+its own step, never batched with another.
 
 A process sends W/R messages to itself through the network like to
 anyone else, so quorum counting is uniform.  The W handler is the same
@@ -93,17 +95,19 @@ def _round(kind: str, pid: int, n: int, quorum: int, sn: int, value: TaggedValue
         msg = yield []
 
 
-def _write(op_id: int, pid: int, n: int, quorum: int, value: TaggedValue):
-    """Fan value out as W and wait for n - t ACK-Ws echoing its sn."""
+def _write(pid: int, n: int, quorum: int, value: TaggedValue):
+    """Fan value out as W, wait for n - t ACK-Ws echoing its sn, and
+    return the value written."""
     yield from _round(W, pid, n, quorum, value.sn, value)
-    return op_id, value
+    return value
 
 
-def _read(op_id: int, pid: int, n: int, quorum: int, sn: int):
+def _read(pid: int, n: int, quorum: int, sn: int):
     """Fan out R, wait for n - t ACK-Rs echoing sn, then write the freshest
-    reply back with its own sequence number: no new number is minted."""
+    reply back with its own sequence number: no new number is minted.
+    Returns the value read."""
     replies = yield from _round(R, pid, n, quorum, sn)
-    return (yield from _write(op_id, pid, n, quorum, max_tagged(replies.values())))
+    return (yield from _write(pid, n, quorum, max_tagged(replies.values())))
 
 
 def _w_handler(pid: int, regs: tuple, msg: Message):
@@ -136,7 +140,9 @@ class ProcessCore:
     in-flight local operation, `scan` the running `_w_handler` or
     `_r_handler` generator; each is None when there is none.  Neither
     holds the core or the simulator, so a run that a crash leaves
-    mid-operation holds no reference cycle.
+    mid-operation holds no reference cycle.  The core does not know
+    which workload op is running; the simulator keeps that op at the
+    head of the process's queue until `deliver` returns its value.
     """
 
     def __init__(self, pid: int, spec, quorum: int):
@@ -150,27 +156,27 @@ class ProcessCore:
         self.pending = None
         self.scan = None
 
-    def invoke_write(self, op_id: int, payload: str):
+    def invoke_write(self, payload: str | None):
         if self.pending is not None:
             raise ProtocolError(f"p{self.pid}: operation invoked while another is pending")
         self.sn_w += 1
-        self.pending = _write(op_id, self.pid, self.n, self.quorum, TaggedValue(self.sn_w, payload))
+        self.pending = _write(self.pid, self.n, self.quorum, TaggedValue(self.sn_w, payload))
         return next(self.pending)
 
-    def invoke_read(self, op_id: int):
+    def invoke_read(self):
         if self.pending is not None:
             raise ProtocolError(f"p{self.pid}: operation invoked while another is pending")
         self.sn_r += 1
-        self.pending = _read(op_id, self.pid, self.n, self.quorum, self.sn_r)
+        self.pending = _read(self.pid, self.n, self.quorum, self.sn_r)
         return next(self.pending)
 
     def deliver(self, msg: Message):
         """Handle one delivered message.
 
-        Returns (sends, response); response is (op_id, value) when the
-        local pending operation just completed.  W and R start a scan
-        and must not arrive while another scan is active; an ack goes
-        to the pending operation, if any.
+        Returns (sends, value): value is None until an ack completes the
+        pending operation, and then the value it wrote or read.  W and R
+        start a scan and must not arrive while another scan is active;
+        an ack goes to the pending operation, if any.
         """
         if msg.kind in (W, R):
             if self.scan is not None:

@@ -94,10 +94,12 @@ _OPEN, _SCAN, _DOWN = "open", "scan", "down"
 class Simulator:
     """One deterministic run of the protocol over a system spec.
 
-    The workload's rules are checked here, in `__init__`: each op is a
-    "write" by the spec's writer or a "read", its proc an int in 1..n,
-    its payload a str or None and its at_step an int >= 0.  The first op
-    that breaks one raises SimError naming the op's index.
+    The workload's rules are checked here, in `__init__`: it is a
+    collection of `WorkloadOp`s, each a "write" by the spec's writer or
+    a "read", its proc an int in 1..n, its payload a str or None and its
+    at_step an int >= 0.  A workload that is not a collection raises
+    SimError, and so does the first op that breaks a rule, naming the
+    op's index.
 
     The simulator holds the shared SWMR registers (`registers`) and
     enforces the access rule that `spec.readers` states: registers
@@ -110,12 +112,17 @@ class Simulator:
     step.  Events are small tuples: ("invoke", op_index),
     ("hstep", pid), ("deliver", msg_id).
 
+    Operations belong to the simulator, not the protocol: `_queue[p]`
+    holds p's op indices in workload order, and the running op stays at
+    its head from its invocation until it responds, so the respond
+    event names it and pops it.
+
     The enabled events are kept in three indexes, each in `enabled()`
     order, which `_sync` updates for the one process an event or a
     crash changed:
 
     - `_invokes`: the ready ops whose at_step has come, ascending.  An
-      op is ready when it is the next op of a live idle process;
+      op is ready when it heads the queue of a live idle process;
       `_timed` holds the other ready ops as (at_step, op), ascending,
       and `_due` moves them into `_invokes` once the step counter
       reaches their at_step;
@@ -139,9 +146,14 @@ class Simulator:
         n = spec.n
         quorum = ack_quorum(n, t)
         self.spec = spec
-        self.workload = list(workload)
+        try:
+            self.workload = list(workload)
+        except TypeError:  # not iterable
+            raise SimError(f"workload {workload!r} is not a collection of WorkloadOps") from None
         self._queue: dict[int, deque] = {p: deque() for p in range(1, n + 1)}
         for i, op in enumerate(self.workload):
+            if not isinstance(op, WorkloadOp):
+                raise SimError(f"workload op {i} is {op!r}, not a WorkloadOp")
             kind, proc, at = op.kind, op.proc, op.at_step
             if kind not in ("write", "read"):
                 raise SimError(f"workload op {i}: unknown op kind {kind!r}")
@@ -233,7 +245,8 @@ class Simulator:
             elif mode == _SCAN:
                 insort(self._scanning, p)
 
-        # The next op of each live idle process is ready.
+        # The op at the head of each live idle process's queue is ready;
+        # a running op heads its queue too, but its process is not idle.
         q = self._queue[p]
         op = q[0] if q and mode == _OPEN and core.pending is None else None
         old_op = self._ready.get(p)
@@ -318,47 +331,46 @@ class Simulator:
         return False
 
     def _fire(self, ev: tuple) -> None:
-        """The transition of an event that enabled() lists; unchecked."""
+        """The transition of an event that enabled() lists; unchecked.
+        Each kind sets up its event for one process p; then p is
+        re-indexed and its sends routed, at one site for all three."""
         kind = ev[0]
         if kind == "hstep":  # most events: a handler's register access
             p = ev[1]
             core = self.procs[p]
             sends = core.reg_step(self)
-            if core.scan is None:  # a step within a scan changes no index and sends nothing
-                self._sync(p)
-                self._route(sends)
+            if core.scan is not None:  # a step within a scan changes no index and sends nothing
+                return
         elif kind == "invoke":
             idx = ev[1]
             op = self.workload[idx]
-            self._queue[op.proc].popleft()
+            p = op.proc
             self.ops[idx].invoke_step = self.step
-            core = self.procs[op.proc]
             payload = {"op": idx, "kind": op.kind}
             if op.kind == "write":
-                sends = core.invoke_write(idx, op.payload)
+                sends = self.procs[p].invoke_write(op.payload)
                 # The written tuple is fixed at invocation; record it now so
                 # a crash-interrupted write still explains the value readers
                 # may have observed.
                 payload["value"] = list(sends[0].value)
             else:
-                sends = core.invoke_read(idx)
-            self._sync(op.proc)
-            self._record("invoke", op.proc, payload)
-            self._route(sends)
+                sends = self.procs[p].invoke_read()
+            self._record("invoke", p, payload)
         else:  # deliver
             mid = ev[1]
             msg = self.network.pop(mid)
-            no = self._inbox[msg.dest].pop(mid)
+            p = msg.dest
+            no = self._inbox[p].pop(mid)
             deliverable = self._deliverable
             del deliverable[bisect_left(deliverable, no)]
-            self._record("deliver", msg.dest, _msg_payload(mid, msg))
-            sends, response = self.procs[msg.dest].deliver(msg)
-            self._sync(msg.dest)
-            self._route(sends)
-            if response is not None:
-                op_id, value = response
-                self.ops[op_id].response_step = self.step
-                self._record("respond", msg.dest, {"op": op_id, "value": list(value)})
+            self._record("deliver", p, _msg_payload(mid, msg))
+            sends, value = self.procs[p].deliver(msg)
+            if value is not None:  # the op at the head of p's queue responds; it sent nothing
+                idx = self._queue[p].popleft()
+                self.ops[idx].response_step = self.step
+                self._record("respond", p, {"op": idx, "value": list(value)})
+        self._sync(p)
+        self._route(sends)
 
     def is_quiescent(self) -> bool:
         """Nothing is enabled, and no timed invocation is still to come."""

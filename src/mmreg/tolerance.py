@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import Bag, Graph, graph_square, induce_uniform
+from .model import Bag, Graph, graph_square
 
 # Subset enumeration is fine at desk scale only.
 DIRECT_LIMIT = 14

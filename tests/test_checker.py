@@ -138,6 +138,11 @@ class TestCompletion:
         with pytest.raises(HistoryError, match="exceed"):
             check_completion(fx.LIVE_OK_HISTORY, {1, 2}, t=1)
 
+    @pytest.mark.parametrize("t", [True, "1", 1.5], ids=repr)
+    def test_non_integer_t_rejected(self, t):
+        with pytest.raises(HistoryError, match=f"^t={re.escape(repr(t))} is not an integer$"):
+            check_completion([], {1, 2}, t)
+
 
 class TestDerivedChecks:
     """With one sequential writer, Property 1 implies that no read
@@ -219,6 +224,18 @@ class TestCheckAll:
     def test_a_string_selection_rejected(self, props):
         with pytest.raises(HistoryError, match=f"properties '{props}' is a string"):
             check_all([], props=props)
+
+    @pytest.mark.parametrize("props", [None, 5, ["1", 2], [["1"]], ("1", "x")], ids=repr)
+    def test_a_malformed_selection_rejected(self, props):
+        message = f"properties {props!r} not a selection from 1,2,mono,live"
+        with pytest.raises(HistoryError, match=f"^{re.escape(message)}$"):
+            check_all([], props=props)
+
+    @pytest.mark.parametrize("t", [True, "1", 1.5], ids=repr)
+    @pytest.mark.parametrize("props", [("live",), ("1",)])
+    def test_non_integer_t_rejected_whatever_the_selection(self, t, props):
+        with pytest.raises(HistoryError, match=f"^t={re.escape(repr(t))} is not an integer$"):
+            check_all([], t=t, props=props)
 
 
 def _outcome(check, history):

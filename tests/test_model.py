@@ -236,6 +236,8 @@ class TestSystemSpec:
         (lambda: Bag(3, 5), "^sets 5 are not a collection of process sets$"),
         (lambda: Bag(3, None), "^sets None are not a collection of process sets$"),
         (lambda: Bag(3, (5,)), "^set S_1 is 5, not a frozenset of process ids$"),
+        (lambda: Graph(3, frozenset({frozenset({1, 2})})), r"^edge frozenset\(\{1, 2\}\) is a frozenset, not a \(u, v\) tuple$"),
+        (lambda: Graph(3, frozenset({range(1, 3)})), r"^edge range\(1, 3\) is a range, not a \(u, v\) tuple$"),
     ],
     ids=[
         "no-processes", "edge-outside", "edge-unordered", "uncovered-spec", "neither-bag-nor-graph", "graph-no-processes",
@@ -243,6 +245,7 @@ class TestSystemSpec:
         "graph-edge-triple", "graph-edge-not-iterable", "edge-unhashable-endpoint", "edges-not-iterable",
         "graph-edges-a-list", "graph-edges-an-int", "graph-edges-none",
         "bag-sets-a-list", "bag-set-not-frozen", "bag-sets-an-int", "bag-sets-none", "bag-set-an-int",
+        "graph-edge-a-frozenset", "graph-edge-a-range",
     ],
 )
 def test_bad_model_input_raises(build, message):

@@ -32,35 +32,35 @@ def fig1_cores(fig1_spec):
 class TestWriteInvoke:
     def test_first_write_fans_out_to_all(self, msg3_spec):
         core = ProcessCore(1, msg3_spec, quorum=2)
-        sends = core.invoke_write(0, "a")
+        sends = core.invoke_write("a")
         assert len(sends) == 3
         assert {m.dest for m in sends} == {1, 2, 3}
         assert all(m.kind == W and m.value == TaggedValue(1, "a") for m in sends)
 
     def test_second_write_increments_sn(self, msg3_spec):
         core = ProcessCore(1, msg3_spec, quorum=2)
-        core.invoke_write(0, "a")
+        core.invoke_write("a")
         core.pending = None  # pretend the first write completed
-        sends = core.invoke_write(1, "b")
+        sends = core.invoke_write("b")
         assert all(m.value == TaggedValue(2, "b") for m in sends)
 
     def test_invoke_while_pending_is_misuse(self, msg3_spec):
         core = ProcessCore(1, msg3_spec, quorum=2)
-        core.invoke_write(0, "a")
+        core.invoke_write("a")
         with pytest.raises(ProtocolError, match="pending"):
-            core.invoke_write(1, "b")
+            core.invoke_write("b")
         with pytest.raises(ProtocolError, match="pending"):
-            core.invoke_read(2)
+            core.invoke_read()
 
     @pytest.mark.parametrize("first", ["write", "read"])
     def test_refused_invoke_bumps_no_counter(self, msg3_spec, first):
         core = ProcessCore(1, msg3_spec, quorum=2)
         if first == "write":
-            core.invoke_write(0, "a")
+            core.invoke_write("a")
         else:
-            core.invoke_read(0)
+            core.invoke_read()
         counters = (core.sn_w, core.sn_r)
-        for invoke in (lambda: core.invoke_write(1, "b"), lambda: core.invoke_read(1)):
+        for invoke in (lambda: core.invoke_write("b"), lambda: core.invoke_read()):
             with pytest.raises(ProtocolError, match="pending"):
                 invoke()
             assert (core.sn_w, core.sn_r) == counters
@@ -69,22 +69,22 @@ class TestWriteInvoke:
 class TestWriteQuorum:
     def test_write_counts_only_acks_w_echoing_its_sn(self, msg3_spec):
         core = ProcessCore(1, msg3_spec, quorum=2)
-        core.invoke_write(0, "a")
+        core.invoke_write("a")
         for stale in (Message(ACK_W, 2, 1, 2), Message(ACK_R, 3, 1, 1, INITIAL_VALUE)):
             assert core.deliver(stale) == ([], None)
         # Had either stale ack counted, this one would reach quorum 2.
         assert core.deliver(Message(ACK_W, 1, 1, 1)) == ([], None)
-        assert core.deliver(Message(ACK_W, 2, 1, 1)) == ([], (0, TaggedValue(1, "a")))
+        assert core.deliver(Message(ACK_W, 2, 1, 1)) == ([], TaggedValue(1, "a"))
 
     def test_write_back_ignores_acks_r(self, msg3_spec):
         core = ProcessCore(2, msg3_spec, quorum=2)
-        core.invoke_read(0)
+        core.invoke_read()
         core.deliver(Message(ACK_R, 1, 2, 1, TaggedValue(1, "a")))
         sends, _ = core.deliver(Message(ACK_R, 3, 2, 1, TaggedValue(1, "a")))
         assert [m.kind for m in sends] == [W, W, W]
         assert core.deliver(Message(ACK_R, 2, 2, 1, TaggedValue(1, "a"))) == ([], None)
         assert core.deliver(Message(ACK_W, 1, 2, 1)) == ([], None)
-        assert core.deliver(Message(ACK_W, 3, 2, 1)) == ([], (0, TaggedValue(1, "a")))
+        assert core.deliver(Message(ACK_W, 3, 2, 1)) == ([], TaggedValue(1, "a"))
 
 
 class TestWriteHandler:
@@ -179,7 +179,7 @@ class TestReadHandler:
 class TestReadQuorum:
     def test_write_back_preserves_sequence_number(self, msg3_spec):
         core = ProcessCore(2, msg3_spec, quorum=2)
-        core.invoke_read(0)
+        core.invoke_read()
         sends, resp = core.deliver(Message(ACK_R, 1, 2, 1, TaggedValue(2, "b")))
         assert sends == [] and resp is None
         sends, resp = core.deliver(Message(ACK_R, 3, 2, 1, TaggedValue(1, "a")))
@@ -190,13 +190,13 @@ class TestReadQuorum:
         _, resp = core.deliver(Message(ACK_W, 1, 2, 2))
         assert resp is None
         _, resp = core.deliver(Message(ACK_W, 3, 2, 2))
-        assert resp == (0, TaggedValue(2, "b"))
+        assert resp == TaggedValue(2, "b")
 
     def test_stale_ack_r_ignored(self, msg3_spec):
         core = ProcessCore(2, msg3_spec, quorum=2)
-        core.invoke_read(0)
+        core.invoke_read()
         core.pending = None
-        core.invoke_read(1)  # sn_r is now 2
+        core.invoke_read()  # sn_r is now 2
         sends, resp = core.deliver(Message(ACK_R, 1, 2, 1, TaggedValue(0, None)))
         assert sends == [] and resp is None
         # Had the stale ack counted, p3's fresh one would reach quorum 2.
@@ -206,7 +206,7 @@ class TestReadQuorum:
 
     def test_duplicate_sender_counted_once(self, msg3_spec):
         core = ProcessCore(2, msg3_spec, quorum=2)
-        core.invoke_read(0)
+        core.invoke_read()
         core.deliver(Message(ACK_R, 1, 2, 1, TaggedValue(0, None)))
         sends, _ = core.deliver(Message(ACK_R, 1, 2, 1, TaggedValue(0, None)))
         assert sends == []  # still below quorum
@@ -214,8 +214,8 @@ class TestReadQuorum:
     def test_independent_read_counters(self, msg3_spec):
         a = ProcessCore(1, msg3_spec, quorum=2)
         b = ProcessCore(2, msg3_spec, quorum=2)
-        a.invoke_read(0)
-        b.invoke_read(1)
+        a.invoke_read()
+        b.invoke_read()
         assert a.sn_r == 1 and b.sn_r == 1
 
 

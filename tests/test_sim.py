@@ -338,6 +338,9 @@ JUNK = {
 }
 
 
+WRITE_A = WorkloadOp("write", 1, "a")
+
+
 @st.composite
 def maybe_bad_ops(draw):
     """An op of the msg3 system, valid or with one field from JUNK."""
@@ -357,23 +360,25 @@ class TestWorkloadContract:
     caller cannot start a run whose trace the checker would reject."""
 
     @pytest.mark.parametrize(
-        "op, message",
+        "workload, message",
         [
-            (WorkloadOp("read", True), "workload op 1: proc True is not an integer"),
-            (WorkloadOp("read", "2"), "workload op 1: proc '2' is not an integer"),
-            (WorkloadOp("read", 2, None, 2.5), "workload op 1: at_step 2.5 is not a non-negative integer"),
-            (WorkloadOp("read", 2, None, "x"), "workload op 1: at_step 'x' is not a non-negative integer"),
-            (WorkloadOp("write", 1, 7), "workload op 1: payload 7 is not a string or None"),
-            (WorkloadOp("read", 2, None, -1), "workload op 1: at_step -1 is not a non-negative integer"),
-            (WorkloadOp("write", 2, "b"), "workload op 1: write assigned to p2, but the writer is p1"),
-            (WorkloadOp("read", 4), "workload process p4 outside 1..3, at op 1"),
+            ([WRITE_A, WorkloadOp("read", True)], "workload op 1: proc True is not an integer"),
+            ([WRITE_A, WorkloadOp("read", "2")], "workload op 1: proc '2' is not an integer"),
+            ([WRITE_A, WorkloadOp("read", 2, None, 2.5)], "workload op 1: at_step 2.5 is not a non-negative integer"),
+            ([WRITE_A, WorkloadOp("read", 2, None, "x")], "workload op 1: at_step 'x' is not a non-negative integer"),
+            ([WRITE_A, WorkloadOp("write", 1, 7)], "workload op 1: payload 7 is not a string or None"),
+            ([WRITE_A, WorkloadOp("read", 2, None, -1)], "workload op 1: at_step -1 is not a non-negative integer"),
+            ([WRITE_A, WorkloadOp("write", 2, "b")], "workload op 1: write assigned to p2, but the writer is p1"),
+            ([WRITE_A, WorkloadOp("read", 4)], "workload process p4 outside 1..3, at op 1"),
+            ([WRITE_A, None], "workload op 1 is None, not a WorkloadOp"),
+            (None, "workload None is not a collection of WorkloadOps"),
         ],
         ids=["proc-bool", "proc-string", "at-step-float", "at-step-string", "payload-int", "at-step-negative",
-             "write-by-reader", "proc-outside"],
+             "write-by-reader", "proc-outside", "op-none", "workload-none"],
     )
-    def test_bad_workload_op_raises(self, msg3_spec, op, message):
+    def test_bad_workload_op_raises(self, msg3_spec, workload, message):
         with pytest.raises(SimError, match=f"^{re.escape(message)}$"):
-            Simulator(msg3_spec, 1, [WorkloadOp("write", 1, "a"), op])
+            Simulator(msg3_spec, 1, workload)
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(maybe_bad_ops(), max_size=4), st.integers(0, 2**16))
