@@ -222,6 +222,8 @@ def check_monotonicity(trace) -> Verdict:
 def _check_tolerance(t) -> None:
     if t is not None and type(t) is not int:  # bool is an int subclass
         raise HistoryError(f"t={t!r} is not an integer")
+    if t is not None and t < 0:
+        raise HistoryError(f"t={t} is negative: a crash budget must be >= 0")
 
 
 def check_completion(history, crashed, t: int | None = None) -> Verdict:

@@ -100,13 +100,19 @@ def build_e3(spec: SystemSpec, t: int, witness: Witness) -> Simulator:
 def isolation_holds(sim: Simulator, witness: Witness) -> bool:
     """During phases 1-2 of `build_e3`'s run, which end when the read
     (op 1) responds, no register readable by P' is written by a P
-    process."""
+    process.  A run whose op 1 is missing or never responded has no
+    such phases, and raises LowerBoundError."""
+    if len(sim.ops) < 2:
+        raise LowerBoundError(f"the run has {len(sim.ops)} op(s): no read (op 1) ends phases 1-2")
+    end = sim.ops[1].response_step
+    if end is None:
+        raise LowerBoundError("the read (op 1) never responded, so phases 1-2 never ended")
     p_set = set(witness[0])
     readable_by_pp = set()
     for p in witness[1]:
         readable_by_pp.update(sim.spec.readable_registers(p))
     # build_e3's run has no idle tick, so event i is step i.
-    for _, actor, reg, _ in register_writes(sim.trace[: sim.ops[1].response_step]):
+    for _, actor, reg, _ in register_writes(sim.trace[:end]):
         if actor in p_set and reg in readable_by_pp:
             return False
     return True

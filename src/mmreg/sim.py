@@ -57,7 +57,8 @@ class Schedule:
     policy: "fair" (seeded uniform choice with aging so every pending
     message is eventually delivered), "fifo" (deterministic, delivery in
     send order), or "scripted" (replay an explicit event list, to its end).
-    seed is an int, which `Simulator.run` requires whatever the policy.
+    seed is an int, which `Simulator.run` requires whatever the policy;
+    it refuses a non-empty script under any policy but "scripted".
     crash_plan entries are (process, step) pairs of ints: `Simulator.run`
     crashes each named process once the step counter reaches its step.
     """
@@ -385,6 +386,8 @@ class Simulator:
         n = self.spec.n
         if type(schedule.seed) is not int:  # None would seed from the OS; bool is an int subclass
             raise SimError(f"seed {schedule.seed!r} is not an integer")
+        if schedule.script and schedule.policy != "scripted":
+            raise SimError(f"policy {schedule.policy!r} reads no script; only \"scripted\" replays one")
         try:
             plan = tuple(schedule.crash_plan)
         except TypeError:  # not iterable

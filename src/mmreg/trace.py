@@ -5,10 +5,11 @@ A trace is the list of a run's events in step order; a trace file
 holds one per line, as {"step", "kind", "actor", "payload"}, with the
 kinds and payload fields listed in the README.  The simulator appends
 the events, and everything else reads them through this module.
-`load_trace` yields a file's events one at a time, and `project` reads
-any iterable of events once, building all its parts together: the op
-records, the per-register monotonicity result and the crashed set.  So
-checking a trace file holds O(ops + registers), not every event.  A
+`emit_trace` writes each event as it encodes it, `load_trace` yields a
+file's events one at a time, and `project` reads any iterable of events
+once, building all its parts together: the op records, the per-register
+monotonicity result and the crashed set.  So writing a trace file holds
+one line, and checking one O(ops + registers), not every event.  A
 trace is outside input: the reader holds each line, and the pass each
 event and op record (`check_record`), to its rule.  The first malformed
 line or event raises, naming it (event i is line i of a file written
@@ -78,11 +79,23 @@ def trace_lines(trace) -> list[str]:
 
 
 def emit_trace(trace, path) -> None:
-    """Newline-delimited JSON, one event per line, stable field order."""
+    """Newline-delimited JSON, one event per line, stable field order:
+    the lines of `trace_lines`, each ended by "\\n".  Each event is
+    written as it is encoded, so the writer holds one line, not all of
+    them.  If an event fails to encode, or `trace` itself raises, the
+    exception propagates and a file (anything seekable) is left empty."""
+    encode, join = _ENCODE, "".join
     with open(Path(path), "w", encoding="utf-8") as f:
-        for line in trace_lines(trace):
-            f.write(line)
-            f.write("\n")
+        write = f.write
+        try:
+            for ev in trace:
+                write(join(encode(ev, 0)))
+                write("\n")
+        except BaseException:  # no partial trace: cut what was written, then re-raise
+            if f.seekable():
+                f.seek(0)
+                f.truncate()
+            raise
 
 
 def load_trace(path):

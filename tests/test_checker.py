@@ -143,6 +143,11 @@ class TestCompletion:
         with pytest.raises(HistoryError, match=f"^t={re.escape(repr(t))} is not an integer$"):
             check_completion([], {1, 2}, t)
 
+    def test_negative_t_rejected(self):
+        # Not "0 crashes exceed the tolerated -1", which blames the crashes.
+        with pytest.raises(HistoryError, match=r"^t=-1 is negative: a crash budget must be >= 0$"):
+            check_completion([], set(), -1)
+
 
 class TestDerivedChecks:
     """With one sequential writer, Property 1 implies that no read
@@ -236,6 +241,12 @@ class TestCheckAll:
     def test_non_integer_t_rejected_whatever_the_selection(self, t, props):
         with pytest.raises(HistoryError, match=f"^t={re.escape(repr(t))} is not an integer$"):
             check_all([], t=t, props=props)
+
+    @pytest.mark.parametrize("props", [("live",), ("1",)])
+    @pytest.mark.parametrize("trace", [[], [5]], ids=["empty", "bad-event"])
+    def test_negative_t_rejected_before_the_events(self, trace, props):
+        with pytest.raises(HistoryError, match=r"^t=-1 is negative: a crash budget must be >= 0$"):
+            check_all(trace, t=-1, props=props)
 
 
 def _outcome(check, history):

@@ -8,6 +8,7 @@ from mmreg import (
     Simulator,
     SystemSpec,
     ToleranceError,
+    WorkloadOp,
     bag_of,
     build_e3,
     check_property1,
@@ -108,6 +109,19 @@ class TestBuildE3:
         sim = build_e3(fig1_spec, 4, find_witness(fig1_spec.bag, 4))
         # p1 writes R_1[1] in phase 1, and p2 shares S_1 = {1, 2}.
         assert not isolation_holds(sim, ((1,), (2,)))
+
+    def test_isolation_needs_a_read_that_responded(self, fig1_spec):
+        """Phases 1-2 end when op 1 responds: a run with no op 1, or one
+        whose read never responded (its process crashed at step 0), is
+        refused rather than read to its end or indexed past its ops."""
+        write, read = WorkloadOp("write", 1, "a", 0), WorkloadOp("read", 4, None, 0)
+        one_op = run_simulation(fig1_spec, 3, [write], Schedule("fifo"))
+        with pytest.raises(LowerBoundError, match=r"^the run has 1 op\(s\): no read \(op 1\) ends phases 1-2$"):
+            isolation_holds(one_op, ((1,), (4,)))
+        unanswered = run_simulation(fig1_spec, 3, [write, read], Schedule("fair", seed=1, crash_plan=((4, 0),)))
+        assert unanswered.ops[1].response_step is None
+        with pytest.raises(LowerBoundError, match=r"^the read \(op 1\) never responded, so phases 1-2 never ended$"):
+            isolation_holds(unanswered, ((1,), (4,)))
 
     def test_event_i_is_step_i(self, fig1_spec, singleton5_spec):
         """isolation_holds reads phases 1-2 as trace[:response_step] of

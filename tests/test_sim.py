@@ -316,8 +316,16 @@ class TestTraceRoundTrip:
                 replay_with_one_event_more,
                 re.escape("run quiescent at step 1032 with 1 script event(s) left, from ('invoke', 7)"),
             ),
+            (
+                lambda spec: run_simulation(spec, 1, [WorkloadOp("write", 1, "a")], Schedule("fair", seed=1, script=(("bogus", 1),))),
+                "^policy 'fair' reads no script; only \"scripted\" replays one$",
+            ),
+            (
+                lambda spec: run_simulation(spec, 1, write_then_read(), Schedule("fifo", script=(("invoke", 0),))),
+                "^policy 'fifo' reads no script; only \"scripted\" replays one$",
+            ),
         ],
-        ids=["unknown-op-kind", "unknown-policy", "script-ends-early", "script-left-over"],
+        ids=["unknown-op-kind", "unknown-policy", "script-ends-early", "script-left-over", "script-under-fair", "script-under-fifo"],
     )
     def test_bad_run_input_raises(self, msg3_spec, start, message):
         with pytest.raises(SimError, match=message):

@@ -7,8 +7,11 @@ import copy
 import io
 import json
 import random
+import tempfile
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
-from itertools import combinations
+from itertools import combinations, cycle, islice
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -136,6 +139,12 @@ def test_an_iterator_over_a_run_is_checked_like_the_run(seed):
 # -- trace files through `mmreg check` --------------------------------------
 
 
+def emitted(trace) -> bytes:
+    """The file `emit_trace` should write: each of `trace_lines`,
+    ended by a newline."""
+    return "".join(line + "\n" for line in trace_lines(trace)).encode()
+
+
 def check_file(path) -> tuple:
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
@@ -163,6 +172,9 @@ def test_check_of_a_file_matches_check_all_of_the_list(tmp_path, seed):
     trace = RUNS[seed].trace
     path = tmp_path / "run.jsonl"
     emit_trace(trace, path)
+    assert path.read_bytes() == emitted(trace)
+    emit_trace((ev for ev in trace), tmp_path / "once.jsonl")
+    assert (tmp_path / "once.jsonl").read_bytes() == emitted(trace)
     verdict = check_all(trace)
     assert check_file(path) == (int(not verdict.ok), json.dumps({"ok": verdict.ok, "violations": verdict.as_dicts()}) + "\n", "")
 
@@ -300,6 +312,12 @@ _VALUES = st.recursive(
 @given(st.lists(st.dictionaries(_KEYS, _VALUES, max_size=5), max_size=4))
 def test_trace_lines_are_json_dumps(events):
     assert trace_lines(events) == [json.dumps(ev, separators=(",", ":")) for ev in events]
+    with tempfile.TemporaryDirectory() as tmp:  # a function-scoped tmp_path would be shared by every example
+        path = Path(tmp) / "run.jsonl"
+        emit_trace(events, path)
+        assert path.read_bytes() == emitted(events)
+        emit_trace((ev for ev in events), path)
+        assert path.read_bytes() == emitted(events)
 
 
 def test_trace_lines_raise_what_the_encoder_raised():
@@ -317,3 +335,57 @@ def test_trace_lines_raise_what_the_encoder_raised():
     with pytest.raises(RecursionError):
         trace_lines([cyclic])
     assert trace_lines([READ]) == [json.dumps(READ, separators=(",", ":"))]
+
+
+def _cyclic() -> dict:
+    ev = {**READ, "payload": {}}
+    ev["payload"]["self"] = ev
+    return ev
+
+
+def _raising():
+    yield from [READ] * 5000
+    raise KeyError("mid-trace")
+
+
+@pytest.mark.parametrize(
+    "make, error",
+    [
+        (lambda: [READ] * 5000 + [{**READ, "payload": {"value": {1, 2}}}], TypeError),
+        (lambda: [READ] * 5000 + [_cyclic()], RecursionError),
+        (_raising, KeyError),
+    ],
+    ids=["unencodable", "cyclic", "trace-raises"],
+)
+def test_a_failed_emit_leaves_an_empty_file(tmp_path, make, error):
+    """A trace whose last event fails to encode, or that raises itself,
+    leaves the file empty and raises what `trace_lines` raises on it,
+    although the lines before it fill the write buffer many times over."""
+    with pytest.raises(error) as expected:
+        trace_lines(make())
+    path = tmp_path / "run.jsonl"
+    path.write_text("an earlier run\n")
+    with pytest.raises(error) as raised:
+        emit_trace(make(), path)
+    assert str(raised.value) == str(expected.value)
+    assert path.read_bytes() == b""
+
+
+def test_emit_holds_one_line_at_a_time(tmp_path):
+    """Emitting 30 000 events, 2.9 MB of text, allocates under 1 MB at
+    its peak: a writer that holds every line first needs about 4.6 MB."""
+    events = list(islice(cycle([ev for run in RUNS for ev in run.trace]), 30_000))
+    assert len(emitted(events)) > 2_500_000
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        emit_trace(events, tmp_path / "run.jsonl")
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak < 1_000_000
+    assert (tmp_path / "run.jsonl").read_bytes() == emitted(events)
