@@ -87,21 +87,7 @@ def smallest_failing_pair(n: int, reach: list[int], size: int) -> Witness | None
     if size < 1 or 2 * size > n:  # disjoint sides need 2 * size <= n
         return None
     left: list[int] = []
-
-    def grow(start: int, free: int) -> int | None:
-        if len(left) == size:
-            return free
-        for i in range(start, n - size + len(left) + 1):  # leave room for the rest of A
-            f = free & ~reach[i]
-            if f.bit_count() >= size:
-                left.append(i)
-                found = grow(i + 1, f)
-                if found is not None:
-                    return found
-                left.pop()
-        return None
-
-    free = grow(0, (1 << n) - 1)
+    free = _grow_left(n, reach, size, left, 0, (1 << n) - 1)
     if free is None:
         return None
     right = []
@@ -110,6 +96,25 @@ def smallest_failing_pair(n: int, reach: list[int], size: int) -> Witness | None
         right.append(low.bit_length())
         free ^= low
     return (tuple(i + 1 for i in left), tuple(right))
+
+
+def _grow_left(n: int, reach: list[int], size: int, left: list[int], start: int, free: int) -> int | None:
+    """`smallest_failing_pair`'s search below the prefix `left`, whose
+    free set is `free`: extends `left` in place to the first left side
+    with `size` free processes and returns its free set, or restores it
+    and returns None.  A module-level function, not a closure that calls
+    itself, so a search leaves no reference cycle behind."""
+    if len(left) == size:
+        return free
+    for i in range(start, n - size + len(left) + 1):  # leave room for the rest of A
+        f = free & ~reach[i]
+        if f.bit_count() >= size:
+            left.append(i)
+            found = _grow_left(n, reach, size, left, i + 1, f)
+            if found is not None:
+                return found
+            left.pop()
+    return None
 
 
 def _scan(n: int, reach: list[int]) -> ToleranceResult:
@@ -158,20 +163,23 @@ def _max_unbridged_side(n: int, reach: list[int]) -> int:
     rest = [0] * (n + 1)  # rest[j]: the processes order[j:]
     for j in range(n - 1, -1, -1):
         rest[j] = rest[j + 1] | 1 << order[j]
-    best = 0
+    return _grow_side(n, reach, order, rest, 0, 0, 0, 0)
 
-    def grow(i: int, size: int, clo: int) -> None:
-        nonlocal best
-        f = n - clo.bit_count()  # |free(A)|
-        best = max(best, min(size, f))
-        if f <= best:
-            return
-        for j in range(i, n):
-            if size + n - j <= best or (size + f + (rest[j] & clo).bit_count()) // 2 <= best:
-                return
-            grow(j + 1, size + 1, clo | reach[order[j]])
 
-    grow(0, 0, 0)
+def _grow_side(n: int, reach: list[int], order: list[int], rest: list[int], i: int, size: int, clo: int, best: int) -> int:
+    """`_max_unbridged_side`'s branch and bound below a left side of
+    `size` processes, the union of whose reach is `clo`, with the
+    processes order[i:] undecided.  Returns the best value found,
+    starting from `best`.  A module-level function, not a closure that
+    calls itself, so a search leaves no reference cycle behind."""
+    f = n - clo.bit_count()  # |free(A)|
+    best = max(best, min(size, f))
+    if f <= best:
+        return best
+    for j in range(i, n):
+        if size + n - j <= best or (size + f + (rest[j] & clo).bit_count()) // 2 <= best:
+            return best
+        best = _grow_side(n, reach, order, rest, j + 1, size + 1, clo | reach[order[j]], best)
     return best
 
 

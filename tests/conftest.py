@@ -1,4 +1,6 @@
+import gc
 import warnings
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import settings
@@ -17,6 +19,59 @@ settings.load_profile("deterministic")
 with warnings.catch_warnings():
     warnings.simplefilter("ignore", DeprecationWarning)
     import hypothesis.extra._patching  # noqa: F401
+
+
+def _collector_settings():
+    return gc.isenabled(), gc.get_threshold(), gc.get_debug()
+
+
+@pytest.fixture(autouse=True)
+def gc_hygiene():
+    """Fail a test that changes the cyclic collector's settings or leaves
+    objects in gc.garbage, after putting both back for the next test.
+    gc.callbacks is not compared: hypothesis may install its own."""
+    before = _collector_settings()
+    yield
+    after = _collector_settings()
+    garbage = len(gc.garbage)
+    gc.garbage.clear()
+    enabled, threshold, debug = before
+    (gc.enable if enabled else gc.disable)()
+    gc.set_threshold(*threshold)
+    gc.set_debug(debug)
+    assert after == before, f"the test changed the collector's (enabled, threshold, debug) from {before} to {after}"
+    assert not garbage, f"the test left {garbage} object(s) in gc.garbage"
+
+
+@contextmanager
+def _cyclic_garbage():
+    """Run the block with the collector off, and yield a list that on
+    exit holds the cyclic garbage the block made: what a collection then
+    finds unreachable, kept by DEBUG_SAVEALL."""
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    garbage = []
+    try:
+        yield garbage
+        flags = gc.get_debug()
+        gc.set_debug(flags | gc.DEBUG_SAVEALL)
+        try:
+            gc.collect()
+            garbage.extend(gc.garbage)
+        finally:
+            gc.set_debug(flags)
+            gc.garbage.clear()
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@pytest.fixture
+def cyclic_garbage():
+    """`with cyclic_garbage() as garbage:` leaves in `garbage` every
+    object of a reference cycle that the block's code dropped."""
+    return _cyclic_garbage
 
 
 @pytest.fixture

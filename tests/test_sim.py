@@ -668,31 +668,18 @@ def test_no_two_events_share_a_payload_or_a_value_list(fig1_spec):
 # -- a finished run is freed by reference counting -----------------------
 
 
-@contextmanager
-def collector_off():
-    gc.collect()
-    gc.disable()
-    try:
-        yield
-    finally:
-        gc.enable()
-
-
-def is_trace_event(obj) -> bool:
-    return type(obj) is dict and obj.keys() == {"step", "kind", "actor", "payload"}
-
-
 class TestFreedByRefcount:
-    def test_run_simulation(self, fig1_spec):
-        with collector_off():
+    def test_run_simulation(self, fig1_spec, cyclic_garbage):
+        with cyclic_garbage() as garbage:
             sim = run_simulation(fig1_spec, 3, write_then_read(4), Schedule("fair", seed=1, crash_plan=((5, 9),)))
             assert sim.trace
             ref = weakref.ref(sim)
             del sim
             assert ref() is None
+        assert not garbage
 
-    def test_apply(self, msg3_spec):
-        with collector_off():
+    def test_apply(self, msg3_spec, cyclic_garbage):
+        with cyclic_garbage() as garbage:
             sim = Simulator(msg3_spec, 1, write_then_read())
             for ev in [("invoke", 0), ("deliver", "1.1"), ("hstep", 1)]:
                 sim.apply(ev)
@@ -700,9 +687,10 @@ class TestFreedByRefcount:
             ref = weakref.ref(sim)
             del sim
             assert ref() is None
+        assert not garbage
 
-    def test_mid_operation_and_mid_scan(self, msg3_spec):
-        with collector_off():
+    def test_mid_operation_and_mid_scan(self, msg3_spec, cyclic_garbage):
+        with cyclic_garbage() as garbage:
             sim = Simulator(msg3_spec, 1, write_then_read())
             for ev in [("invoke", 0), ("deliver", "1.1")]:
                 sim.apply(ev)
@@ -710,24 +698,83 @@ class TestFreedByRefcount:
             ref = weakref.ref(sim.procs[1])
             del sim
             assert ref() is None
+        assert not garbage
 
-    def test_build_e3(self, fig1_spec):
-        with collector_off():
+    def test_build_e3(self, fig1_spec, cyclic_garbage):
+        with cyclic_garbage() as garbage:
             sim = build_e3(fig1_spec, 4, find_witness(fig1_spec.bag, 4))
             ref = weakref.ref(sim)
             del sim
             assert ref() is None
+        assert not garbage
 
-    def test_fuzz_batch_leaves_no_run_to_the_collector(self, fig1_spec):
-        flags = gc.get_debug()
-        with collector_off():
+    def test_fuzz_batch_leaves_no_run_to_the_collector(self, fig1_spec, cyclic_garbage):
+        # Nothing at all, not just no simulator or event: the batch's
+        # t_bridge and checks leave no cycle either.
+        with cyclic_garbage() as garbage:
             report = cli.fuzz(fig1_spec, 20, 3)
             assert report["runs"] == 20 and not report["violations"]
-            gc.set_debug(gc.DEBUG_SAVEALL)
-            try:
-                gc.collect()
-                unreachable = list(gc.garbage)
-            finally:
-                gc.set_debug(flags)
-                gc.garbage.clear()
-        assert not [obj for obj in unreachable if isinstance(obj, Simulator) or is_trace_event(obj)]
+        assert not garbage, sorted({type(obj).__name__ for obj in garbage})
+
+
+@contextmanager
+def collector(on: bool):
+    """The collector switched on or off for the block, then put back."""
+    enabled = gc.isenabled()
+    (gc.enable if on else gc.disable)()
+    try:
+        yield
+    finally:
+        (gc.enable if enabled else gc.disable)()
+
+
+def forty_ops() -> list:
+    return [WorkloadOp("write", 1, f"w{k}") if k % 2 == 0 else WorkloadOp("read", 2 + k % 4) for k in range(40)]
+
+
+class TestCollectorPause:
+    """`run` turns the cyclic collector off for its loop and, on every
+    exit, puts back the state it found."""
+
+    @pytest.mark.parametrize("on", [True, False], ids=["was-on", "was-off"])
+    def test_prior_state_comes_back(self, fig1_spec, on):
+        with collector(on):
+            run_simulation(fig1_spec, 3, write_then_read(4), Schedule("fair", seed=1, crash_plan=((5, 9),)))
+            assert gc.isenabled() is on
+
+    @pytest.mark.parametrize("on", [True, False], ids=["was-on", "was-off"])
+    @pytest.mark.parametrize(
+        "schedule, error, message",
+        [
+            (Schedule("fifo"), SimError, "step budget 10 exceeded"),
+            (Schedule("scripted", script=(("hstep", 1),)), ScriptError, re.escape("event ('hstep', 1) not enabled at step 0")),
+        ],
+        ids=["step-budget", "script-not-enabled"],
+    )
+    def test_prior_state_comes_back_when_run_raises(self, msg3_spec, monkeypatch, on, schedule, error, message):
+        monkeypatch.setattr("mmreg.sim.MAX_STEPS", 10)
+        with collector(on):
+            with pytest.raises(error, match=message):
+                run_simulation(msg3_spec, 1, write_then_read(), schedule)
+            assert gc.isenabled() is on
+
+    def test_no_collection_during_a_run(self, fig1_spec):
+        sim = Simulator(fig1_spec, 3, forty_ops())
+        starts = []
+
+        def watch(phase, info):
+            if phase == "start":
+                starts.append(info["generation"])
+
+        remove = gc.callbacks.remove  # bound now: binding it after the run allocates
+        gc.collect()  # else the run's set-up could reach the young generation's threshold
+        gc.callbacks.append(watch)
+        try:
+            sim.run(Schedule("fair", seed=1))
+        finally:
+            remove(watch)
+        assert gc.isenabled()
+        # Each event holds a tracked dict, so with the collector on the
+        # run would have started a young collection.
+        assert len(sim.trace) >= 300 and len(sim.trace) > gc.get_threshold()[0]
+        assert starts == []

@@ -12,6 +12,7 @@ from mmreg import (
     LowerBoundError,
     ToleranceError,
     bag_of,
+    demo,
     find_witness,
     induce_uniform,
     lower_bound_floor,
@@ -262,6 +263,27 @@ class TestUniform:
     @given(small_graphs())
     def test_equals_direct_on_induced_bag(self, g):
         assert t_uniform(g).t == t_direct(induce_uniform(g)).t
+
+
+class TestSearchesLeaveNoCycle:
+    """Each search is freed by reference counting alone: the collector
+    finds nothing it left behind."""
+
+    @pytest.mark.parametrize(
+        "search",
+        [
+            lambda spec, g: t_bridge(spec.bag),
+            lambda spec, g: t_direct(spec.bag),
+            lambda spec, g: t_uniform(g),
+            lambda spec, g: find_witness(spec.bag, 4),
+            lambda spec, g: demo(spec, 4),
+        ],
+        ids=["t_bridge", "t_direct", "t_uniform", "find_witness", "demo"],
+    )
+    def test_no_cyclic_garbage(self, fig1_spec, fig1_graph, cyclic_garbage, search):
+        with cyclic_garbage() as garbage:
+            search(fig1_spec, fig1_graph)
+        assert not garbage, sorted({type(obj).__name__ for obj in garbage})
 
 
 class TestWitnessValidity:
