@@ -728,10 +728,6 @@ def collector(on: bool):
         (gc.enable if enabled else gc.disable)()
 
 
-def forty_ops() -> list:
-    return [WorkloadOp("write", 1, f"w{k}") if k % 2 == 0 else WorkloadOp("read", 2 + k % 4) for k in range(40)]
-
-
 class TestCollectorPause:
     """`run` turns the cyclic collector off for its loop and, on every
     exit, puts back the state it found."""
@@ -759,14 +755,15 @@ class TestCollectorPause:
             assert gc.isenabled() is on
 
     def test_no_collection_during_a_run(self, fig1_spec):
-        sim = Simulator(fig1_spec, 3, forty_ops())
+        workload = [WorkloadOp("write", 1, f"w{k}") if k % 2 == 0 else WorkloadOp("read", 2 + k % 4) for k in range(40)]
+        sim = Simulator(fig1_spec, 3, workload)
         starts = []
 
         def watch(phase, info):
             if phase == "start":
                 starts.append(info["generation"])
 
-        remove = gc.callbacks.remove  # bound now: binding it after the run allocates
+        remove = gc.callbacks.remove  # bound now: after the run, binding it would allocate and could start a collection
         gc.collect()  # else the run's set-up could reach the young generation's threshold
         gc.callbacks.append(watch)
         try:
