@@ -16,7 +16,7 @@ from .checker import PROPERTIES, check_all
 from .lowerbound import demo
 from .model import load_spec
 from .protocol import ProtocolError
-from .sim import Schedule, SimError, WorkloadOp, run_simulation
+from .sim import Schedule, SimError, WorkloadOp, collector_paused, run_simulation
 from .tolerance import BRIDGE_LIMIT, DIRECT_LIMIT, t_bridge, t_direct
 from .trace import emit_trace, load_trace
 
@@ -71,15 +71,20 @@ def fuzz(spec, runs: int, base_seed: int, crashes: int | None = None, t: int | N
     """Seeded batch of random runs, each checked for atomicity and
     monotonicity, and for completion when the run crashes at most as
     many processes as the t it runs with.  Crash plans stay within the
-    tolerated budget unless overridden."""
+    tolerated budget unless overridden.
+
+    The loop of runs, from each workload to its recorded issues, runs
+    under `collector_paused`.  Every run dies inside it, freed by
+    reference counting when the next replaces it, so no collection ever
+    walks a run's trace; `t_bridge` and the summary stay outside."""
     for name, value in (("runs", runs), ("base_seed", base_seed)):
         if type(value) is not int:  # bool is an int subclass
             raise SimError(f"{name} must be an integer, got {value!r}")
+        if value < 0:  # random.Random(-s) seeds from s
+            raise SimError(f"{name} must be >= 0, got {value}")
     for name, value in (("crashes", crashes), ("t", t)):
         if value is not None and type(value) is not int:
             raise SimError(f"{name} must be an integer or None, got {value!r}")
-    if runs < 0:
-        raise SimError(f"runs must be >= 0, got {runs}")
     if crashes is not None and not 0 <= crashes <= spec.n:
         raise SimError(f"crashes must be in 0..{spec.n}, got {crashes}")
     t_l = t_bridge(spec.bag).t if t is None or crashes is None else None
@@ -87,19 +92,21 @@ def fuzz(spec, runs: int, base_seed: int, crashes: int | None = None, t: int | N
     issues = []
     starved = 0
     total_steps = 0
-    for i in range(runs):
-        seed = base_seed * 1_000_003 + i
-        rng = random.Random(seed)
-        workload = random_workload(spec, rng)
-        n_crashes = crashes if crashes is not None else rng.randint(0, t_l)
-        plan = random_crash_plan(spec, rng, n_crashes)
-        sim = run_simulation(spec, threshold, workload, Schedule("fair", seed=seed, crash_plan=plan))
-        total_steps += sim.step
-        props = PROPERTIES if n_crashes <= threshold else ("1", "2", "mono")
-        verdict = check_all(sim.trace, t=threshold, props=props)
-        starved += sum(1 for v in verdict.violations if v.prop == "LIVE")
-        if not verdict.ok:
-            issues.append({"seed": seed, "violations": verdict.as_dicts()})
+    with collector_paused():
+        for i in range(runs):
+            seed = base_seed * 1_000_003 + i
+            rng = random.Random(seed)
+            workload = random_workload(spec, rng)
+            n_crashes = crashes if crashes is not None else rng.randint(0, t_l)
+            plan = random_crash_plan(spec, rng, n_crashes)
+            sim = run_simulation(spec, threshold, workload, Schedule("fair", seed=seed, crash_plan=plan))
+            total_steps += sim.step
+            props = PROPERTIES if n_crashes <= threshold else ("1", "2", "mono")
+            verdict = check_all(sim.trace, t=threshold, props=props)
+            starved += sum(1 for v in verdict.violations if v.prop == "LIVE")
+            if not verdict.ok:
+                issues.append({"seed": seed, "violations": verdict.as_dicts()})
+        sim = None  # the last run, too, dies under the pause, so no collection walks its trace
     return {
         "runs": runs,
         "threshold": threshold,

@@ -58,8 +58,10 @@ class Schedule:
     policy: "fair" (seeded uniform choice with aging so every pending
     message is eventually delivered), "fifo" (deterministic, delivery in
     send order), or "scripted" (replay an explicit event list, to its end).
-    seed is an int, which `Simulator.run` requires whatever the policy;
-    it refuses a non-empty script under any policy but "scripted".
+    seed is a non-negative int, which `Simulator.run` requires whatever
+    the policy (random.Random seeds from the absolute value, so -s would
+    replay s); it refuses a non-empty script under any policy but
+    "scripted".
     crash_plan entries are (process, step) pairs of ints: `Simulator.run`
     crashes each named process once the step counter reaches its step.
     """
@@ -78,6 +80,32 @@ class OpRecord:
     proc: int
     invoke_step: int | None = None
     response_step: int | None = None
+
+
+class collector_paused:
+    """`with collector_paused():` runs the block with the cyclic garbage
+    collector off and, on every exit, a raise included, puts back the
+    state it found, so a pause nested in another leaves it off.
+
+    A reference cycle made under a pause lives until the next
+    collection, so pause only code that builds none: reference counting
+    then frees all it drops, and a collection would walk live objects
+    and free nothing.  The walk is saved only for objects that die
+    before the pause ends; the first young collection after it walks
+    those that outlive it.  `Simulator.run` pauses its loop, whose trace
+    outlives it, and `cli.fuzz` its loop of runs, inside which every run
+    dies.  The switch is process-wide; the library starts no threads.
+    """
+
+    __slots__ = ("_was_on",)
+
+    def __enter__(self) -> None:
+        self._was_on = gc.isenabled()
+        gc.disable()
+
+    def __exit__(self, *exc) -> None:
+        if self._was_on:
+            gc.enable()
 
 
 def _msg_payload(mid: str, msg: Message) -> dict:
@@ -385,17 +413,18 @@ class Simulator:
         process of its crash plan once the step counter reaches the
         planned step.
 
-        The cyclic garbage collector is off while the loop runs, and on
-        every exit, a raise included, it is back in the state `run`
-        found it in.  Each step adds a trace event of up to four tracked
-        containers, so a collection would walk a heap that grows with
-        the run, and free nothing: a run builds no reference cycle, so
-        reference counting frees all it drops, as before.  The switch is
-        process-wide; the library starts no threads.
+        The loop runs under `collector_paused`: each step adds a trace
+        event of up to four tracked containers, so a collection would
+        walk a heap that grows with the run, and free nothing, since a
+        run builds no reference cycle.  The trace outlives the loop, so a
+        caller that keeps it pays one walk of it after the run; one that
+        drops it under its own pause, as `cli.fuzz` does, pays none.
         """
         n = self.spec.n
         if type(schedule.seed) is not int:  # None would seed from the OS; bool is an int subclass
             raise SimError(f"seed {schedule.seed!r} is not an integer")
+        if schedule.seed < 0:  # random.Random(-s) seeds from s
+            raise SimError(f"seed {schedule.seed} is negative")
         if schedule.script and schedule.policy != "scripted":
             raise SimError(f"policy {schedule.policy!r} reads no script; only \"scripted\" replays one")
         try:
@@ -417,9 +446,7 @@ class Simulator:
         crashes = deque(sorted(plan, key=lambda cs: (cs[1], cs[0])))
         chooser = _make_chooser(self, schedule)
         invokes, scanning, deliverable, timed = self._invokes, self._scanning, self._deliverable, self._timed
-        collecting = gc.isenabled()
-        gc.disable()
-        try:
+        with collector_paused():
             while True:
                 while crashes and crashes[0][1] <= self.step:
                     p, _ = crashes.popleft()
@@ -436,9 +463,6 @@ class Simulator:
                 self._fire(chooser())
                 if self.step > MAX_STEPS:
                     raise SimError(f"step budget {MAX_STEPS} exceeded")
-        finally:
-            if collecting:
-                gc.enable()
         left = tuple(chooser.rest) if schedule.policy == "scripted" else ()
         if left:
             raise ScriptError(f"run quiescent at step {self.step} with {len(left)} script event(s) left, from {left[0]!r}")

@@ -74,6 +74,24 @@ def cyclic_garbage():
     return _cyclic_garbage
 
 
+@contextmanager
+def _collector(on: bool):
+    """The collector switched on or off for the block, then put back."""
+    enabled = gc.isenabled()
+    (gc.enable if on else gc.disable)()
+    try:
+        yield
+    finally:
+        (gc.enable if enabled else gc.disable)()
+
+
+@pytest.fixture
+def collector():
+    """`with collector(on):` runs the block with the cyclic collector
+    on or off, then puts back the state it found."""
+    return _collector
+
+
 @pytest.fixture
 def fig1_graph():
     return Graph.from_edges(5, [(1, 2), (2, 3), (3, 4), (3, 5), (4, 5)])

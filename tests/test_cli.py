@@ -1,4 +1,5 @@
 import copy
+import gc
 import io
 import json
 import os
@@ -6,6 +7,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from pathlib import Path
@@ -17,6 +19,7 @@ from mmreg import Schedule, SimError, WorkloadOp, checker, demo, emit_trace, loa
 from mmreg.checker import PROPERTIES
 from mmreg.cli import fuzz, main
 from mmreg.model import spec_from_dict
+from mmreg.protocol import ProtocolError
 from mmreg.tolerance import BRIDGE_LIMIT
 from mmreg.trace import KINDS, trace_lines
 from test_trace import SELECTIONS
@@ -139,8 +142,10 @@ SIMULATE_P9 = ["simulate", "--workload", "p9.json", "--trace", "trace.jsonl"]
         (FIG1, ["fuzz", "--runs", "-5"], "runs"),
         (FIG1, ["fuzz", "--runs", "1", "--crashes", "6"], "crashes"),
         (FIG1, ["fuzz", "--runs", "1", "--crashes", "-1"], "crashes"),
+        (FIG1, ["fuzz", "--runs", "1", "--seed", "-5"], "base_seed must be >= 0, got -5"),
         ({"n": 3, "edges": [[1, 2, 3]], "writer": 1}, FUZZ_ONE, '"edges"'),
         (FIG1, SIMULATE_P9, "workload process p9 outside 1..5"),
+        (FIG1, ["simulate", "--workload", "p1.json", "--trace", "trace.jsonl", "--seed", "-7"], "seed -7 is negative"),
         (FIG1, ["violate", "--t", "-3"], "t=-3 is negative"),
     ],
     ids=[
@@ -152,8 +157,10 @@ SIMULATE_P9 = ["simulate", "--workload", "p9.json", "--trace", "trace.jsonl"]
         "negative-runs",
         "crashes-above-n",
         "negative-crashes",
+        "negative-fuzz-seed",
         "edge-triple",
         "workload-process-outside",
+        "negative-simulate-seed",
         "violate-negative-t",
     ],
 )
@@ -161,6 +168,7 @@ def test_bad_input_is_usage_error(tmp_path, monkeypatch, capsys, spec, command, 
     monkeypatch.chdir(tmp_path)
     Path("spec.json").write_text(json.dumps(spec))
     Path("p9.json").write_text(json.dumps([{"op": "read", "proc": 9}]))
+    Path("p1.json").write_text(json.dumps([{"op": "read", "proc": 1}]))
     assert main([command[0], "--spec", "spec.json", *command[1:]]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
@@ -524,8 +532,9 @@ class TestFuzz:
             ((2, "7"), {}, "base_seed must be an integer, got '7'"),
             ((2, 1.5), {}, "base_seed must be an integer, got 1.5"),
             ((2, True), {}, "base_seed must be an integer, got True"),
+            ((2, -5), {}, "base_seed must be >= 0, got -5"),
         ],
-        ids=["float-runs", "bool-runs", "float-crashes", "bool-crashes", "str-t", "bool-t", "none-seed", "str-seed", "float-seed", "bool-seed"],
+        ids=["float-runs", "bool-runs", "float-crashes", "bool-crashes", "str-t", "bool-t", "none-seed", "str-seed", "float-seed", "bool-seed", "negative-seed"],
     )
     def test_non_integer_arguments_rejected(self, fig1_file, args, kwargs, message):
         with pytest.raises(SimError, match=f"^{re.escape(message)}$"):
@@ -579,6 +588,69 @@ class TestFuzz:
         assert main(["fuzz", "--spec", msg3_file, "--runs", "10", "--out", str(out_path)]) == 0
         report = json.loads(out_path.read_text())
         assert report["runs"] == 10 and report["violations"] == []
+
+
+class TestFuzzCollectorPause:
+    """`fuzz` turns the cyclic collector off for its loop of runs and, on
+    every exit, puts back the state it found."""
+
+    @pytest.mark.parametrize("on", [True, False], ids=["was-on", "was-off"])
+    def test_prior_state_comes_back(self, monkeypatch, collector, on):
+        during = []
+
+        def watched(*args):
+            during.append(gc.isenabled())
+            return run_simulation(*args)
+
+        monkeypatch.setattr("mmreg.cli.run_simulation", watched)
+        with collector(on):
+            assert fuzz(spec_from_dict(FIG1), 20, 3)["runs"] == 20
+            assert gc.isenabled() is on
+        assert during == [False] * 20
+
+    @pytest.mark.parametrize("on", [True, False], ids=["was-on", "was-off"])
+    def test_prior_state_comes_back_when_the_batch_raises(self, collector, on):
+        with collector(on):
+            # t=9 on five processes leaves no ack quorum: the first run raises.
+            with pytest.raises(ProtocolError, match="t=9 gives ack quorum -4"):
+                fuzz(spec_from_dict(FIG1), 20, 3, t=9)
+            assert gc.isenabled() is on
+
+    def test_no_collection_during_a_batch(self):
+        spec = spec_from_dict(FIG1)
+        starts = []
+
+        def watch(phase, info):
+            if phase == "start":
+                starts.append(info["generation"])
+
+        remove = gc.callbacks.remove  # bound now: after the batch, binding it would allocate and could start a collection
+        gc.collect()  # else the set-up could reach the young generation's threshold
+        gc.callbacks.append(watch)
+        try:
+            report = fuzz(spec, 100, 3)
+        finally:
+            remove(watch)
+        assert gc.isenabled()
+        # Each step adds a trace event holding a tracked dict, so with the
+        # collector on the batch would have started many collections.
+        assert report["mean_steps"] * report["runs"] > 10 * gc.get_threshold()[0]
+        assert starts == []
+
+    def test_peak_memory_does_not_grow_with_the_run_count(self):
+        # Under the pause a reference cycle made by each run would live
+        # to the end of the batch, so the peak would grow with the runs.
+        spec = spec_from_dict(FIG1)
+
+        def peak(runs):
+            tracemalloc.start()
+            try:
+                fuzz(spec, runs, 0)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(400) <= 1.25 * peak(200)
 
 
 class TestEntryPoint:

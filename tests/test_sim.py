@@ -2,7 +2,6 @@ import gc
 import random
 import re
 import weakref
-from contextlib import contextmanager
 from dataclasses import replace
 
 import pytest
@@ -154,12 +153,23 @@ class TestCrashes:
         with pytest.raises(SimError, match=f"^crash plan {plan!r} is not a collection of \\(process, step\\) pairs$"):
             run_simulation(msg3_spec, 1, [WorkloadOp("write", 1, "a", 0)], Schedule("fair", crash_plan=plan))
 
-    @pytest.mark.parametrize("seed", [None, [1], True, 1.5, "7"], ids=repr)
-    @pytest.mark.parametrize("policy", ["fair", "fifo"])
-    def test_seed_must_be_an_int(self, msg3_spec, policy, seed):
+    @pytest.mark.parametrize(
+        "seed, problem",
+        [
+            (None, "is not an integer"),
+            ([1], "is not an integer"),
+            (True, "is not an integer"),
+            (1.5, "is not an integer"),
+            ("7", "is not an integer"),
+            (-7, "is negative"),
+        ],
+        ids=["None", "[1]", "True", "1.5", "'7'", "-7"],
+    )
+    @pytest.mark.parametrize("policy", ["fair", "fifo", "scripted"])
+    def test_seed_must_be_an_int(self, msg3_spec, policy, seed, problem):
         # None would seed the fair draw from the OS, so two runs of the
-        # same inputs could differ.
-        with pytest.raises(SimError, match=f"^seed {re.escape(repr(seed))} is not an integer$"):
+        # same inputs could differ; -7 would seed the same draw as 7.
+        with pytest.raises(SimError, match=f"^seed {re.escape(repr(seed))} {problem}$"):
             run_simulation(msg3_spec, 1, write_then_read(), Schedule(policy, seed=seed))
 
     def test_second_run_cannot_crash_a_process_again(self, fig1_spec):
@@ -717,23 +727,12 @@ class TestFreedByRefcount:
         assert not garbage, sorted({type(obj).__name__ for obj in garbage})
 
 
-@contextmanager
-def collector(on: bool):
-    """The collector switched on or off for the block, then put back."""
-    enabled = gc.isenabled()
-    (gc.enable if on else gc.disable)()
-    try:
-        yield
-    finally:
-        (gc.enable if enabled else gc.disable)()
-
-
 class TestCollectorPause:
     """`run` turns the cyclic collector off for its loop and, on every
     exit, puts back the state it found."""
 
     @pytest.mark.parametrize("on", [True, False], ids=["was-on", "was-off"])
-    def test_prior_state_comes_back(self, fig1_spec, on):
+    def test_prior_state_comes_back(self, fig1_spec, collector, on):
         with collector(on):
             run_simulation(fig1_spec, 3, write_then_read(4), Schedule("fair", seed=1, crash_plan=((5, 9),)))
             assert gc.isenabled() is on
@@ -747,7 +746,7 @@ class TestCollectorPause:
         ],
         ids=["step-budget", "script-not-enabled"],
     )
-    def test_prior_state_comes_back_when_run_raises(self, msg3_spec, monkeypatch, on, schedule, error, message):
+    def test_prior_state_comes_back_when_run_raises(self, msg3_spec, monkeypatch, collector, on, schedule, error, message):
         monkeypatch.setattr("mmreg.sim.MAX_STEPS", 10)
         with collector(on):
             with pytest.raises(error, match=message):
