@@ -34,7 +34,7 @@ from .checker import check_property1
 from .model import Bag, SystemSpec
 from .sim import Schedule, Simulator, WorkloadOp
 from .tolerance import Witness, reach_masks, require_covered, smallest_failing_pair, verify_witness
-from .trace import project, register_writes
+from .trace import project_records
 
 PAYLOAD = "v-new"  # the value the adversarial write stores
 
@@ -111,9 +111,10 @@ def isolation_holds(sim: Simulator, witness: Witness) -> bool:
     readable_by_pp = set()
     for p in witness[1]:
         readable_by_pp.update(sim.spec.readable_registers(p))
-    # build_e3's run has no idle tick, so event i is step i.
-    for _, actor, reg, _ in register_writes(sim.trace[:end]):
-        if actor in p_set and reg in readable_by_pp:
+    for step, kind, actor, reg, _ in sim.records:
+        if step >= end:
+            break
+        if kind == "reg-write" and actor in p_set and reg in readable_by_pp:
             return False
     return True
 
@@ -131,7 +132,7 @@ def demo(spec: SystemSpec, t: int) -> dict:
     elif spec.writer not in p_side:
         spec = replace(spec, writer=min(p_side))
     sim = build_e3(spec, t, (p_side, p_prime))
-    history, _, crashed = project(sim.trace)
+    history, _, crashed = project_records(sim.records)
     verdict = check_property1(history)
 
     write, read = history  # ops 0 and 1, both invoked by the construction

@@ -3,7 +3,9 @@
 A single global step counter orders every trace event; the scheduler
 chooses among enabled events (workload invocations, handler register
 steps, message deliveries) under one of three policies.  Same inputs and
-seed give a byte-identical trace.
+seed give a byte-identical trace.  The simulator records each event as
+one tuple, and renders the dict events of `trace.render` only for a
+caller that reads `Simulator.trace`.
 
 Links are reliable: a message is delivered exactly once, never lost or
 forged, with no ordering guarantee unless the fifo policy is selected.
@@ -21,6 +23,7 @@ from dataclasses import dataclass
 
 from .model import SystemSpec
 from .protocol import INITIAL_VALUE, Message, ProcessCore, TaggedValue, ack_quorum
+from .trace import render
 
 # Bound here only for bench/, which calls and wraps them on this module
 # by name.
@@ -92,9 +95,11 @@ class collector_paused:
     then frees all it drops, and a collection would walk live objects
     and free nothing.  The walk is saved only for objects that die
     before the pause ends; the first young collection after it walks
-    those that outlive it.  `Simulator.run` pauses its loop, whose trace
-    outlives it, and `cli.fuzz` its loop of runs, inside which every run
-    dies.  The switch is process-wide; the library starts no threads.
+    those that outlive it.  `Simulator.run` pauses its loop, whose
+    records outlive it, `Simulator.trace` its rendering of the records
+    into dict events, which outlive it too, and `cli.fuzz` its loop of
+    runs, inside which every run dies.  The switch is process-wide; the
+    library starts no threads.
     """
 
     __slots__ = ("_was_on",)
@@ -106,14 +111,6 @@ class collector_paused:
     def __exit__(self, *exc) -> None:
         if self._was_on:
             gc.enable()
-
-
-def _msg_payload(mid: str, msg: Message) -> dict:
-    """A send or deliver event's payload: one new dict, and a new value
-    list, per event."""
-    if msg.value is None:
-        return {"id": mid, "type": msg.kind, "from": msg.sender, "to": msg.dest, "sn": msg.sn}
-    return {"id": mid, "type": msg.kind, "from": msg.sender, "to": msg.dest, "sn": msg.sn, "value": list(msg.value)}
 
 
 # A process's mode, as the indexes last saw it: open (live, no scan in
@@ -135,6 +132,15 @@ class Simulator:
     enforces the access rule that `spec.readers` states: registers
     belong to the system, not to a host, so they survive the crash of
     their owner.  Each access is recorded in the trace as one step.
+
+    The run's trace is `records`: one tuple (step, kind, actor, a, b)
+    per event, in step order, holding objects the simulator already
+    has (see `trace.render` for a and b by kind).  `trace` renders
+    them as dict events.  `cli.fuzz`, `lowerbound.demo` and
+    `isolation_holds` read the records, through
+    `trace.project_records` or by step; the callers that read `trace`
+    (`mmreg simulate`, which emits it, `demo`'s report, bench/ and the
+    tests) pay for the dicts.
 
     The scheduler-facing surface is `enabled()` / `apply(event)`; `run`
     drives them under a policy, and `step_within` fires the first
@@ -200,7 +206,8 @@ class Simulator:
             self._queue[proc].append(i)
 
         self.step = 0
-        self.trace: list[dict] = []
+        self.records: list[tuple] = []
+        self._events: list[dict] = []  # the records rendered so far, which `trace` returns
         self.procs = {p: ProcessCore(p, spec, quorum) for p in range(1, n + 1)}
         self._readers = spec.readers
         self.registers = {reg: INITIAL_VALUE for reg in spec.registers}
@@ -222,8 +229,23 @@ class Simulator:
 
     # -- trace -------------------------------------------------------------
 
-    def _record(self, kind: str, actor: int, payload: dict) -> None:
-        self.trace.append({"step": self.step, "kind": kind, "actor": actor, "payload": payload})
+    @property
+    def trace(self) -> list[dict]:
+        """The run's events as dicts: `records` rendered by
+        `trace.render`.  The first read renders every record, under
+        `collector_paused`; each later read returns the same list,
+        extended with the records added since.  So a list read from
+        `trace` is not extended by later steps until `trace` is read
+        again.  Its events may be changed, but a caller that adds or
+        removes one puts the list out of step with `records`."""
+        events, records = self._events, self.records
+        if len(events) < len(records):
+            with collector_paused():
+                events.extend(map(render, records[len(events):]))
+        return events
+
+    def _record(self, kind: str, actor: int, a, b) -> None:
+        self.records.append((self.step, kind, actor, a, b))
         self.step += 1
 
     def read(self, reg, by: int) -> TaggedValue:
@@ -231,7 +253,7 @@ class Simulator:
         if by not in self._readers.get(reg, ()):
             raise AccessError(f"p{by} cannot read R_{reg[0]}[p{reg[1]}]")
         value = self.registers[reg]
-        self._record("reg-read", by, {"register": list(reg), "value": list(value)})
+        self._record("reg-read", by, reg, value)
         return value
 
     def write(self, reg, by: int, value: TaggedValue) -> None:
@@ -239,7 +261,7 @@ class Simulator:
         if not (reg in self._readers and reg[1] == by):
             raise AccessError(f"p{by} cannot write R_{reg[0]}[p{reg[1]}]")
         self.registers[reg] = value
-        self._record("reg-write", by, {"register": list(reg), "value": list(value)})
+        self._record("reg-write", by, reg, value)
 
     def _route(self, msgs) -> None:
         for msg in msgs:
@@ -251,7 +273,7 @@ class Simulator:
             self._inbox[msg.dest][mid] = no
             if self._mode[msg.dest] == _OPEN:
                 self._deliverable.append(no)  # the newest send sorts last
-            self._record("send", msg.sender, _msg_payload(mid, msg))
+            self._record("send", msg.sender, mid, msg)
 
     # -- indexes -----------------------------------------------------------
 
@@ -376,16 +398,15 @@ class Simulator:
             op = self.workload[idx]
             p = op.proc
             self.ops[idx].invoke_step = self.step
-            payload = {"op": idx, "kind": op.kind}
             if op.kind == "write":
                 sends = self.procs[p].invoke_write(op.payload)
                 # The written tuple is fixed at invocation; record it now so
                 # a crash-interrupted write still explains the value readers
                 # may have observed.
-                payload["value"] = list(sends[0].value)
+                self._record("invoke", p, idx, sends[0].value)
             else:
                 sends = self.procs[p].invoke_read()
-            self._record("invoke", p, payload)
+                self._record("invoke", p, idx, None)
         else:  # deliver
             mid = ev[1]
             msg = self.network.pop(mid)
@@ -393,12 +414,12 @@ class Simulator:
             no = self._inbox[p].pop(mid)
             deliverable = self._deliverable
             del deliverable[bisect_left(deliverable, no)]
-            self._record("deliver", p, _msg_payload(mid, msg))
+            self._record("deliver", p, mid, msg)
             sends, value = self.procs[p].deliver(msg)
             if value is not None:  # the op at the head of p's queue responds; it sent nothing
                 idx = self._queue[p].popleft()
                 self.ops[idx].response_step = self.step
-                self._record("respond", p, {"op": idx, "value": list(value)})
+                self._record("respond", p, idx, value)
         self._sync(p)
         self._route(sends)
 
@@ -413,12 +434,13 @@ class Simulator:
         process of its crash plan once the step counter reaches the
         planned step.
 
-        The loop runs under `collector_paused`: each step adds a trace
-        event of up to four tracked containers, so a collection would
-        walk a heap that grows with the run, and free nothing, since a
-        run builds no reference cycle.  The trace outlives the loop, so a
-        caller that keeps it pays one walk of it after the run; one that
-        drops it under its own pause, as `cli.fuzz` does, pays none.
+        The loop runs under `collector_paused`: each step adds a record,
+        a tuple tracked by the collector, so a collection would walk a
+        heap that grows with the run, and free nothing, since a run
+        builds no reference cycle.  The records outlive the loop, so a
+        caller that keeps them pays one walk of them after the run; one
+        that drops them under its own pause, as `cli.fuzz` does, pays
+        none.  The loop renders no dict event: `trace` does, when read.
         """
         n = self.spec.n
         if type(schedule.seed) is not int:  # None would seed from the OS; bool is an int subclass
@@ -451,7 +473,7 @@ class Simulator:
                 while crashes and crashes[0][1] <= self.step:
                     p, _ = crashes.popleft()
                     self.crashed.add(p)
-                    self._record("crash", p, {})
+                    self._record("crash", p, None, None)
                     self._sync(p)
                 if timed and timed[0][0] <= self.step:
                     self._due()

@@ -1,19 +1,26 @@
-"""The trace of a run: its JSONL format, the reader, and the one pass
-that projects it.
+"""The trace of a run: its JSONL format, the reader, and the passes
+that project it.
 
 A trace is the list of a run's events in step order; a trace file
 holds one per line, as {"step", "kind", "actor", "payload"}, with the
-kinds and payload fields listed in the README.  The simulator appends
-the events, and everything else reads them through this module.
+kinds and payload fields listed in the README.  The simulator keeps a
+run's trace as records, one flat tuple (step, kind, actor, a, b) per
+event holding the objects it already has, and `render` is the one
+statement of the dict event a record stands for: a simulator renders
+its records only when a caller reads `Simulator.trace`.
 `emit_trace` writes each event as it encodes it, `load_trace` yields a
 file's events one at a time, and `project` reads any iterable of events
 once, building all its parts together: the op records, the per-register
-monotonicity result and the crashed set.  So writing a trace file holds
-one line, and checking one O(ops + registers), not every event.  A
-trace is outside input: the reader holds each line, and the pass each
-event and op record (`check_record`), to its rule.  The first malformed
-line or event raises, naming it (event i is line i of a file written
-by `emit_trace`) or its op, and nothing after it is read.
+monotonicity result and the crashed set.  `project_records` builds the
+same Projection from a simulator's records, by the same op-record and
+monotonicity rules, without rendering an event.  So writing a trace
+file holds one line, and checking one O(ops + registers), not every
+event.  A trace is outside input: the reader holds each line, and
+`project` each event and op record (`check_record`), to its rule.  The
+first malformed line or event raises, naming it (event i is line i of
+a file written by `emit_trace`) or its op, and nothing after it is
+read.  Records are the simulator's own, so only their op records are
+checked.
 """
 
 from __future__ import annotations
@@ -116,6 +123,31 @@ def load_trace(path):
             yield ev
 
 
+def render(record: tuple) -> dict:
+    """The trace event of one simulator record (step, kind, actor, a, b),
+    as a new dict, with a new payload and new lists that no other event
+    shares.  a and b are, by kind: the message id and the `Message` of
+    a send or deliver; the register and the `TaggedValue` of a reg-read
+    or reg-write; the op index and, for a write, the value fixed at its
+    invocation (None for a read) of an invoke; the op index and the
+    value of a respond; None and None of a crash."""
+    step, kind, actor, a, b = record
+    if kind == "send" or kind == "deliver":
+        if b.value is None:
+            payload = {"id": a, "type": b.kind, "from": b.sender, "to": b.dest, "sn": b.sn}
+        else:
+            payload = {"id": a, "type": b.kind, "from": b.sender, "to": b.dest, "sn": b.sn, "value": list(b.value)}
+    elif kind == "reg-read" or kind == "reg-write":
+        payload = {"register": list(a), "value": list(b)}
+    elif kind == "invoke":
+        payload = {"op": a, "kind": "read"} if b is None else {"op": a, "kind": "write", "value": list(b)}
+    elif kind == "respond":
+        payload = {"op": a, "value": list(b)}
+    else:  # crash
+        payload = {}
+    return {"step": step, "kind": kind, "actor": actor, "payload": payload}
+
+
 def _unknown_kind(i: int, kind) -> TraceError:
     return TraceError(f"trace event {i} has kind {kind!r}, not one of {', '.join(KINDS)}")
 
@@ -156,56 +188,76 @@ def _payload(i: int, kind: str, ev: dict) -> dict:
     return payload
 
 
-def _op_event(records: dict, i: int, kind: str, ev: dict) -> None:
+def _open(ops: dict, op: int, kind, proc, step, value) -> dict:
+    """Open op's record at its invocation; an op invoked before raises.
+    A write's value is fixed at invocation, a read's at its response."""
+    if op in ops:
+        raise TraceError(f"op {op} is invoked twice")
+    rec = ops[op] = {"op": op, "kind": kind, "proc": proc, "invoke": step, "response": None, "value": value}
+    return rec
+
+
+def _close(ops: dict, op: int, step, value) -> dict:
+    """Set op's response step and value; an op never invoked, or one
+    that has responded already, raises."""
+    rec = ops.get(op)
+    if rec is None:
+        raise TraceError(f"op {op} responds but was never invoked")
+    if rec["response"] is not None:
+        raise TraceError(f"op {op} responds twice")
+    rec["response"], rec["value"] = step, value
+    return rec
+
+
+def _written(last: dict, decreases: list, step, reg: tuple, sn: int) -> None:
+    """Fold one register write into the monotonicity result: `last`
+    holds each register's last sn, and a write below it is a decrease."""
+    prev = last.get(reg)
+    if prev is not None and sn < prev:
+        decreases.append((step, reg, prev, sn))
+    last[reg] = sn
+
+
+def _op_event(ops: dict, i: int, kind: str, ev: dict) -> None:
     """Fold one invoke or respond event into its op record and check
-    it.  A write's value is fixed at invocation, a read's at its response."""
+    it, in a fixed order: the op index, the op's rule (`_open` or
+    `_close`), the event's other fields, then `check_record`."""
     payload, step = _payload(i, kind, ev), ev.get("step")
     op = payload.get("op")
     if type(op) is not int:
         raise _bad(i, kind, "op", op, "an integer")
-    rec = records.get(op)
     if kind == "invoke":
-        if rec is not None:
-            raise TraceError(f"op {op} is invoked twice")
         op_kind = payload.get("kind")
+        rec = _open(ops, op, op_kind, ev.get("actor"), step, payload.get("value"))
         if op_kind != "read" and op_kind != "write":
             raise TraceError(f'op {op} has kind {op_kind!r}, not "read" or "write"')
-        rec = records[op] = {
-            "op": op,
-            "kind": op_kind,
-            "proc": _actor(i, kind, ev),
-            "invoke": step,
-            "response": None,
-            "value": payload.get("value"),
-        }
-    elif rec is None:
-        raise TraceError(f"op {op} responds but was never invoked")
-    elif rec["response"] is not None:
-        raise TraceError(f"op {op} responds twice")
-    elif "value" not in payload:
-        raise TraceError(f"op {op} responds with no value")
-    elif step is None:
-        raise TraceError(f"op {op} responds with no step")
+        _actor(i, kind, ev)
     else:
-        rec["response"] = step
-        rec["value"] = payload["value"]
+        rec = _close(ops, op, step, payload.get("value"))
+        if "value" not in payload:
+            raise TraceError(f"op {op} responds with no value")
+        if step is None:
+            raise TraceError(f"op {op} responds with no step")
     check_record(rec)
 
 
 def _register_write(i: int, kind: str, ev: dict) -> tuple:
-    """(step, actor, register, sn) of a reg-write event, the register as
-    a (set index, owner) tuple; the step is not read as a number."""
+    """(step, register, sn) of a reg-write event, the register as a
+    (set index, owner) tuple, once its actor is checked too; the step
+    is not read as a number."""
     payload = _payload(i, kind, ev)
     reg, value = payload.get("register"), payload.get("value")
     if not (isinstance(reg, (list, tuple)) and len(reg) == 2 and type(reg[0]) is int and type(reg[1]) is int):
         raise _bad(i, kind, "register", reg, "[set index, owner]")
     if not (isinstance(value, (list, tuple)) and value and type(value[0]) is int):
         raise _bad(i, kind, "value", value, "[sn, payload] with an integer sn")
-    return ev.get("step"), _actor(i, kind, ev), (reg[0], reg[1]), value[0]
+    _actor(i, kind, ev)
+    return ev.get("step"), (reg[0], reg[1]), value[0]
 
 
 class Projection(NamedTuple):
-    """The parts of a trace, as `project` builds them:
+    """The parts of a trace, as `project` builds them from its events
+    and `project_records` from a simulator's records:
 
     - history: the op records, sorted by op: op, kind, proc, invoke and
       response steps, and value;
@@ -225,39 +277,50 @@ def project(trace) -> Projection:
     object and bad fields, an op invoked or responding twice, responding
     before any invoke, with no value or no step, or leaving a record
     that breaks `check_record`."""
-    records, last, decreases, crashed = {}, {}, [], set()
+    ops, last, decreases, crashed = {}, {}, [], set()
     for i, ev in enumerate(trace, 1):
         if type(ev) is not dict:
             raise _not_object(i, ev)
         kind = ev.get("kind")
         if kind == "reg-write":
-            step, _, reg, sn = _register_write(i, kind, ev)
-            prev = last.get(reg)
-            if prev is not None and sn < prev:
-                decreases.append((step, reg, prev, sn))
-            last[reg] = sn
+            step, reg, sn = _register_write(i, kind, ev)
+            _written(last, decreases, step, reg, sn)
+        elif kind == "invoke" or kind == "respond":
+            _op_event(ops, i, kind, ev)
         elif kind == "send" or kind == "deliver" or kind == "reg-read":
             continue  # no part reads these
-        elif kind == "invoke" or kind == "respond":
-            _op_event(records, i, kind, ev)
         elif kind == "crash":
             crashed.add(_actor(i, kind, ev))
         else:
             raise _unknown_kind(i, kind)
-    return Projection([records[k] for k in sorted(records)], decreases, crashed)
+    return Projection([ops[k] for k in sorted(ops)], decreases, crashed)
+
+
+def project_records(records) -> Projection:
+    """The Projection of a simulator's records: `project` of their
+    rendering, built from the records without rendering an event, by
+    `project`'s op-record rules (`_open`, `_close`, `check_record`) and
+    monotonicity rule (`_written`)."""
+    ops, last, decreases, crashed = {}, {}, [], set()
+    for step, kind, actor, a, b in records:
+        if kind == "reg-write":
+            _written(last, decreases, step, a, b[0])
+        elif kind == "invoke":
+            check_record(_open(ops, a, "read" if b is None else "write", actor, step, None if b is None else list(b)))
+        elif kind == "respond":
+            check_record(_close(ops, a, step, list(b)))
+        elif kind == "crash":
+            crashed.add(actor)
+    return Projection([ops[k] for k in sorted(ops)], decreases, crashed)
 
 
 def history_from_trace(trace) -> list[dict]:
     """The run's operation records (see Projection), rebuilt from its
-    invoke and respond events.  This is the one way a history is built,
-    so the checker sees a run and its emitted trace alike."""
+    invoke and respond events by `project`.  A trace file and the
+    simulator's records that it was rendered from give the same history
+    (`project_records`), so the checker sees a run and its emitted
+    trace alike."""
     return project(trace).history
-
-
-def register_writes(trace) -> list[tuple]:
-    """(step, actor, register, sn) for each reg-write event in trace
-    order, the register as a (set index, owner) tuple."""
-    return [_register_write(i, kind, ev) for i, kind, ev in _of_kind(trace, ("reg-write",))]
 
 
 def schedule_from_trace(trace) -> tuple:

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import lowerbound_oracle as oracle
+import trace_oracle
 from mmreg import (
     LowerBoundError,
     Schedule,
@@ -23,7 +24,7 @@ from mmreg import (
     verify_witness,
 )
 from mmreg.model import normalize_bag, Bag
-from mmreg.trace import register_writes, trace_lines
+from mmreg.trace import trace_lines
 
 
 class TestFindWitness:
@@ -99,7 +100,7 @@ class TestBuildE3:
         # whole trace would fail.
         phase3_writes = [
             step
-            for step, actor, reg, _ in register_writes(sim.trace)
+            for step, actor, reg, _ in trace_oracle.register_writes(sim.trace)
             if actor == 3 and reg in fig1_spec.readable_registers(4)
         ]
         assert phase3_writes and min(phase3_writes) > sim.ops[1].response_step
@@ -124,8 +125,8 @@ class TestBuildE3:
             isolation_holds(unanswered, ((1,), (4,)))
 
     def test_event_i_is_step_i(self, fig1_spec, singleton5_spec):
-        """isolation_holds reads phases 1-2 as trace[:response_step] of
-        the read, which needs a run with no idle tick."""
+        """The adversarial run has no idle tick, so its trace's event i
+        is step i, the step that `isolation_holds` reads phases 1-2 by."""
         for spec, t in ((fig1_spec, 4), (singleton5_spec, 3), (singleton5_spec, 4)):
             trace = build_e3(spec, t, find_witness(spec.bag, t)).trace
             assert [ev["step"] for ev in trace] == list(range(len(trace)))

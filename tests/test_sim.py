@@ -30,7 +30,7 @@ from mmreg import (
     schedule_from_trace,
 )
 from mmreg.sim import AccessError, ScriptError
-from mmreg.trace import KINDS, trace_lines
+from mmreg.trace import KINDS, render, trace_lines
 
 
 def write_then_read(reader=2):
@@ -675,6 +675,52 @@ def test_no_two_events_share_a_payload_or_a_value_list(fig1_spec):
     assert lists and all(len(value) == size + 1 and value[-1] == step for step, size, value in lists)
 
 
+# -- the trace is a view of the records ------------------------------------
+
+
+class TestTraceView:
+    @staticmethod
+    def assert_renders_every_record(sim, view):
+        read = sim.trace
+        assert read is view
+        assert len(read) == len(sim.records)
+        assert read == [render(record) for record in sim.records]
+
+    @settings(max_examples=60, deadline=None)
+    @given(sim_cases(), st.integers(0, 2**16))
+    def test_reads_between_steps(self, case, seed):
+        """Reads of `trace` between `apply`, `step_within` and `run` each
+        return the one list, holding one rendering of every record; a
+        list already read is not extended until `trace` is read again."""
+        spec, t, workload, schedule = case
+        rng = random.Random(seed)
+        sim = Simulator(spec, t, workload)
+        view = sim.trace
+        for _ in range(30):
+            held = len(view)
+            if rng.random() < 0.5 and sim.enabled():
+                sim.apply(rng.choice(sim.enabled()))
+            else:
+                sim.step_within(rng.randrange(-1, len(workload) + 1), {p for p in range(1, spec.n + 1) if rng.random() < 0.7})
+            assert len(view) == held
+            if rng.random() < 0.5:
+                self.assert_renders_every_record(sim, view)
+        sim.run(schedule)
+        self.assert_renders_every_record(sim, view)
+        self.assert_renders_every_record(sim, view)
+
+    def test_an_empty_run(self, msg3_spec):
+        sim = Simulator(msg3_spec, 1, [])
+        assert sim.trace == [] and sim.trace is sim.trace
+        sim.run(Schedule("fifo"))
+        assert sim.records == [] and sim.trace == []
+
+    def test_trace_cannot_be_rebound(self, msg3_spec):
+        sim = Simulator(msg3_spec, 1, [])
+        with pytest.raises(AttributeError):
+            sim.trace = []
+
+
 # -- a finished run is freed by reference counting -----------------------
 
 
@@ -770,7 +816,7 @@ class TestCollectorPause:
         finally:
             remove(watch)
         assert gc.isenabled()
-        # Each event holds a tracked dict, so with the collector on the
-        # run would have started a young collection.
-        assert len(sim.trace) >= 300 and len(sim.trace) > gc.get_threshold()[0]
+        # Each event is a tracked record tuple, so with the collector on
+        # the run would have started a young collection.
+        assert len(sim.records) >= 300 and len(sim.records) > gc.get_threshold()[0]
         assert starts == []

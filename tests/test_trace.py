@@ -1,7 +1,8 @@
 """The one-pass trace path against the three-scan oracle in
 trace_oracle.py: `check_all` on in-memory traces, lists and one-shot
 iterators alike, and `mmreg check` on trace files, give the same
-verdicts, or raise the same exception with the same message."""
+verdicts, or raise the same exception with the same message.  A
+simulator's records project, and are checked, as their rendering is."""
 
 import copy
 import io
@@ -14,13 +15,15 @@ from itertools import combinations, cycle, islice
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import trace_oracle as oracle
-from mmreg import Schedule, bag_of, check_all, emit_trace, load_trace, make_spec, run_simulation
+from mmreg import Schedule, bag_of, build_e3, check_all, emit_trace, find_witness, load_trace, make_spec, run_simulation
 from mmreg.checker import PROPERTIES
 from mmreg.cli import main, random_crash_plan, random_workload
-from mmreg.trace import KINDS, TraceError, project, register_writes, schedule_from_trace, trace_lines
+from mmreg.protocol import Message, TaggedValue
+from mmreg.trace import KINDS, HistoryError, TraceError, project, project_records, render, schedule_from_trace, trace_lines
+from test_sim import sim_cases
 
 SPECS = [
     make_spec(bag=bag_of(2, [1, 2]), writer=1),
@@ -107,6 +110,89 @@ def test_one_pass_matches_the_three_scans(data):
                 expected = type(error).__name__, str(error)
             assert outcome(check_all, trace, t=t, props=props, **supplied) == expected, (props, supplied)
             assert outcome(check_all, iter(trace), t=t, props=props, **supplied) == expected, (props, supplied)
+
+
+# -- a simulator's records against their rendering ------------------------
+
+
+def projected(projection, log):
+    """A projection of `log`, or the type and message of what it raised."""
+    try:
+        return projection(log)
+    except (TraceError, HistoryError) as e:
+        return type(e).__name__, str(e)
+
+
+def assert_records_check_as_rendered(records, events):
+    """`project_records` of the records gives `project` of their
+    rendering, and `check_all` of that projection gives, for every
+    selection and t, the verdict or error of `check_all` of the events."""
+    expected = projected(project, events)
+    assert projected(project_records, records) == expected
+    for props in SELECTIONS:
+        for t in (None, 0, 1, 3):
+            via_records = outcome(lambda: check_all(project_records(records), t=t, props=props))
+            assert via_records == outcome(check_all, events, t=t, props=props), (props, t)
+
+
+@settings(max_examples=100, deadline=None)
+@given(sim_cases())
+def test_a_runs_records_project_as_its_trace(case):
+    spec, t, workload, schedule = case
+    sim = run_simulation(spec, t, workload, schedule)
+    assert_records_check_as_rendered(sim.records, sim.trace)
+
+
+@pytest.mark.parametrize("n, t", [(5, 3), (5, 4), (3, 2), (4, 3)])
+def test_an_adversarial_runs_records_project_as_its_trace(n, t):
+    spec = make_spec(bag=bag_of(n, *([p] for p in range(1, n + 1))), writer=1)
+    sim = build_e3(spec, t, find_witness(spec.bag, t))
+    assert not check_all(sim.trace, props=("1",)).ok
+    assert_records_check_as_rendered(sim.records, sim.trace)
+
+
+_VALUES_OF_RECORDS = st.builds(TaggedValue, st.integers(0, 3), st.sampled_from([None, "a", "b"]))
+
+
+@st.composite
+def record_logs(draw):
+    """Records of the simulator's shape in orders no run makes: ops
+    invoked or responding twice, or never invoked, steps out of order,
+    and register sequence numbers that fall."""
+    log = []
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(["invoke", "invoke", "respond", "reg-write", "reg-write", "reg-read", "send", "crash"]))
+        step = len(log) if draw(st.booleans()) else draw(st.integers(0, 12))
+        actor, value = draw(st.integers(1, 3)), draw(_VALUES_OF_RECORDS)
+        if kind == "invoke":
+            a, b = draw(st.integers(0, 1)), draw(st.none() | st.just(value))
+        elif kind == "respond":
+            a, b = draw(st.integers(0, 1)), value
+        elif kind == "reg-write" or kind == "reg-read":
+            a, b = (draw(st.integers(1, 2)), actor), value
+        elif kind == "send":
+            a, b = f"{actor}.1", Message("W", actor, 1, value.sn, value)
+        else:
+            a = b = None
+        log.append((step, kind, actor, a, b))
+    return log
+
+
+@settings(max_examples=300, deadline=None)
+@given(record_logs())
+@example([(0, "invoke", 2, 0, None), (1, "respond", 2, 0, TaggedValue(0, None)), (2, "respond", 2, 0, TaggedValue(0, None))])
+def test_records_in_any_order_project_as_their_rendering(records):
+    assert_records_check_as_rendered(records, [render(r) for r in records])
+
+
+def test_a_projection_given_to_check_all_has_its_history_checked():
+    """check_all holds a Projection's history to check_record, as it
+    does a history given beside a trace."""
+    good = project(PENDING_MONO_CRASH)
+    assert check_all(good) == check_all(PENDING_MONO_CRASH)
+    bad = good._replace(history=[{**good.history[0], "invoke": "0"}])
+    with pytest.raises(HistoryError, match="^op 0 has invoke step '0', not an integer$"):
+        check_all(bad)
 
 
 # -- one-shot iterators ---------------------------------------------------
@@ -262,7 +348,6 @@ DELIVER = {"step": 1, "kind": "deliver", "actor": 1, "payload": {"id": "2.1", "t
     "reader, trace, message",
     [
         (schedule_from_trace, [READ, BOGUS], "trace event 2 has kind 'bogus', not one of " + ", ".join(KINDS)),
-        (register_writes, [READ, BOGUS], "trace event 2 has kind 'bogus', not one of " + ", ".join(KINDS)),
         (schedule_from_trace, [{**READ, "payload": []}], "invoke event 1 has payload [], not an object"),
         (schedule_from_trace, [{**READ, "payload": {}}], "invoke event 1 has op None, not an integer"),
         (schedule_from_trace, [{**READ, "payload": {"op": True}}], "invoke event 1 has op True, not an integer"),
@@ -270,7 +355,7 @@ DELIVER = {"step": 1, "kind": "deliver", "actor": 1, "payload": {"id": "2.1", "t
         (schedule_from_trace, [READ, {**DELIVER, "payload": {}}], "deliver event 2 has id None, not a string"),
     ],
     ids=[
-        "script-unknown-kind", "writes-unknown-kind", "script-payload-not-object",
+        "script-unknown-kind", "script-payload-not-object",
         "script-invoke-no-op", "script-invoke-bool-op", "script-deliver-int-id", "script-deliver-no-id",
     ],
 )
@@ -280,7 +365,7 @@ def test_the_script_and_write_readers_reject_bad_events(reader, trace, message):
     assert str(raised.value) == message
 
 
-@pytest.mark.parametrize("reader", [check_all, project, schedule_from_trace, register_writes])
+@pytest.mark.parametrize("reader", [check_all, project, schedule_from_trace])
 @pytest.mark.parametrize("event", [5, None, "invoke", [READ]], ids=["int", "none", "string", "list"])
 def test_an_event_that_is_not_an_object_is_named(reader, event):
     with pytest.raises(TraceError) as raised:
