@@ -36,7 +36,7 @@ from itertools import accumulate
 from math import inf
 from typing import NamedTuple
 
-from .trace import HistoryError, Projection, check_record, project
+from .trace import HistoryError, Projection, _Validated, check_record, project
 
 
 class Violation(NamedTuple):
@@ -61,15 +61,13 @@ class Verdict:
         return [{"prop": v.prop, "ops": list(v.ops), "reason": v.reason} for v in self.violations]
 
 
-class _Validated(list):
-    """A history that `check_all` has validated or `project` built, so
-    the properties it composes do not validate it again."""
-
-
-def _validate(history) -> None:
-    if type(history) is not _Validated:
-        for i, h in enumerate(history):
-            check_record(h, i)
+def _validate(history) -> _Validated:
+    """history, held to `check_record` unless marked checked, so marked."""
+    if type(history) is _Validated:
+        return history
+    for i, h in enumerate(history):
+        check_record(h, i)
+    return _Validated(history)
 
 
 def _precedes(a: dict, b: dict) -> bool:
@@ -256,8 +254,9 @@ def check_all(trace, history=None, crashed=None, t: int | None = None, props=PRO
     and Property 2, "mono" register monotonicity, and "live" completion.
     The trace is read once, through `project`, unless it is a
     `Projection` already, which is read in its place and its history
-    held to `check_record`; a `history` or `crashed` given here is used
-    in place of the trace's.  Errors come in a fixed order, whatever the
+    held to `check_record` unless `project` or `project_records` built
+    and checked it; a `history` or `crashed` given here is used in place
+    of the trace's.  Errors come in a fixed order, whatever the
     selection: a malformed selection's or t's, then the first malformed
     line or event's, or the Projection history's HistoryError, then a
     given history's HistoryError, then each property's as above."""
@@ -272,12 +271,11 @@ def check_all(trace, history=None, crashed=None, t: int | None = None, props=PRO
     _check_tolerance(t)
     if type(trace) is Projection:
         projection = trace
-        _validate(projection.history)
+        checked = _validate(trace.history)
     else:
         projection = project(trace)
-    if history is not None:
-        _validate(history)
-    history = _Validated(projection.history if history is None else history)
+        checked = projection.history
+    history = checked if history is None else _validate(history)
     verdict = Verdict(())
     if "1" in chosen:
         verdict = verdict.merged(check_property1(history))

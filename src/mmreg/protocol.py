@@ -7,8 +7,9 @@ sent the next ack, and return the value written or read: they know
 sequence numbers and values, never which workload op they serve.
 `_w_handler` and `_r_handler` are sent the simulator at each register
 access and return their ack.  `ProcessCore` holds the running ones and
-drives them one atomic step at a time; each shared-register access is
-its own step, never batched with another.
+drives the operations; the simulator resumes a running handler itself,
+one atomic step at a time, so each shared-register access is its own
+step, never batched with another.
 
 A process sends W/R messages to itself through the network like to
 anyone else, so quorum counting is uniform.  The W handler is the same
@@ -92,7 +93,7 @@ def _round(kind: str, pid: int, n: int, quorum: int, sn: int, value: TaggedValue
             replies.setdefault(msg.sender, msg.value)
             if len(replies) >= quorum:
                 return replies
-        msg = yield []
+        msg = yield ()
 
 
 def _write(pid: int, n: int, quorum: int, value: TaggedValue):
@@ -132,9 +133,10 @@ class ProcessCore:
     """Protocol state machine for one process.
 
     Pure with respect to scheduling: each entry point maps the current
-    state and one event to a new state plus emissions.  The simulator,
-    which holds the shared registers, is passed in so that every access
-    is one observable step.
+    state and one event to a new state plus its sends, a sequence that
+    is empty when there are none.  The simulator, which holds the
+    shared registers, resumes `scan` itself, sending it the simulator
+    at each access, so that every access is one observable step.
 
     `pending` is the running `_write` or `_read` generator of the one
     in-flight local operation, `scan` the running `_w_handler` or
@@ -184,26 +186,13 @@ class ProcessCore:
             handler, regs = (_w_handler, self.writable) if msg.kind == W else (_r_handler, self.readable)
             self.scan = handler(self.pid, regs, msg)
             next(self.scan)  # up to the first access, which touches nothing yet
-            return [], None
+            return (), None
         if msg.kind not in (ACK_W, ACK_R):
             raise ProtocolError(f"unknown message kind {msg.kind!r}")
         if self.pending is None:
-            return [], None  # stale ack
+            return (), None  # stale ack
         try:
             return self.pending.send(msg), None
         except StopIteration as done:
             self.pending = None
-            return [], done.value
-
-    def reg_step(self, store):
-        """Execute one atomic register access of the active scan, on the
-        simulator's registers through `store.read` / `store.write`.
-        Returns the sends: the ack once the scan ends, else nothing."""
-        if self.scan is None:
-            raise ProtocolError(f"p{self.pid}: no handler in progress")
-        try:
-            self.scan.send(store)
-        except StopIteration as done:
-            self.scan = None
-            return [done.value]
-        return []
+            return (), done.value

@@ -146,7 +146,10 @@ class Simulator:
     drives them under a policy, and `step_within` fires the first
     enabled event inside a set of processes, the lower-bound run's
     step.  Events are small tuples: ("invoke", op_index),
-    ("hstep", pid), ("deliver", msg_id).
+    ("hstep", pid), ("deliver", msg_id).  `_fire` resumes the protocol,
+    and each record is appended where its event happens, with no helper
+    between: an access in `read` or `write`, a send in `_route`, the
+    others in `_fire`.  The choosers read events off the indexes.
 
     Operations belong to the simulator, not the protocol: `_queue[p]`
     holds p's op indices in workload order, and the running op stays at
@@ -208,6 +211,7 @@ class Simulator:
         self.step = 0
         self.records: list[tuple] = []
         self._events: list[dict] = []  # the records rendered so far, which `trace` returns
+        self._rendered = 0  # how many: `trace` refuses a list whose length differs
         self.procs = {p: ProcessCore(p, spec, quorum) for p in range(1, n + 1)}
         self._readers = spec.readers
         self.registers = {reg: INITIAL_VALUE for reg in spec.registers}
@@ -236,24 +240,26 @@ class Simulator:
         `collector_paused`; each later read returns the same list,
         extended with the records added since.  So a list read from
         `trace` is not extended by later steps until `trace` is read
-        again.  Its events may be changed, but a caller that adds or
-        removes one puts the list out of step with `records`."""
-        events, records = self._events, self.records
-        if len(events) < len(records):
+        again.  Its events may be changed, but not added or removed: a
+        read that finds the list's length other than the count of
+        records rendered into it raises SimError."""
+        events, records, rendered = self._events, self.records, self._rendered
+        if len(events) != rendered:
+            raise SimError(f"trace holds {len(events)} events but {rendered} records were rendered into it: "
+                           "an event added to or removed from it puts it out of step with records")
+        if rendered < len(records):
             with collector_paused():
-                events.extend(map(render, records[len(events):]))
+                events.extend(map(render, records[rendered:]))
+            self._rendered = len(records)
         return events
-
-    def _record(self, kind: str, actor: int, a, b) -> None:
-        self.records.append((self.step, kind, actor, a, b))
-        self.step += 1
 
     def read(self, reg, by: int) -> TaggedValue:
         """R_i[q]'s value, for a member `by` of S_i; else AccessError."""
         if by not in self._readers.get(reg, ()):
             raise AccessError(f"p{by} cannot read R_{reg[0]}[p{reg[1]}]")
         value = self.registers[reg]
-        self._record("reg-read", by, reg, value)
+        self.records.append((self.step, "reg-read", by, reg, value))
+        self.step += 1
         return value
 
     def write(self, reg, by: int, value: TaggedValue) -> None:
@@ -261,19 +267,28 @@ class Simulator:
         if not (reg in self._readers and reg[1] == by):
             raise AccessError(f"p{by} cannot write R_{reg[0]}[p{reg[1]}]")
         self.registers[reg] = value
-        self._record("reg-write", by, reg, value)
+        self.records.append((self.step, "reg-write", by, reg, value))
+        self.step += 1
 
     def _route(self, msgs) -> None:
+        if not msgs:
+            return
+        send_seq, sends, network, inbox, mode, deliverable = (
+            self._send_seq, self._sends, self.network, self._inbox, self._mode, self._deliverable)
+        append, step = self.records.append, self.step
         for msg in msgs:
-            self._send_seq[msg.sender] += 1
-            mid = f"{msg.sender}.{self._send_seq[msg.sender]}"
-            no = len(self._sends)
-            self._sends.append((mid, self.step))
-            self.network[mid] = msg
-            self._inbox[msg.dest][mid] = no
-            if self._mode[msg.dest] == _OPEN:
-                self._deliverable.append(no)  # the newest send sorts last
-            self._record("send", msg.sender, mid, msg)
+            sender, dest = msg.sender, msg.dest
+            seq = send_seq[sender] = send_seq[sender] + 1
+            mid = f"{sender}.{seq}"
+            no = len(sends)
+            sends.append((mid, step))
+            network[mid] = msg
+            inbox[dest][mid] = no
+            if mode[dest] == _OPEN:
+                deliverable.append(no)  # the newest send sorts last
+            append((step, "send", sender, mid, msg))
+            step += 1
+        self.step = step
 
     # -- indexes -----------------------------------------------------------
 
@@ -384,14 +399,21 @@ class Simulator:
 
     def _fire(self, ev: tuple) -> None:
         """The transition of an event that enabled() lists; unchecked.
-        Each kind sets up its event for one process p; then p is
-        re-indexed and its sends routed, at one site for all three."""
+        Each kind sets up its event for one process p, appending its
+        records as it goes; then p is re-indexed and its sends routed,
+        at one site for all three.  A handler step sends its scan the
+        simulator, whose `read` or `write` records the access; only the
+        step that ends the scan goes on, to route the ack."""
         kind = ev[0]
         if kind == "hstep":  # most events: a handler's register access
             p = ev[1]
             core = self.procs[p]
-            sends = core.reg_step(self)
-            if core.scan is not None:  # a step within a scan changes no index and sends nothing
+            try:
+                core.scan.send(self)
+            except StopIteration as done:
+                core.scan = None
+                sends = (done.value,)
+            else:  # a step within a scan changes no index and sends nothing
                 return
         elif kind == "invoke":
             idx = ev[1]
@@ -403,10 +425,11 @@ class Simulator:
                 # The written tuple is fixed at invocation; record it now so
                 # a crash-interrupted write still explains the value readers
                 # may have observed.
-                self._record("invoke", p, idx, sends[0].value)
+                value = sends[0].value
             else:
-                sends = self.procs[p].invoke_read()
-                self._record("invoke", p, idx, None)
+                sends, value = self.procs[p].invoke_read(), None
+            self.records.append((self.step, "invoke", p, idx, value))
+            self.step += 1
         else:  # deliver
             mid = ev[1]
             msg = self.network.pop(mid)
@@ -414,12 +437,14 @@ class Simulator:
             no = self._inbox[p].pop(mid)
             deliverable = self._deliverable
             del deliverable[bisect_left(deliverable, no)]
-            self._record("deliver", p, mid, msg)
+            self.records.append((self.step, "deliver", p, mid, msg))
+            self.step += 1
             sends, value = self.procs[p].deliver(msg)
             if value is not None:  # the op at the head of p's queue responds; it sent nothing
                 idx = self._queue[p].popleft()
                 self.ops[idx].response_step = self.step
-                self._record("respond", p, idx, value)
+                self.records.append((self.step, "respond", p, idx, value))
+                self.step += 1
         self._sync(p)
         self._route(sends)
 
@@ -473,7 +498,8 @@ class Simulator:
                 while crashes and crashes[0][1] <= self.step:
                     p, _ = crashes.popleft()
                     self.crashed.add(p)
-                    self._record("crash", p, None, None)
+                    self.records.append((self.step, "crash", p, None, None))
+                    self.step += 1
                     self._sync(p)
                 if timed and timed[0][0] <= self.step:
                     self._due()
@@ -491,25 +517,14 @@ class Simulator:
         return self
 
 
-def _event_at(sim: Simulator, i: int) -> tuple:
-    """The event at index i of enabled(), 0 <= i < its length, read off
-    the indexes."""
-    invokes, scanning = sim._invokes, sim._scanning
-    if i < len(invokes):
-        return ("invoke", invokes[i])
-    i -= len(invokes)
-    if i < len(scanning):
-        return ("hstep", scanning[i])
-    return ("deliver", sim._sends[sim._deliverable[i - len(scanning)]][0])
-
-
 def _make_chooser(sim: Simulator, schedule: Schedule):
-    if schedule.policy == "fifo":
-        return lambda: _event_at(sim, 0)
+    invokes, scanning, deliverable, sends = sim._invokes, sim._scanning, sim._deliverable, sim._sends
+    if schedule.policy == "fifo":  # the head of enabled(), off its bands in order
+        return lambda: ("invoke", invokes[0]) if invokes else ("hstep", scanning[0]) if scanning else (
+            "deliver", sends[deliverable[0]][0])
     if schedule.policy == "fair":
         getrandbits = random.Random(schedule.seed).getrandbits
         age_limit = sim.spec.n * sim.spec.n + 16
-        invokes, scanning, deliverable, sends = sim._invokes, sim._scanning, sim._deliverable, sim._sends
 
         def choose():
             # Aging: force the oldest deliverable message once it has
@@ -523,12 +538,18 @@ def _make_chooser(sim: Simulator, schedule: Schedule):
             # inlined to skip randrange's argument handling.
             # TestFairChooserAgainstOracle (against rng.choice) and the
             # golden digests hold it to that loop.
-            k = len(invokes) + len(scanning) + len(deliverable)
+            ni, ns = len(invokes), len(scanning)
+            k = ni + ns + len(deliverable)
             bits = k.bit_length()
             i = getrandbits(bits)
             while i >= k:
                 i = getrandbits(bits)
-            return _event_at(sim, i)
+            # Event i of enabled(), read off its bands in order.
+            if i < ni:
+                return ("invoke", invokes[i])
+            if i < ni + ns:
+                return ("hstep", scanning[i - ni])
+            return ("deliver", sends[deliverable[i - ni - ns]][0])
 
         return choose
     if schedule.policy == "scripted":

@@ -20,7 +20,8 @@ event.  A trace is outside input: the reader holds each line, and
 first malformed line or event raises, naming it (event i is line i of
 a file written by `emit_trace`) or its op, and nothing after it is
 read.  Records are the simulator's own, so only their op records are
-checked.
+checked, each once.  The history either pass builds is marked checked,
+so `checker` does not check it again.
 """
 
 from __future__ import annotations
@@ -255,6 +256,12 @@ def _register_write(i: int, kind: str, ev: dict) -> tuple:
     return ev.get("step"), (reg[0], reg[1]), value[0]
 
 
+class _Validated(list):
+    """A history whose op records were all held to `check_record`, by
+    `project`, `project_records` or `checker`, so the checks do not
+    hold it to the rule again.  Change a record, and copy the list."""
+
+
 class Projection(NamedTuple):
     """The parts of a trace, as `project` builds them from its events
     and `project_records` from a simulator's records:
@@ -293,25 +300,33 @@ def project(trace) -> Projection:
             crashed.add(_actor(i, kind, ev))
         else:
             raise _unknown_kind(i, kind)
-    return Projection([ops[k] for k in sorted(ops)], decreases, crashed)
+    return Projection(_Validated(ops[k] for k in sorted(ops)), decreases, crashed)
 
 
 def project_records(records) -> Projection:
     """The Projection of a simulator's records: `project` of their
     rendering, built from the records without rendering an event, by
     `project`'s op-record rules (`_open`, `_close`, `check_record`) and
-    monotonicity rule (`_written`)."""
+    monotonicity rule (`_written`).  Each op record meets `check_record`
+    once, at its response or, pending, at the end: the simulator's own
+    invocation fields cannot break it, so the first error is `project`'s."""
     ops, last, decreases, crashed = {}, {}, [], set()
     for step, kind, actor, a, b in records:
+        if kind == "reg-read" or kind == "send" or kind == "deliver":
+            continue  # no part reads these
         if kind == "reg-write":
             _written(last, decreases, step, a, b[0])
         elif kind == "invoke":
-            check_record(_open(ops, a, "read" if b is None else "write", actor, step, None if b is None else list(b)))
+            _open(ops, a, "read" if b is None else "write", actor, step, None if b is None else list(b))
         elif kind == "respond":
             check_record(_close(ops, a, step, list(b)))
         elif kind == "crash":
             crashed.add(actor)
-    return Projection([ops[k] for k in sorted(ops)], decreases, crashed)
+    history = _Validated(ops[k] for k in sorted(ops))
+    for rec in history:
+        if rec["response"] is None:
+            check_record(rec)
+    return Projection(history, decreases, crashed)
 
 
 def history_from_trace(trace) -> list[dict]:
@@ -319,8 +334,9 @@ def history_from_trace(trace) -> list[dict]:
     invoke and respond events by `project`.  A trace file and the
     simulator's records that it was rendered from give the same history
     (`project_records`), so the checker sees a run and its emitted
-    trace alike."""
-    return project(trace).history
+    trace alike.  It is a plain list, not marked checked: a caller may
+    change its records, and the checks then hold them to the rule."""
+    return list(project(trace).history)
 
 
 def schedule_from_trace(trace) -> tuple:

@@ -21,7 +21,7 @@ from mmreg.cli import fuzz, main
 from mmreg.model import spec_from_dict
 from mmreg.protocol import ProtocolError
 from mmreg.tolerance import BRIDGE_LIMIT
-from mmreg.trace import KINDS, render, trace_lines
+from mmreg.trace import KINDS, check_record, project_records, render, trace_lines
 from test_trace import SELECTIONS
 
 
@@ -610,6 +610,32 @@ class TestFuzz:
         assert fuzz(spec_from_dict(FIG1), 20, 3)["runs"] == len(runs) == 20
         assert rendered == []
         assert len(runs[-1].trace) == len(rendered) == len(runs[-1].records) > 0
+
+    def test_a_batch_checks_each_op_record_once(self, monkeypatch):
+        """The history that `project_records` builds is checked as it is
+        built, each op record once, and `check_all` does not check it
+        again.  Runs with pending ops are included: crashes go up to
+        t_L, so some ops never respond."""
+        checked = []
+
+        def counted(h, i=None):
+            checked.append(id(h))
+            return check_record(h, i)
+
+        histories = []
+
+        def kept(records):
+            projection = project_records(records)
+            histories.append(projection.history)
+            return projection
+
+        monkeypatch.setattr("mmreg.trace.check_record", counted)
+        monkeypatch.setattr("mmreg.checker.check_record", counted)
+        monkeypatch.setattr("mmreg.cli.project_records", kept)
+        assert fuzz(spec_from_dict(FIG1), 40, 3)["runs"] == len(histories) == 40
+        records = [h for history in histories for h in history]
+        assert any(h["response"] is None for h in records)
+        assert sorted(checked) == sorted(map(id, records))
 
 
 class TestFuzzCollectorPause:

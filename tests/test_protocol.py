@@ -13,11 +13,23 @@ def registers_of(spec):
     return Simulator(spec, 0, [])
 
 
+def reg_step(core, sim):
+    """One atomic register access of core's active scan, on sim's
+    registers, as the simulator's handler step makes it.  Returns the
+    sends: the ack once the scan ends, else nothing."""
+    try:
+        core.scan.send(sim)
+    except StopIteration as done:
+        core.scan = None
+        return [done.value]
+    return []
+
+
 def drain_scan(core, sim):
     """Run all register steps of the active handler, return its emissions."""
     sends = []
     while core.scan is not None:
-        out = core.reg_step(sim)
+        out = reg_step(core, sim)
         sends.extend(out)
     return sends
 
@@ -71,10 +83,10 @@ class TestWriteQuorum:
         core = ProcessCore(1, msg3_spec, quorum=2)
         core.invoke_write("a")
         for stale in (Message(ACK_W, 2, 1, 2), Message(ACK_R, 3, 1, 1, INITIAL_VALUE)):
-            assert core.deliver(stale) == ([], None)
+            assert core.deliver(stale) == ((), None)
         # Had either stale ack counted, this one would reach quorum 2.
-        assert core.deliver(Message(ACK_W, 1, 1, 1)) == ([], None)
-        assert core.deliver(Message(ACK_W, 2, 1, 1)) == ([], TaggedValue(1, "a"))
+        assert core.deliver(Message(ACK_W, 1, 1, 1)) == ((), None)
+        assert core.deliver(Message(ACK_W, 2, 1, 1)) == ((), TaggedValue(1, "a"))
 
     def test_write_back_ignores_acks_r(self, msg3_spec):
         core = ProcessCore(2, msg3_spec, quorum=2)
@@ -82,9 +94,9 @@ class TestWriteQuorum:
         core.deliver(Message(ACK_R, 1, 2, 1, TaggedValue(1, "a")))
         sends, _ = core.deliver(Message(ACK_R, 3, 2, 1, TaggedValue(1, "a")))
         assert [m.kind for m in sends] == [W, W, W]
-        assert core.deliver(Message(ACK_R, 2, 2, 1, TaggedValue(1, "a"))) == ([], None)
-        assert core.deliver(Message(ACK_W, 1, 2, 1)) == ([], None)
-        assert core.deliver(Message(ACK_W, 3, 2, 1)) == ([], TaggedValue(1, "a"))
+        assert core.deliver(Message(ACK_R, 2, 2, 1, TaggedValue(1, "a"))) == ((), None)
+        assert core.deliver(Message(ACK_W, 1, 2, 1)) == ((), None)
+        assert core.deliver(Message(ACK_W, 3, 2, 1)) == ((), TaggedValue(1, "a"))
 
 
 class TestWriteHandler:
@@ -119,9 +131,9 @@ class TestWriteHandler:
         sim = registers_of(msg3_spec)
         core = ProcessCore(2, msg3_spec, quorum=2)
         core.deliver(Message(W, 1, 2, 1, TaggedValue(1, "a")))
-        out = core.reg_step(sim)
+        out = reg_step(core, sim)
         assert [ev["kind"] for ev in sim.trace] == ["reg-read"] and out == []
-        out = core.reg_step(sim)
+        out = reg_step(core, sim)
         assert [ev["kind"] for ev in sim.trace] == ["reg-read", "reg-write"]
         assert out[0].kind == ACK_W
 
@@ -135,10 +147,9 @@ class TestWriteHandler:
 @pytest.mark.parametrize(
     "act, message",
     [
-        (lambda core, sim: core.reg_step(sim), "p2: no handler in progress"),
         (lambda core, sim: core.deliver(Message("PING", 1, 2, 1)), "unknown message kind 'PING'"),
     ],
-    ids=["reg-step-with-no-scan", "unknown-message-kind"],
+    ids=["unknown-message-kind"],
 )
 def test_bad_step_raises(msg3_spec, act, message):
     with pytest.raises(ProtocolError, match=message):
@@ -181,7 +192,7 @@ class TestReadQuorum:
         core = ProcessCore(2, msg3_spec, quorum=2)
         core.invoke_read()
         sends, resp = core.deliver(Message(ACK_R, 1, 2, 1, TaggedValue(2, "b")))
-        assert sends == [] and resp is None
+        assert sends == () and resp is None
         sends, resp = core.deliver(Message(ACK_R, 3, 2, 1, TaggedValue(1, "a")))
         assert resp is None
         assert len(sends) == 3
@@ -198,9 +209,9 @@ class TestReadQuorum:
         core.pending = None
         core.invoke_read()  # sn_r is now 2
         sends, resp = core.deliver(Message(ACK_R, 1, 2, 1, TaggedValue(0, None)))
-        assert sends == [] and resp is None
+        assert sends == () and resp is None
         # Had the stale ack counted, p3's fresh one would reach quorum 2.
-        assert core.deliver(Message(ACK_R, 3, 2, 2, TaggedValue(0, None))) == ([], None)
+        assert core.deliver(Message(ACK_R, 3, 2, 2, TaggedValue(0, None))) == ((), None)
         sends, resp = core.deliver(Message(ACK_R, 1, 2, 2, TaggedValue(0, None)))
         assert resp is None and [m.kind for m in sends] == [W, W, W]
 
@@ -209,7 +220,7 @@ class TestReadQuorum:
         core.invoke_read()
         core.deliver(Message(ACK_R, 1, 2, 1, TaggedValue(0, None)))
         sends, _ = core.deliver(Message(ACK_R, 1, 2, 1, TaggedValue(0, None)))
-        assert sends == []  # still below quorum
+        assert sends == ()  # still below quorum
 
     def test_independent_read_counters(self, msg3_spec):
         a = ProcessCore(1, msg3_spec, quorum=2)

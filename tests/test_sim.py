@@ -454,7 +454,8 @@ def _apply_gate(sim, listed, candidates):
 def checked_run(spec, t, workload, schedule):
     """Run `schedule`, asserting before every choice that `enabled()`
     and `is_quiescent()` equal the rebuild's, and that `apply` accepts
-    exactly the listed events.  Returns the simulator and every event
+    exactly the listed events; under fifo, that the choice is the
+    first of them.  Returns the simulator and every event
     that was ever enabled."""
     real = sim_module._make_chooser
     seen: set = set()
@@ -472,7 +473,9 @@ def checked_run(spec, t, workload, schedule):
             delivered = {("deliver", ev["payload"]["id"]) for ev in sim.trace[-12:] if ev["kind"] == "deliver"}
             _apply_gate(sim, expected, sorted(bogus | mine | network | delivered, key=repr))
             seen.update(expected)
-            return choose()
+            ev = choose()
+            assert sched.policy != "fifo" or ev == expected[0]  # fifo fires the head of enabled()
+            return ev
 
         return checked
 
@@ -509,6 +512,21 @@ def sim_cases(draw):
     plan = tuple((p, draw(st.integers(0, 150))) for p in victims)
     policy = draw(st.sampled_from(["fair", "fifo"]))
     return spec, draw(st.integers(0, n - 1)), workload, Schedule(policy, seed=draw(st.integers(0, 2**16)), crash_plan=plan)
+
+
+@settings(max_examples=100, deadline=None)
+@given(sim_cases())
+def test_replay_of_a_random_run_reproduces_its_records(case):
+    """A fair or fifo run with its crash plan, replayed under "scripted"
+    from `schedule_from_trace` of its trace, makes the same records,
+    tuple for tuple, and the same trace lines: the single case of
+    `test_replay_reproduces_history`, over random systems."""
+    spec, t, workload, schedule = case
+    original = run_simulation(spec, t, workload, schedule)
+    script = schedule_from_trace(original.trace)
+    replay = run_simulation(spec, t, workload, Schedule("scripted", script=script, crash_plan=schedule.crash_plan))
+    assert replay.records == original.records
+    assert trace_lines(replay.trace) == trace_lines(original.trace)
 
 
 class TestIndexesAgainstRebuild:
@@ -719,6 +737,30 @@ class TestTraceView:
         sim = Simulator(msg3_spec, 1, [])
         with pytest.raises(AttributeError):
             sim.trace = []
+
+    @pytest.mark.parametrize("change", ["remove", "add"])
+    def test_a_list_with_events_added_or_removed_is_refused(self, change):
+        """An event removed from or added to the list that `trace`
+        returned would put every later rendering one place off its
+        record (a removal made step 10 appear twice); the next read
+        refuses the list, whether or not records were added since."""
+        spec = make_spec(graph=Graph.from_edges(3, [(1, 2), (2, 3)]), writer=1)
+        sim = Simulator(spec, 1, [WorkloadOp("write", 1, "a", 0), WorkloadOp("read", 3, None, 0)])
+        for _ in range(5):
+            sim.apply(sim.enabled()[0])
+        view, rendered = sim.trace, len(sim.records)
+        assert [ev["step"] for ev in view] == list(range(rendered))
+        if change == "remove":
+            del view[0]
+        else:
+            view.append(dict(view[-1]))
+        message = f"^trace holds {len(view)} events but {rendered} records were rendered into it: "
+        with pytest.raises(SimError, match=message):
+            sim.trace
+        for _ in range(3):
+            sim.apply(sim.enabled()[0])
+        with pytest.raises(SimError, match=message):
+            sim.trace
 
 
 # -- a finished run is freed by reference counting -----------------------

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import trace_oracle as oracle
-from mmreg import Schedule, bag_of, build_e3, check_all, emit_trace, find_witness, load_trace, make_spec, run_simulation
+from mmreg import Schedule, bag_of, build_e3, check_all, check_property1, emit_trace, find_witness, history_from_trace, load_trace, make_spec, run_simulation
 from mmreg.checker import PROPERTIES
 from mmreg.cli import main, random_crash_plan, random_workload
 from mmreg.protocol import Message, TaggedValue
@@ -193,6 +193,18 @@ def test_a_projection_given_to_check_all_has_its_history_checked():
     bad = good._replace(history=[{**good.history[0], "invoke": "0"}])
     with pytest.raises(HistoryError, match="^op 0 has invoke step '0', not an integer$"):
         check_all(bad)
+
+
+def test_a_history_from_a_trace_is_checked_again_once_changed():
+    """`project` marks the history it builds as checked, so the checks
+    skip it; `history_from_trace` hands out a plain list, which a
+    caller may change, and the checks hold it to the rule again."""
+    history = history_from_trace(PENDING_MONO_CRASH)
+    history[0]["invoke"] = "0"
+    with pytest.raises(HistoryError, match="^op 0 has invoke step '0', not an integer$"):
+        check_property1(history)
+    with pytest.raises(HistoryError, match="^op 0 has invoke step '0', not an integer$"):
+        check_all(PENDING_MONO_CRASH, history=history)
 
 
 # -- one-shot iterators ---------------------------------------------------
