@@ -276,15 +276,15 @@ def check_all(trace, history=None, crashed=None, t: int | None = None, props=PRO
         projection = project(trace)
         checked = projection.history
     history = checked if history is None else _validate(history)
-    verdict = Verdict(())
+    violations: list[Violation] = []
     if "1" in chosen:
-        verdict = verdict.merged(check_property1(history))
+        violations += check_property1(history).violations
     if "2" in chosen:
-        verdict = verdict.merged(check_property2(history))
+        violations += check_property2(history).violations
     if "mono" in chosen:
-        verdict = verdict.merged(_monotonicity(projection.mono))
+        violations += _monotonicity(projection.mono).violations
     if "live" in chosen:
         if crashed is None:
             crashed = projection.crashed
-        verdict = verdict.merged(check_completion(history, crashed, t))
-    return verdict
+        violations += check_completion(history, crashed, t).violations
+    return Verdict(tuple(violations))

@@ -71,6 +71,12 @@ class Message(NamedTuple):
     value: TaggedValue | None = None  # payload of W, reply of ACK-R
 
 
+# The protocol builds its sends as _new(Message, (all five fields)): the
+# same class and values as Message(...), without the NamedTuple's
+# Python-level __new__, which takes about 1.7x as long.
+_new = tuple.__new__
+
+
 def ack_quorum(n: int, t: int) -> int:
     """Acknowledgements to wait for when up to t crashes are tolerated."""
     if type(t) is not int:  # bool is an int subclass
@@ -87,7 +93,7 @@ def _round(kind: str, pid: int, n: int, quorum: int, sn: int, value: TaggedValue
     have acked it echoing sn; return each one's first reply by sender.
     Any other ack is stale and ignored."""
     ack, replies = (ACK_W if kind == W else ACK_R), {}
-    msg = yield [Message(kind, pid, dest, sn, value) for dest in range(1, n + 1)]
+    msg = yield [_new(Message, (kind, pid, dest, sn, value)) for dest in range(1, n + 1)]
     while True:
         if msg.kind == ack and msg.sn == sn:
             replies.setdefault(msg.sender, msg.value)
@@ -117,7 +123,7 @@ def _w_handler(pid: int, regs: tuple, msg: Message):
     for reg in regs:
         if msg.value.sn > (yield).read(reg, pid).sn:
             (yield).write(reg, pid, msg.value)
-    return Message(ACK_W, pid, msg.sender, msg.sn)
+    return _new(Message, (ACK_W, pid, msg.sender, msg.sn, None))
 
 
 def _r_handler(pid: int, regs: tuple, msg: Message):
@@ -125,8 +131,12 @@ def _r_handler(pid: int, regs: tuple, msg: Message):
     returns the ACK-R carrying the freshest value read."""
     best = None
     for reg in regs:
-        best = _fresher(best, (yield).read(reg, pid))
-    return Message(ACK_R, pid, msg.sender, msg.sn, best)
+        v = (yield).read(reg, pid)
+        if best is None or v.sn > best.sn:
+            best = v
+        elif v.sn == best.sn and v.payload != best.payload:
+            _fresher(best, v)  # raises
+    return _new(Message, (ACK_R, pid, msg.sender, msg.sn, best))
 
 
 class ProcessCore:

@@ -142,14 +142,18 @@ class Simulator:
     (`mmreg simulate`, which emits it, `demo`'s report, bench/ and the
     tests) pay for the dicts.
 
-    The scheduler-facing surface is `enabled()` / `apply(event)`; `run`
-    drives them under a policy, and `step_within` fires the first
-    enabled event inside a set of processes, the lower-bound run's
-    step.  Events are small tuples: ("invoke", op_index),
-    ("hstep", pid), ("deliver", msg_id).  `_fire` resumes the protocol,
-    and each record is appended where its event happens, with no helper
-    between: an access in `read` or `write`, a send in `_route`, the
-    others in `_fire`.  The choosers read events off the indexes.
+    The scheduler-facing surface is `enabled()` / `apply(event)`.
+    Events are small tuples: ("invoke", op_index), ("hstep", pid),
+    ("deliver", msg_id).  Each kind has its transition, `_invoke`,
+    `_hstep` and `_deliver`, which resumes the protocol and appends
+    each record where its event happens, with no helper between: an
+    access in `read` or `write`, a send in `_route`, the others in the
+    transition.  `run` drives the run under a policy: the fair and
+    fifo policies draw off the indexes and call the transition of the
+    band they drew from, with no event tuple built.  `step_within`
+    calls the transition of the first enabled event inside a set of
+    processes, the lower-bound run's step.  `_fire` dispatches an event
+    tuple to its transition only for `apply` and scripted replay.
 
     Operations belong to the simulator, not the protocol: `_queue[p]`
     holds p's op indices in workload order, and the running op stays at
@@ -377,76 +381,91 @@ class Simulator:
         the side.  False, with nothing fired, when there is none.
 
         Reads the indexes in enabled()'s order without building the list;
-        whatever it fires is enabled, so it goes straight to `_fire`.
+        whatever it finds is enabled, so its transition fires at once.
         """
         self._due()
         for i in self._invokes:
             if i == op:  # fire the index the list holds, an int even if op is True
-                self._fire(("invoke", i))
+                self._invoke(i)
                 return True
         for p in self._scanning:
             if p in side:
-                self._fire(("hstep", p))
+                self._hstep(p)
                 return True
         sends, network = self._sends, self.network
         for no in self._deliverable:
             mid = sends[no][0]
             msg = network[mid]
             if msg.dest in side and msg.sender in side:
-                self._fire(("deliver", mid))
+                self._deliver(mid)
                 return True
         return False
 
-    def _fire(self, ev: tuple) -> None:
-        """The transition of an event that enabled() lists; unchecked.
-        Each kind sets up its event for one process p, appending its
-        records as it goes; then p is re-indexed and its sends routed,
-        at one site for all three.  A handler step sends its scan the
-        simulator, whose `read` or `write` records the access; only the
-        step that ends the scan goes on, to route the ack."""
-        kind = ev[0]
-        if kind == "hstep":  # most events: a handler's register access
-            p = ev[1]
-            core = self.procs[p]
-            try:
-                core.scan.send(self)
-            except StopIteration as done:
-                core.scan = None
-                sends = (done.value,)
-            else:  # a step within a scan changes no index and sends nothing
-                return
-        elif kind == "invoke":
-            idx = ev[1]
-            op = self.workload[idx]
-            p = op.proc
-            self.ops[idx].invoke_step = self.step
-            if op.kind == "write":
-                sends = self.procs[p].invoke_write(op.payload)
-                # The written tuple is fixed at invocation; record it now so
-                # a crash-interrupted write still explains the value readers
-                # may have observed.
-                value = sends[0].value
-            else:
-                sends, value = self.procs[p].invoke_read(), None
-            self.records.append((self.step, "invoke", p, idx, value))
-            self.step += 1
-        else:  # deliver
-            mid = ev[1]
-            msg = self.network.pop(mid)
-            p = msg.dest
-            no = self._inbox[p].pop(mid)
-            deliverable = self._deliverable
-            del deliverable[bisect_left(deliverable, no)]
-            self.records.append((self.step, "deliver", p, mid, msg))
-            self.step += 1
-            sends, value = self.procs[p].deliver(msg)
-            if value is not None:  # the op at the head of p's queue responds; it sent nothing
-                idx = self._queue[p].popleft()
-                self.ops[idx].response_step = self.step
-                self.records.append((self.step, "respond", p, idx, value))
-                self.step += 1
+    # -- transitions -------------------------------------------------------
+    #
+    # One per kind of event, each unchecked: its event must be enabled.
+    # Each appends its records as it goes, re-indexes the one process p
+    # it changed and routes p's sends.
+
+    def _invoke(self, idx: int) -> None:
+        op = self.workload[idx]
+        p = op.proc
+        self.ops[idx].invoke_step = self.step
+        if op.kind == "write":
+            sends = self.procs[p].invoke_write(op.payload)
+            # The written tuple is fixed at invocation; record it now so
+            # a crash-interrupted write still explains the value readers
+            # may have observed.
+            value = sends[0].value
+        else:
+            sends, value = self.procs[p].invoke_read(), None
+        self.records.append((self.step, "invoke", p, idx, value))
+        self.step += 1
         self._sync(p)
         self._route(sends)
+
+    def _hstep(self, p: int) -> None:
+        """Send p's scan the simulator, whose `read` or `write` records
+        the access.  A step within a scan changes no index and sends
+        nothing; only the step that ends the scan goes on, to route the
+        ack."""
+        core = self.procs[p]
+        try:
+            core.scan.send(self)
+        except StopIteration as done:
+            core.scan = None
+            self._sync(p)
+            self._route((done.value,))
+
+    def _deliver(self, mid: str) -> None:
+        msg = self.network.pop(mid)
+        p = msg.dest
+        no = self._inbox[p].pop(mid)
+        deliverable = self._deliverable
+        del deliverable[bisect_left(deliverable, no)]
+        self.records.append((self.step, "deliver", p, mid, msg))
+        self.step += 1
+        sends, value = self.procs[p].deliver(msg)
+        if value is not None:  # the op at the head of p's queue responds; it sent nothing
+            idx = self._queue[p].popleft()
+            self.ops[idx].response_step = self.step
+            self.records.append((self.step, "respond", p, idx, value))
+            self.step += 1
+        self._sync(p)
+        self._route(sends)
+
+    def _fire(self, ev: tuple) -> None:
+        """Dispatch an event tuple that enabled() lists to its
+        transition; unchecked.  Only `apply` and the scripted policy,
+        which hold an event tuple, come this way: the fair and fifo
+        policies and `step_within` call the transition they find."""
+        kind, x = ev
+        if kind == "hstep":
+            self._hstep(x)
+        elif kind == "invoke":
+            self._invoke(x)
+        else:
+            self._deliver(x)
 
     def is_quiescent(self) -> bool:
         """Nothing is enabled, and no timed invocation is still to come."""
@@ -466,6 +485,7 @@ class Simulator:
         caller that keeps them pays one walk of them after the run; one
         that drops them under its own pause, as `cli.fuzz` does, pays
         none.  The loop renders no dict event: `trace` does, when read.
+        Each turn of the loop calls the policy, which fires one event.
         """
         n = self.spec.n
         if type(schedule.seed) is not int:  # None would seed from the OS; bool is an int subclass
@@ -508,7 +528,7 @@ class Simulator:
                         break
                     self.step = timed[0][0]  # idle tick until the next timed invocation
                     continue
-                self._fire(chooser())
+                chooser()
                 if self.step > MAX_STEPS:
                     raise SimError(f"step budget {MAX_STEPS} exceeded")
         left = tuple(chooser.rest) if schedule.policy == "scripted" else ()
@@ -518,10 +538,16 @@ class Simulator:
 
 
 def _make_chooser(sim: Simulator, schedule: Schedule):
+    """The schedule's policy, as a function that fires one enabled event
+    of `sim` per call.  The fair and fifo policies draw off the indexes
+    and call the transition of the band they drew from, bound here, so
+    no event tuple is built; the scripted policy checks each script
+    event and fires it through `_fire`."""
     invokes, scanning, deliverable, sends = sim._invokes, sim._scanning, sim._deliverable, sim._sends
+    invoke, hstep, deliver = sim._invoke, sim._hstep, sim._deliver
     if schedule.policy == "fifo":  # the head of enabled(), off its bands in order
-        return lambda: ("invoke", invokes[0]) if invokes else ("hstep", scanning[0]) if scanning else (
-            "deliver", sends[deliverable[0]][0])
+        return lambda: invoke(invokes[0]) if invokes else hstep(scanning[0]) if scanning else deliver(
+            sends[deliverable[0]][0])
     if schedule.policy == "fair":
         getrandbits = random.Random(schedule.seed).getrandbits
         age_limit = sim.spec.n * sim.spec.n + 16
@@ -532,7 +558,8 @@ def _make_chooser(sim: Simulator, schedule: Schedule):
             if deliverable:
                 mid, sent = sends[deliverable[0]]
                 if sim.step - sent > age_limit:
-                    return ("deliver", mid)
+                    deliver(mid)
+                    return
             # The draw of rng.choice(sim.enabled()) without building the
             # list: CPython 3.10-3.13's _randbelow_with_getrandbits(k),
             # inlined to skip randrange's argument handling.
@@ -546,10 +573,11 @@ def _make_chooser(sim: Simulator, schedule: Schedule):
                 i = getrandbits(bits)
             # Event i of enabled(), read off its bands in order.
             if i < ni:
-                return ("invoke", invokes[i])
-            if i < ni + ns:
-                return ("hstep", scanning[i - ni])
-            return ("deliver", sends[deliverable[i - ni - ns]][0])
+                invoke(invokes[i])
+            elif i < ni + ns:
+                hstep(scanning[i - ni])
+            else:
+                deliver(sends[deliverable[i - ni - ns]][0])
 
         return choose
     if schedule.policy == "scripted":
@@ -568,7 +596,7 @@ def _make_chooser(sim: Simulator, schedule: Schedule):
             except TypeError:  # not iterable
                 raise ScriptError(f"script event {entry!r} at step {sim.step} is not an event") from None
             sim._require_enabled(ev)
-            return ev
+            sim._fire(ev)
 
         scripted.rest = it  # run requires it empty at quiescence
         return scripted

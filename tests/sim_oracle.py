@@ -2,8 +2,8 @@
 scratch out of its process, queue and network state, as `Simulator`
 computed them on every step before it kept incremental indexes.  The
 differential tests in test_sim.py hold `enabled()`, `is_quiescent()`
-and `apply` to exactly these answers, and the fair policy's choices
-to those of `fair_chooser`."""
+and `apply` to exactly these answers, and the events the fair policy
+fires to those `fair_chooser` draws."""
 
 import random
 
@@ -48,8 +48,9 @@ def is_quiescent(sim) -> bool:
 def fair_chooser(sim, schedule):
     """The fair policy's chooser as `Simulator` first wrote it: aging
     first, then `rng.choice` over the enabled events, here this
-    module's rebuild of them.  The simulator's own chooser makes the
-    same draw straight from its indexes."""
+    module's rebuild of them.  It returns the event it draws; the
+    simulator's own chooser makes the same draw straight from its
+    indexes and fires the event's transition itself."""
     rng = random.Random(schedule.seed)
     age_limit = sim.spec.n * sim.spec.n + 16
 

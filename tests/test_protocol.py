@@ -4,7 +4,7 @@ import pytest
 
 from mmreg import INITIAL_VALUE, Message, ProcessCore, ProtocolError, TaggedValue, max_tagged, make_spec, bag_of
 from mmreg.protocol import ACK_R, ACK_W, R, W
-from mmreg.sim import Simulator
+from mmreg.sim import Schedule, Simulator, WorkloadOp, run_simulation
 
 
 def registers_of(spec):
@@ -179,6 +179,27 @@ class TestReadHandler:
         sends = drain_scan(cores[1], sim)
         assert sends[0].value == TaggedValue(3, "c")
 
+    @pytest.mark.parametrize("second", ["b", "x"])
+    def test_equal_sns_fold_as_max_tagged(self, fig1_cores, second):
+        """Two registers with sn 2 fold into the ack as `max_tagged`
+        folds them: one value if the payloads agree, else the same
+        ProtocolError."""
+        cores, sim = fig1_cores
+        first_reg, second_reg = cores[1].readable[:2]
+        sim.registers[first_reg] = TaggedValue(2, "b")
+        sim.registers[second_reg] = TaggedValue(2, second)
+        values = [sim.registers[reg] for reg in cores[1].readable]
+        cores[1].deliver(Message(R, 4, 1, 1))
+        if second == "b":
+            assert drain_scan(cores[1], sim) == [Message(ACK_R, 1, 4, 1, max_tagged(values))]
+            return
+        with pytest.raises(ProtocolError) as expected:
+            max_tagged(values)
+        with pytest.raises(ProtocolError) as raised:
+            drain_scan(cores[1], sim)
+        assert str(raised.value) == str(expected.value)
+        assert "share a sequence number with different payloads" in str(raised.value)
+
     def test_singleton_scans_only_own_register(self, msg3_spec):
         sim = registers_of(msg3_spec)
         core = ProcessCore(3, msg3_spec, quorum=2)
@@ -228,6 +249,23 @@ class TestReadQuorum:
         a.invoke_read()
         b.invoke_read()
         assert a.sn_r == 1 and b.sn_r == 1
+
+
+def test_every_send_is_an_exact_message(fig1_spec):
+    """The fan-outs and acks the protocol builds are Messages in every
+    respect a caller can see: the class itself, equal to the message
+    built by keyword (an ACK-W's value None), and `_asdict()` works."""
+    workload = [WorkloadOp("write", 1, "a", 0), WorkloadOp("read", 3, None, 0), WorkloadOp("read", 5, None, 10)]
+    sim = run_simulation(fig1_spec, 2, workload, Schedule("fair", seed=5))
+    sent = [msg for _, kind, _, _, msg in sim.records if kind == "send"]
+    assert {m.kind for m in sent} == {W, ACK_W, R, ACK_R}
+    for m in sent:
+        fields = m._asdict()
+        assert type(m) is Message
+        assert list(fields) == ["kind", "sender", "dest", "sn", "value"]
+        assert m == Message(**fields)
+        assert m == Message(kind=m.kind, sender=m.sender, dest=m.dest, sn=m.sn, value=m.value)
+        assert (m.value is None) is (m.kind in (ACK_W, R))
 
 
 class TestMaxTagged:

@@ -451,16 +451,32 @@ def _apply_gate(sim, listed, candidates):
         del sim._fire
 
 
+def record_transitions(sim, fired):
+    """Shadow sim's three transitions on the instance with ones that
+    append their event to `fired` and then fire it.  A chooser made
+    afterwards binds these, and `_fire` dispatches to them."""
+    for kind in ("invoke", "hstep", "deliver"):
+        real = getattr(sim, f"_{kind}")
+
+        def recorded(x, kind=kind, real=real):
+            fired.append((kind, x))
+            real(x)
+
+        setattr(sim, f"_{kind}", recorded)
+
+
 def checked_run(spec, t, workload, schedule):
     """Run `schedule`, asserting before every choice that `enabled()`
     and `is_quiescent()` equal the rebuild's, and that `apply` accepts
-    exactly the listed events; under fifo, that the choice is the
-    first of them.  Returns the simulator and every event
-    that was ever enabled."""
+    exactly the listed events; after it, that the chooser fired one
+    event, under fifo the first of them.  Returns the simulator and
+    every event that was ever enabled."""
     real = sim_module._make_chooser
     seen: set = set()
 
     def make(sim, sched):
+        fired = []
+        record_transitions(sim, fired)
         choose = real(sim, sched)
 
         def checked():
@@ -473,9 +489,12 @@ def checked_run(spec, t, workload, schedule):
             delivered = {("deliver", ev["payload"]["id"]) for ev in sim.trace[-12:] if ev["kind"] == "deliver"}
             _apply_gate(sim, expected, sorted(bogus | mine | network | delivered, key=repr))
             seen.update(expected)
-            ev = choose()
+            before = len(fired)
+            choose()
+            assert len(fired) == before + 1
+            ev = fired[-1]
+            assert ev in expected
             assert sched.policy != "fifo" or ev == expected[0]  # fifo fires the head of enabled()
-            return ev
 
         return checked
 
@@ -620,22 +639,29 @@ class TestStepWithin:
 
 
 def chosen_events(spec, t, workload, schedule, make_chooser):
-    """The events a run under `make_chooser` picks, and its trace."""
+    """The events a run under `make_chooser` fires, and its trace."""
     picked = []
 
     def make(sim, sched):
-        choose = make_chooser(sim, sched)
-
-        def recorded():
-            picked.append(choose())
-            return picked[-1]
-
-        return recorded
+        record_transitions(sim, picked)
+        return make_chooser(sim, sched)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sim_module, "_make_chooser", make)
         sim = run_simulation(spec, t, workload, schedule)
     return picked, trace_lines(sim.trace)
+
+
+def firing(make_oracle):
+    """A chooser factory like `_make_chooser` out of `make_oracle`,
+    whose choosers return their event: each call fires the returned
+    event through `sim._fire`."""
+
+    def make(sim, sched):
+        choose = make_oracle(sim, sched)
+        return lambda: sim._fire(choose())
+
+    return make
 
 
 class TestFairChooserAgainstOracle:
@@ -646,7 +672,7 @@ class TestFairChooserAgainstOracle:
         schedule = replace(schedule, policy="fair")
         real = sim_module._make_chooser
         assert chosen_events(spec, t, workload, schedule, real) == chosen_events(
-            spec, t, workload, schedule, oracle.fair_chooser
+            spec, t, workload, schedule, firing(oracle.fair_chooser)
         )
 
     @pytest.mark.parametrize("seed", range(2))
@@ -669,7 +695,7 @@ class TestFairChooserAgainstOracle:
 
             return recorded
 
-        expected = chosen_events(spec, 19, workload, schedule, sized)
+        expected = chosen_events(spec, 19, workload, schedule, firing(sized))
         assert any(k > 128 for k in widths) and any(64 < k <= 128 for k in widths) and any(k <= 64 for k in widths)
         assert chosen_events(spec, 19, workload, schedule, sim_module._make_chooser) == expected
 
