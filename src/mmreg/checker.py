@@ -53,9 +53,6 @@ class Verdict:
     def ok(self) -> bool:
         return not self.violations
 
-    def merged(self, other: "Verdict") -> "Verdict":
-        return Verdict(self.violations + other.violations)
-
     def as_dicts(self) -> list[dict]:
         """The violations as JSON-ready {"prop", "ops", "reason"} records."""
         return [{"prop": v.prop, "ops": list(v.ops), "reason": v.reason} for v in self.violations]

@@ -15,7 +15,7 @@ import sys
 from .checker import PROPERTIES, check_all
 from .lowerbound import demo
 from .model import load_spec
-from .protocol import ProtocolError
+from .protocol import ProtocolError, ack_quorum
 from .sim import Schedule, SimError, WorkloadOp, collector_paused, run_simulation
 from .tolerance import BRIDGE_LIMIT, DIRECT_LIMIT, t_bridge, t_direct
 from .trace import emit_trace, load_trace, project_records
@@ -89,6 +89,8 @@ def fuzz(spec, runs: int, base_seed: int, crashes: int | None = None, t: int | N
             raise SimError(f"{name} must be an integer or None, got {value!r}")
     if crashes is not None and not 0 <= crashes <= spec.n:
         raise SimError(f"crashes must be in 0..{spec.n}, got {crashes}")
+    if t is not None:
+        ack_quorum(spec.n, t)  # a t that leaves no ack quorum is refused before any run, even with runs=0
     t_l = t_bridge(spec.bag).t if t is None or crashes is None else None
     threshold = t_l if t is None else t
     issues = []

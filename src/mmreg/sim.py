@@ -152,8 +152,8 @@ class Simulator:
     fifo policies draw off the indexes and call the transition of the
     band they drew from, with no event tuple built.  `step_within`
     calls the transition of the first enabled event inside a set of
-    processes, the lower-bound run's step.  `_fire` dispatches an event
-    tuple to its transition only for `apply` and scripted replay.
+    processes, the lower-bound run's step.  `apply` is the one checked
+    way to fire an event tuple, and scripted replay goes through it.
 
     Operations belong to the simulator, not the protocol: `_queue[p]`
     holds p's op indices in workload order, and the running op stays at
@@ -162,19 +162,21 @@ class Simulator:
 
     The enabled events are kept in three indexes, each in `enabled()`
     order, which `_sync` updates for the one process an event or a
-    crash changed:
+    crash changed.  Each holds what its band's transition takes:
 
-    - `_invokes`: the ready ops whose at_step has come, ascending.  An
-      op is ready when it heads the queue of a live idle process;
-      `_timed` holds the other ready ops as (at_step, op), ascending,
-      and `_due` moves them into `_invokes` once the step counter
-      reaches their at_step;
-    - `_scanning`: the live processes with a scan in progress, ascending;
-    - `_deliverable`: the send numbers of the undelivered messages
-      whose destination is live with no scan in progress, ascending.
-      `_inbox[p]` maps the id of every undelivered message to p to its
-      send number, so a scan start, a scan end or a crash moves them
-      out or in, and a delivery finds its send number there.
+    - `_invokes`: the ready op indices whose at_step has come,
+      ascending.  An op is ready when it heads the queue of a live idle
+      process; `_timed` holds the other ready ops as (at_step, op),
+      ascending, and `_due` moves them into `_invokes` once the step
+      counter reaches their at_step;
+    - `_scanning`: the live pids with a scan in progress, ascending;
+    - `_deliverable`: the position in `records` of the send record of
+      each undelivered message whose destination is live with no scan
+      in progress, ascending, which is send order.  `_inbox[p]` maps
+      the id of every undelivered message to p to that position, so a
+      scan start, a scan end or a crash moves them out or in, and
+      `apply` finds a delivery's position there.  The id and the send
+      step are read from the send record.
 
     Invariant: after `_due()`, enabled() is the invokes, then the
     hsteps, then the deliveries of these lists.  An event re-indexes one
@@ -221,7 +223,6 @@ class Simulator:
         self.registers = {reg: INITIAL_VALUE for reg in spec.registers}
         self.network: dict[str, Message] = {}  # insertion order = send order
         self._send_seq = {p: 0 for p in range(1, n + 1)}
-        self._sends: list[tuple[str, int]] = []  # by send number: (message id, step sent)
         self._inbox: dict[int, dict[str, int]] = {p: {} for p in range(1, n + 1)}
         self.ops = [OpRecord(op.kind, op.proc) for op in self.workload]
         self.crashed: set[int] = set()
@@ -277,21 +278,21 @@ class Simulator:
     def _route(self, msgs) -> None:
         if not msgs:
             return
-        send_seq, sends, network, inbox, mode, deliverable = (
-            self._send_seq, self._sends, self.network, self._inbox, self._mode, self._deliverable)
-        append, step = self.records.append, self.step
+        send_seq, network, inbox, mode, deliverable = (
+            self._send_seq, self.network, self._inbox, self._mode, self._deliverable)
+        records, step = self.records, self.step
+        append, no = records.append, len(records)
         for msg in msgs:
             sender, dest = msg.sender, msg.dest
             seq = send_seq[sender] = send_seq[sender] + 1
             mid = f"{sender}.{seq}"
-            no = len(sends)
-            sends.append((mid, step))
             network[mid] = msg
             inbox[dest][mid] = no
             if mode[dest] == _OPEN:
                 deliverable.append(no)  # the newest send sorts last
             append((step, "send", sender, mid, msg))
             step += 1
+            no += 1
         self.step = step
 
     # -- indexes -----------------------------------------------------------
@@ -344,17 +345,6 @@ class Simulator:
         while timed and timed[0][0] <= self.step:
             insort(self._invokes, timed.pop(0)[1])
 
-    def _require_enabled(self, ev) -> None:
-        """Raise ScriptError unless enabled() lists ev, tested against
-        the indexes."""
-        kind, x = ev if isinstance(ev, tuple) and len(ev) == 2 else (None, None)
-        if not (
-            kind == "invoke" and type(x) is int and x in self._invokes  # no bool or float: True == 1, 0.0 == 0
-            or kind == "hstep" and type(x) is int and x in self._scanning
-            or kind == "deliver" and isinstance(x, str) and x in self.network and self._mode[self.network[x].dest] == _OPEN
-        ):
-            raise ScriptError(f"event {ev!r} not enabled at step {self.step}")
-
     # -- event surface -----------------------------------------------------
 
     def enabled(self) -> list[tuple]:
@@ -362,17 +352,27 @@ class Simulator:
         invocations, then handler steps by process, then deliveries in
         send order."""
         self._due()
+        records = self.records
         return (
             [("invoke", i) for i in self._invokes]
             + [("hstep", p) for p in self._scanning]
-            + [("deliver", self._sends[no][0]) for no in self._deliverable]
+            + [("deliver", records[no][3]) for no in self._deliverable]
         )
 
     def apply(self, ev: tuple) -> None:
-        """Fire one event; raises ScriptError unless enabled() lists it."""
+        """Fire one event tuple through its transition, the one checked
+        way to: raises ScriptError, with nothing fired, unless enabled()
+        lists ev, tested against the indexes."""
         self._due()
-        self._require_enabled(ev)
-        self._fire(ev)
+        kind, x = ev if isinstance(ev, tuple) and len(ev) == 2 else (None, None)
+        if kind == "invoke" and type(x) is int and x in self._invokes:  # no bool or float: True == 1, 0.0 == 0
+            self._invoke(x)
+        elif kind == "hstep" and type(x) is int and x in self._scanning:
+            self._hstep(x)
+        elif kind == "deliver" and isinstance(x, str) and x in self.network and self._mode[(p := self.network[x].dest)] == _OPEN:
+            self._deliver(self._inbox[p][x])
+        else:
+            raise ScriptError(f"event {ev!r} not enabled at step {self.step}")
 
     def step_within(self, op: int, side) -> bool:
         """Fire the first event of enabled() that stays inside `side`, a
@@ -392,20 +392,20 @@ class Simulator:
             if p in side:
                 self._hstep(p)
                 return True
-        sends, network = self._sends, self.network
+        records = self.records
         for no in self._deliverable:
-            mid = sends[no][0]
-            msg = network[mid]
+            msg = records[no][4]
             if msg.dest in side and msg.sender in side:
-                self._deliver(mid)
+                self._deliver(no)
                 return True
         return False
 
     # -- transitions -------------------------------------------------------
     #
     # One per kind of event, each unchecked: its event must be enabled.
-    # Each appends its records as it goes, re-indexes the one process p
-    # it changed and routes p's sends.
+    # Each takes the entry of its band in the indexes (an op index, a
+    # pid, a send record's position), appends its records as it goes,
+    # re-indexes the one process p it changed and routes p's sends.
 
     def _invoke(self, idx: int) -> None:
         op = self.workload[idx]
@@ -437,10 +437,11 @@ class Simulator:
             self._sync(p)
             self._route((done.value,))
 
-    def _deliver(self, mid: str) -> None:
-        msg = self.network.pop(mid)
+    def _deliver(self, no: int) -> None:
+        """Deliver the message whose send record is records[no]."""
+        _, _, _, mid, msg = self.records[no]
         p = msg.dest
-        no = self._inbox[p].pop(mid)
+        del self.network[mid], self._inbox[p][mid]
         deliverable = self._deliverable
         del deliverable[bisect_left(deliverable, no)]
         self.records.append((self.step, "deliver", p, mid, msg))
@@ -453,19 +454,6 @@ class Simulator:
             self.step += 1
         self._sync(p)
         self._route(sends)
-
-    def _fire(self, ev: tuple) -> None:
-        """Dispatch an event tuple that enabled() lists to its
-        transition; unchecked.  Only `apply` and the scripted policy,
-        which hold an event tuple, come this way: the fair and fifo
-        policies and `step_within` call the transition they find."""
-        kind, x = ev
-        if kind == "hstep":
-            self._hstep(x)
-        elif kind == "invoke":
-            self._invoke(x)
-        else:
-            self._deliver(x)
 
     def is_quiescent(self) -> bool:
         """Nothing is enabled, and no timed invocation is still to come."""
@@ -539,15 +527,14 @@ class Simulator:
 
 def _make_chooser(sim: Simulator, schedule: Schedule):
     """The schedule's policy, as a function that fires one enabled event
-    of `sim` per call.  The fair and fifo policies draw off the indexes
-    and call the transition of the band they drew from, bound here, so
-    no event tuple is built; the scripted policy checks each script
-    event and fires it through `_fire`."""
-    invokes, scanning, deliverable, sends = sim._invokes, sim._scanning, sim._deliverable, sim._sends
+    of `sim` per call.  The fair and fifo policies draw a band entry off
+    the indexes and pass it to that band's transition, bound here, so
+    no event tuple is built; the scripted policy fires each script
+    event through `sim.apply`, which checks it."""
+    invokes, scanning, deliverable, records = sim._invokes, sim._scanning, sim._deliverable, sim.records
     invoke, hstep, deliver = sim._invoke, sim._hstep, sim._deliver
     if schedule.policy == "fifo":  # the head of enabled(), off its bands in order
-        return lambda: invoke(invokes[0]) if invokes else hstep(scanning[0]) if scanning else deliver(
-            sends[deliverable[0]][0])
+        return lambda: invoke(invokes[0]) if invokes else hstep(scanning[0]) if scanning else deliver(deliverable[0])
     if schedule.policy == "fair":
         getrandbits = random.Random(schedule.seed).getrandbits
         age_limit = sim.spec.n * sim.spec.n + 16
@@ -556,9 +543,9 @@ def _make_chooser(sim: Simulator, schedule: Schedule):
             # Aging: force the oldest deliverable message once it has
             # waited too long, so every message eventually arrives.
             if deliverable:
-                mid, sent = sends[deliverable[0]]
-                if sim.step - sent > age_limit:
-                    deliver(mid)
+                no = deliverable[0]
+                if sim.step - records[no][0] > age_limit:  # the step it was sent
+                    deliver(no)
                     return
             # The draw of rng.choice(sim.enabled()) without building the
             # list: CPython 3.10-3.13's _randbelow_with_getrandbits(k),
@@ -577,7 +564,7 @@ def _make_chooser(sim: Simulator, schedule: Schedule):
             elif i < ni + ns:
                 hstep(scanning[i - ni])
             else:
-                deliver(sends[deliverable[i - ni - ns]][0])
+                deliver(deliverable[i - ni - ns])
 
         return choose
     if schedule.policy == "scripted":
@@ -595,8 +582,7 @@ def _make_chooser(sim: Simulator, schedule: Schedule):
                 ev = tuple(entry)
             except TypeError:  # not iterable
                 raise ScriptError(f"script event {entry!r} at step {sim.step} is not an event") from None
-            sim._require_enabled(ev)
-            sim._fire(ev)
+            sim.apply(ev)
 
         scripted.rest = it  # run requires it empty at quiescence
         return scripted

@@ -56,7 +56,7 @@ def fair_chooser(sim, schedule):
 
     def choose():
         if sim._deliverable:
-            mid, sent = sim._sends[sim._deliverable[0]]
+            sent, _, _, mid, _ = sim.records[sim._deliverable[0]]  # its send record
             if sim.step - sent > age_limit:
                 return ("deliver", mid)
         return rng.choice(enabled(sim))

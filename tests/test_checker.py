@@ -179,11 +179,6 @@ class TestCheckAll:
         sim = run_simulation(msg3_spec, 1, wl, Schedule("fair", seed=8))
         assert check_all(sim.trace).ok
 
-    def test_merges_violations(self):
-        verdict = check_property1(fx.P1_BAD_INITIAL).merged(check_property2(fx.P2_BAD_ORDER))
-        assert len(verdict.violations) == 2
-        assert not verdict.ok
-
     def test_selected_properties_only(self):
         verdict = check_all([], history=fx.P1_BAD_INITIAL, crashed=set(), props=("2", "mono", "live"))
         assert verdict.ok

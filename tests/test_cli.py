@@ -540,6 +540,15 @@ class TestFuzz:
         with pytest.raises(SimError, match=f"^{re.escape(message)}$"):
             fuzz(load_spec(fig1_file), *args, **kwargs)
 
+    @pytest.mark.parametrize("t, quorum", [(99, -94), (-3, 8)])
+    def test_a_t_with_no_ack_quorum_is_refused_before_any_run(self, fig1_file, capsys, t, quorum):
+        message = f"t={t} gives ack quorum {quorum}, outside 1..5"
+        with pytest.raises(ProtocolError, match=f"^{re.escape(message)}$"):
+            fuzz(load_spec(fig1_file), 0, 0, t=t)
+        assert main(["fuzz", "--spec", fig1_file, "--runs", "0", "--threshold", str(t)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {message}\n"
+
     def test_small_clean_batch(self, fig1_file, capsys):
         assert main(["fuzz", "--spec", fig1_file, "--runs", "30", "--seed", "5"]) == 0
         out = json.loads(capsys.readouterr().out)
@@ -657,11 +666,15 @@ class TestFuzzCollectorPause:
         assert during == [False] * 20
 
     @pytest.mark.parametrize("on", [True, False], ids=["was-on", "was-off"])
-    def test_prior_state_comes_back_when_the_batch_raises(self, collector, on):
+    def test_prior_state_comes_back_when_the_batch_raises(self, monkeypatch, collector, on):
+        def failing(*args):
+            assert not gc.isenabled()  # raised from inside the pause
+            raise ProtocolError("the first run raises")
+
+        monkeypatch.setattr("mmreg.cli.run_simulation", failing)
         with collector(on):
-            # t=9 on five processes leaves no ack quorum: the first run raises.
-            with pytest.raises(ProtocolError, match="t=9 gives ack quorum -4"):
-                fuzz(spec_from_dict(FIG1), 20, 3, t=9)
+            with pytest.raises(ProtocolError, match="the first run raises"):
+                fuzz(spec_from_dict(FIG1), 20, 3, t=1)
             assert gc.isenabled() is on
 
     def test_no_collection_during_a_batch(self):

@@ -431,12 +431,25 @@ class TestReliability:
 # -- the incremental indexes against the from-scratch rebuild ---------------
 
 
+TRANSITIONS = ("invoke", "hstep", "deliver")
+
+
+def event_of(sim, kind, x):
+    """The event tuple of a transition's call on its band entry x: a
+    delivery takes its send record's position, and names the id held
+    there."""
+    return ("deliver", sim.records[x][3]) if kind == "deliver" else (kind, x)
+
+
 def _apply_gate(sim, listed, candidates):
     """`apply` raises ScriptError, and changes nothing, for exactly the
-    candidates that `listed` lacks.  The transition itself is stubbed
-    out, so an accepted event is recorded, not fired."""
+    candidates that `listed` lacks.  The three transitions are stubbed
+    out on the instance, so an accepted event is recorded, not fired;
+    whatever shadowed them before is put back after."""
     fired = []
-    sim._fire = fired.append  # shadows the method for this check only
+    saved = {kind: sim.__dict__.get(f"_{kind}") for kind in TRANSITIONS}
+    for kind in TRANSITIONS:
+        setattr(sim, f"_{kind}", lambda x, kind=kind: fired.append(event_of(sim, kind, x)))
     try:
         for ev in candidates:
             before = (sim.step, len(sim.trace))
@@ -448,18 +461,22 @@ def _apply_gate(sim, listed, candidates):
                     sim.apply(ev)
             assert (sim.step, len(sim.trace)) == before
     finally:
-        del sim._fire
+        for kind, shadow in saved.items():
+            if shadow is None:
+                delattr(sim, f"_{kind}")
+            else:
+                setattr(sim, f"_{kind}", shadow)
 
 
 def record_transitions(sim, fired):
     """Shadow sim's three transitions on the instance with ones that
     append their event to `fired` and then fire it.  A chooser made
-    afterwards binds these, and `_fire` dispatches to them."""
-    for kind in ("invoke", "hstep", "deliver"):
+    afterwards binds these, and `apply` calls them."""
+    for kind in TRANSITIONS:
         real = getattr(sim, f"_{kind}")
 
         def recorded(x, kind=kind, real=real):
-            fired.append((kind, x))
+            fired.append(event_of(sim, kind, x))
             real(x)
 
         setattr(sim, f"_{kind}", recorded)
@@ -655,11 +672,11 @@ def chosen_events(spec, t, workload, schedule, make_chooser):
 def firing(make_oracle):
     """A chooser factory like `_make_chooser` out of `make_oracle`,
     whose choosers return their event: each call fires the returned
-    event through `sim._fire`."""
+    event through `sim.apply`."""
 
     def make(sim, sched):
         choose = make_oracle(sim, sched)
-        return lambda: sim._fire(choose())
+        return lambda: sim.apply(choose())
 
     return make
 

@@ -197,15 +197,15 @@ def check_all(trace, history=None, crashed=None, t: int | None = None, props=PRO
         history = history_from_trace(trace)
     for i, h in enumerate(history):
         check_record(h, i)
-    verdict = Verdict(())
+    violations = ()
     if "1" in props:
-        verdict = verdict.merged(check_property1(history))
+        violations += check_property1(history).violations
     if "2" in props:
-        verdict = verdict.merged(check_property2(history))
+        violations += check_property2(history).violations
     if "mono" in props:
-        verdict = verdict.merged(check_monotonicity(trace))
+        violations += check_monotonicity(trace).violations
     if "live" in props:
         if crashed is None:
             crashed = crashed_from_trace(trace)
-        verdict = verdict.merged(check_completion(history, crashed, t))
-    return verdict
+        violations += check_completion(history, crashed, t).violations
+    return Verdict(violations)
