@@ -160,5 +160,5 @@ def demo(spec: SystemSpec, t: int) -> dict:
         "isolation_ok": isolation_holds(sim, (p_side, p_prime)),
         "violations": verdict.as_dicts(),
         "history": history,
-        "trace": sim.trace,
+        "trace": list(sim.trace),
     }

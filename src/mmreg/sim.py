@@ -4,8 +4,8 @@ A single global step counter orders every trace event; the scheduler
 chooses among enabled events (workload invocations, handler register
 steps, message deliveries) under one of three policies.  Same inputs and
 seed give a byte-identical trace.  The simulator records each event as
-one tuple, and renders the dict events of `trace.render` only for a
-caller that reads `Simulator.trace`.
+one tuple; `Simulator.trace` is a view of those records that renders
+the dict events of `trace.render` as it is read, and holds none.
 
 Links are reliable: a message is delivered exactly once, never lost or
 forged, with no ordering guarantee unless the fifo policy is selected.
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from .model import SystemSpec
 from .protocol import INITIAL_VALUE, Message, ProcessCore, TaggedValue, ack_quorum
-from .trace import render
+from .trace import RecordTrace
 
 # Bound here only for bench/, which calls and wraps them on this module
 # by name.
@@ -96,10 +96,9 @@ class collector_paused:
     and free nothing.  The walk is saved only for objects that die
     before the pause ends; the first young collection after it walks
     those that outlive it.  `Simulator.run` pauses its loop, whose
-    records outlive it, `Simulator.trace` its rendering of the records
-    into dict events, which outlive it too, and `cli.fuzz` its loop of
-    runs, inside which every run dies.  The switch is process-wide; the
-    library starts no threads.
+    records outlive it, and `cli.fuzz` its loop of runs, inside which
+    every run dies.  The switch is process-wide; the library starts no
+    threads.
     """
 
     __slots__ = ("_was_on",)
@@ -135,12 +134,13 @@ class Simulator:
 
     The run's trace is `records`: one tuple (step, kind, actor, a, b)
     per event, in step order, holding objects the simulator already
-    has (see `trace.render` for a and b by kind).  `trace` renders
-    them as dict events.  `cli.fuzz`, `lowerbound.demo` and
-    `isolation_holds` read the records, through
-    `trace.project_records` or by step; the callers that read `trace`
-    (`mmreg simulate`, which emits it, `demo`'s report, bench/ and the
-    tests) pay for the dicts.
+    has (see `trace.render` for a and b by kind).  `trace` is a
+    `trace.RecordTrace`, a read-only view of them that renders each
+    dict event as it is read; it is not a list, and `list(sim.trace)`
+    is one.  `trace_lines`, `emit_trace`, `project` (so
+    `history_from_trace` and `check_all`) and `schedule_from_trace`
+    read the records behind the view, rendering nothing; only a caller
+    that reads the events themselves pays for the dicts, one at a time.
 
     The scheduler-facing surface is `enabled()` / `apply(event)`.
     Events are small tuples: ("invoke", op_index), ("hstep", pid),
@@ -216,8 +216,6 @@ class Simulator:
 
         self.step = 0
         self.records: list[tuple] = []
-        self._events: list[dict] = []  # the records rendered so far, which `trace` returns
-        self._rendered = 0  # how many: `trace` refuses a list whose length differs
         self.procs = {p: ProcessCore(p, spec, quorum) for p in range(1, n + 1)}
         self._readers = spec.readers
         self.registers = {reg: INITIAL_VALUE for reg in spec.registers}
@@ -239,24 +237,11 @@ class Simulator:
     # -- trace -------------------------------------------------------------
 
     @property
-    def trace(self) -> list[dict]:
-        """The run's events as dicts: `records` rendered by
-        `trace.render`.  The first read renders every record, under
-        `collector_paused`; each later read returns the same list,
-        extended with the records added since.  So a list read from
-        `trace` is not extended by later steps until `trace` is read
-        again.  Its events may be changed, but not added or removed: a
-        read that finds the list's length other than the count of
-        records rendered into it raises SimError."""
-        events, records, rendered = self._events, self.records, self._rendered
-        if len(events) != rendered:
-            raise SimError(f"trace holds {len(events)} events but {rendered} records were rendered into it: "
-                           "an event added to or removed from it puts it out of step with records")
-        if rendered < len(records):
-            with collector_paused():
-                events.extend(map(render, records[rendered:]))
-            self._rendered = len(records)
-        return events
+    def trace(self) -> RecordTrace:
+        """The run's events: a live, read-only view of `records` that
+        renders each event by `trace.render` when it is read, so every
+        read returns new dicts and sees every record appended so far."""
+        return RecordTrace(self.records)
 
     def read(self, reg, by: int) -> TaggedValue:
         """R_i[q]'s value, for a member `by` of S_i; else AccessError."""
@@ -472,7 +457,8 @@ class Simulator:
         builds no reference cycle.  The records outlive the loop, so a
         caller that keeps them pays one walk of them after the run; one
         that drops them under its own pause, as `cli.fuzz` does, pays
-        none.  The loop renders no dict event: `trace` does, when read.
+        none.  The loop renders no dict event, and `trace` renders each
+        one only as it is read.
         Each turn of the loop calls the policy, which fires one event.
         """
         n = self.spec.n

@@ -6,8 +6,13 @@ holds one per line, as {"step", "kind", "actor", "payload"}, with the
 kinds and payload fields listed in the README.  The simulator keeps a
 run's trace as records, one flat tuple (step, kind, actor, a, b) per
 event holding the objects it already has, and `render` is the one
-statement of the dict event a record stands for: a simulator renders
-its records only when a caller reads `Simulator.trace`.
+statement of the dict event a record stands for.  `Simulator.trace` is
+a `RecordTrace`, a read-only view of the records that renders each
+event as it is read and holds no dict.  The passes read the records
+behind a view directly: `record_line` writes a record's line with no
+dict built, and `project` of a view is `project_records` of its
+records.  Any other iterable of events, such as a file's, is encoded
+by the C encoder, the reference `record_line` is tested against.
 `emit_trace` writes each event as it encodes it, `load_trace` yields a
 file's events one at a time, and `project` reads any iterable of events
 once, building all its parts together: the op records, the per-register
@@ -27,7 +32,9 @@ so `checker` does not check it again.
 from __future__ import annotations
 
 import json
+from itertools import repeat
 from json.encoder import c_make_encoder, encode_basestring_ascii
+from operator import eq
 from pathlib import Path
 from typing import NamedTuple
 
@@ -81,9 +88,17 @@ _ENCODE = c_make_encoder(
 _DECODE = json.JSONDecoder().raw_decode
 
 
+def _lines(trace):
+    """The lines of `trace`, one per event, as an iterator: a view's
+    from its records by `record_line`, any other iterable's by the C
+    encoder."""
+    if type(trace) is RecordTrace:
+        return map(record_line, trace.records)
+    return map("".join, map(_ENCODE, trace, repeat(0)))
+
+
 def trace_lines(trace) -> list[str]:
-    encode, join = _ENCODE, "".join
-    return [join(encode(ev, 0)) for ev in trace]
+    return list(_lines(trace))
 
 
 def emit_trace(trace, path) -> None:
@@ -92,12 +107,11 @@ def emit_trace(trace, path) -> None:
     written as it is encoded, so the writer holds one line, not all of
     them.  If an event fails to encode, or `trace` itself raises, the
     exception propagates and a file (anything seekable) is left empty."""
-    encode, join = _ENCODE, "".join
     with open(Path(path), "w", encoding="utf-8") as f:
         write = f.write
         try:
-            for ev in trace:
-                write(join(encode(ev, 0)))
+            for line in _lines(trace):
+                write(line)
                 write("\n")
         except BaseException:  # no partial trace: cut what was written, then re-raise
             if f.seekable():
@@ -147,6 +161,81 @@ def render(record: tuple) -> dict:
     else:  # crash
         payload = {}
     return {"step": step, "kind": kind, "actor": actor, "payload": payload}
+
+
+# The line of each record shape: the C encoding of its `render`, with
+# ints written by %d and strings by encode_basestring_ascii, as the
+# encoder writes them.  A kind is one of KINDS, which need no escape.
+_MESSAGE = '{"step":%d,"kind":"%s","actor":%d,"payload":{"id":%s,"type":%s,"from":%d,"to":%d,"sn":%d}}'
+_MESSAGE_VALUE = ('{"step":%d,"kind":"%s","actor":%d,"payload":'
+                  '{"id":%s,"type":%s,"from":%d,"to":%d,"sn":%d,"value":[%d,%s]}}')
+_REGISTER = '{"step":%d,"kind":"%s","actor":%d,"payload":{"register":[%d,%d],"value":[%d,%s]}}'
+_INVOKE_READ = '{"step":%d,"kind":"invoke","actor":%d,"payload":{"op":%d,"kind":"read"}}'
+_INVOKE_WRITE = '{"step":%d,"kind":"invoke","actor":%d,"payload":{"op":%d,"kind":"write","value":[%d,%s]}}'
+_RESPOND = '{"step":%d,"kind":"respond","actor":%d,"payload":{"op":%d,"value":[%d,%s]}}'
+_CRASH = '{"step":%d,"kind":"crash","actor":%d,"payload":{}}'
+
+
+def record_line(record: tuple) -> str:
+    """The trace line of one simulator record: the C encoding of
+    `render(record)`, written from one template per record shape with
+    no dict built.  A payload string or message id goes through
+    encode_basestring_ascii and a None payload is null."""
+    step, kind, actor, a, b = record
+    string = encode_basestring_ascii
+    if kind == "send" or kind == "deliver":
+        mkind, sender, dest, sn, value = b
+        if value is None:
+            return _MESSAGE % (step, kind, actor, string(a), string(mkind), sender, dest, sn)
+        sn_v, payload = value
+        return _MESSAGE_VALUE % (step, kind, actor, string(a), string(mkind), sender, dest, sn,
+                                 sn_v, "null" if payload is None else string(payload))
+    if kind == "reg-read" or kind == "reg-write":
+        sn_v, payload = b
+        return _REGISTER % (step, kind, actor, a[0], a[1], sn_v, "null" if payload is None else string(payload))
+    if kind == "invoke":
+        if b is None:
+            return _INVOKE_READ % (step, actor, a)
+        sn_v, payload = b
+        return _INVOKE_WRITE % (step, actor, a, sn_v, "null" if payload is None else string(payload))
+    if kind == "respond":
+        sn_v, payload = b
+        return _RESPOND % (step, actor, a, sn_v, "null" if payload is None else string(payload))
+    return _CRASH % (step, actor)
+
+
+class RecordTrace:
+    """A run's trace as a read-only view of a simulator's records, the
+    list it holds: `Simulator.trace`.  It holds no event.  Each read
+    renders what it returns afresh by `render`: `view[i]` an event,
+    negative i too, a slice a list of events, iteration each event in
+    turn; so an event changed by its reader changes nothing else, and a
+    record appended to the list shows in the next read.  `len` is the
+    count of records.  A view equals a list, or another view, of equal
+    events in the same order.  `trace_lines`, `emit_trace`, `project`
+    and `schedule_from_trace` read the records behind a view, not its
+    events; `list(view)` is the events as a list."""
+
+    __slots__ = ("records",)
+
+    def __init__(self, records: list) -> None:
+        self.records = records
+
+    def __len__(self) -> int:
+        return len(self.records)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return list(map(render, self.records[i]))
+        return render(self.records[i])
+
+    def __iter__(self):
+        return map(render, self.records)
+
+    def __eq__(self, other):
+        if not isinstance(other, (list, RecordTrace)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
 
 
 def _unknown_kind(i: int, kind) -> TraceError:
@@ -283,7 +372,10 @@ def project(trace) -> Projection:
     and the pass reads no further: besides an event that is not an
     object and bad fields, an op invoked or responding twice, responding
     before any invoke, with no value or no step, or leaving a record
-    that breaks `check_record`."""
+    that breaks `check_record`.  A `RecordTrace` is projected from its
+    records by `project_records`, with no event rendered."""
+    if type(trace) is RecordTrace:
+        return project_records(trace.records)
     ops, last, decreases, crashed = {}, {}, [], set()
     for i, ev in enumerate(trace, 1):
         if type(ev) is not dict:
@@ -340,9 +432,17 @@ def history_from_trace(trace) -> list[dict]:
 
 
 def schedule_from_trace(trace) -> tuple:
-    """The replayable choice sequence of a completed trace.  An invoke
+    """The replayable choice sequence of a completed trace: an invoke
+    gives ("invoke", op), a deliver ("deliver", id), and a reg-read or
+    reg-write ("hstep", actor).  A `RecordTrace` is read from its
+    records, with no event rendered.  Of any other trace, an invoke
     whose op is not an integer, or a deliver whose id is not a string,
     raises TraceError."""
+    if type(trace) is RecordTrace:
+        return tuple(
+            ("invoke", a) if kind == "invoke" else ("deliver", a) if kind == "deliver" else ("hstep", actor)
+            for _, kind, actor, a, _ in trace.records
+            if kind == "deliver" or kind == "reg-read" or kind == "reg-write" or kind == "invoke")
     script = []
     for i, kind, ev in _of_kind(trace, ("invoke", "deliver", "reg-read", "reg-write")):
         if kind == "invoke":

@@ -601,7 +601,7 @@ class TestFuzz:
     def test_a_batch_renders_no_event(self, monkeypatch):
         """fuzz checks each run from its records: no run's trace is
         rendered into dict events.  Reading one afterwards renders each
-        of its records, so the count is taken where `trace` renders."""
+        of its records, so the count is taken where the view renders."""
         rendered = []
 
         def counted(record):
@@ -614,11 +614,11 @@ class TestFuzz:
             runs.append(run_simulation(*args))
             return runs[-1]
 
-        monkeypatch.setattr("mmreg.sim.render", counted)
+        monkeypatch.setattr("mmreg.trace.render", counted)
         monkeypatch.setattr("mmreg.cli.run_simulation", kept)
         assert fuzz(spec_from_dict(FIG1), 20, 3)["runs"] == len(runs) == 20
         assert rendered == []
-        assert len(runs[-1].trace) == len(rendered) == len(runs[-1].records) > 0
+        assert len(list(runs[-1].trace)) == len(rendered) == len(runs[-1].records) > 0
 
     def test_a_batch_checks_each_op_record_once(self, monkeypatch):
         """The history that `project_records` builds is checked as it is

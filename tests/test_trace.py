@@ -22,7 +22,9 @@ from mmreg import Schedule, bag_of, build_e3, check_all, check_property1, emit_t
 from mmreg.checker import PROPERTIES
 from mmreg.cli import main, random_crash_plan, random_workload
 from mmreg.protocol import Message, TaggedValue
-from mmreg.trace import KINDS, HistoryError, TraceError, project, project_records, render, schedule_from_trace, trace_lines
+from mmreg.sim import WorkloadOp
+from mmreg.trace import (
+    KINDS, HistoryError, RecordTrace, TraceError, project, project_records, record_line, render, schedule_from_trace, trace_lines)
 from test_sim import sim_cases
 
 SPECS = [
@@ -56,7 +58,7 @@ def faults(trace, rng: random.Random) -> list:
     register or value) replaced by junk or deleted, or an unknown kind.
     The event's kind is drawn first, a kind that the checks read twice
     as likely as one they skip."""
-    trace = copy.deepcopy(trace)
+    trace = copy.deepcopy(list(trace))
     for _ in range(rng.choice([0, 1, 1, 2, 2, 3, 4])):
         if not trace:
             break
@@ -140,7 +142,7 @@ def assert_records_check_as_rendered(records, events):
 def test_a_runs_records_project_as_its_trace(case):
     spec, t, workload, schedule = case
     sim = run_simulation(spec, t, workload, schedule)
-    assert_records_check_as_rendered(sim.records, sim.trace)
+    assert_records_check_as_rendered(sim.records, list(sim.trace))
 
 
 @pytest.mark.parametrize("n, t", [(5, 3), (5, 4), (3, 2), (4, 3)])
@@ -148,7 +150,7 @@ def test_an_adversarial_runs_records_project_as_its_trace(n, t):
     spec = make_spec(bag=bag_of(n, *([p] for p in range(1, n + 1))), writer=1)
     sim = build_e3(spec, t, find_witness(spec.bag, t))
     assert not check_all(sim.trace, props=("1",)).ok
-    assert_records_check_as_rendered(sim.records, sim.trace)
+    assert_records_check_as_rendered(sim.records, list(sim.trace))
 
 
 _VALUES_OF_RECORDS = st.builds(TaggedValue, st.integers(0, 3), st.sampled_from([None, "a", "b"]))
@@ -417,6 +419,65 @@ def test_trace_lines_are_json_dumps(events):
         assert path.read_bytes() == emitted(events)
 
 
+# -- a simulator's trace read from its records -----------------------------
+
+
+@st.composite
+def payload_runs(draw):
+    """A fair run at t = 1 with one crash of a reader, early enough to
+    happen, and writes whose payloads JSON must escape, or None."""
+    spec = draw(st.sampled_from(SPECS[1:]))
+    others = [p for p in range(1, spec.n + 1) if p != spec.writer]
+    workload = [WorkloadOp("write", spec.writer, draw(st.none() | _TEXT), draw(st.integers(0, 30))) for _ in range(draw(st.integers(1, 3)))]
+    workload += [WorkloadOp("read", draw(st.sampled_from(others)), None, draw(st.integers(0, 60))) for _ in range(draw(st.integers(1, 3)))]
+    crash = (draw(st.sampled_from(others)), draw(st.integers(0, 20)))
+    return run_simulation(spec, 1, workload, Schedule("fair", seed=draw(st.integers(0, 2**32 - 1)), crash_plan=(crash,)))
+
+
+def assert_view_reads_as_its_list(sim, tmp):
+    """Every pass gives on `sim.trace`, read from its records, what it
+    gives on `list(sim.trace)`, the rendered events."""
+    view, events = sim.trace, list(sim.trace)
+    assert trace_lines(view) == trace_lines(events)
+    emit_trace(view, Path(tmp) / "view.jsonl")
+    emit_trace(events, Path(tmp) / "list.jsonl")
+    assert (Path(tmp) / "view.jsonl").read_bytes() == (Path(tmp) / "list.jsonl").read_bytes()
+    assert project(view) == project(events)
+    assert history_from_trace(view) == history_from_trace(events)
+    assert schedule_from_trace(view) == schedule_from_trace(events)
+    for props in SELECTIONS:
+        for t in (None, 0, 1):
+            assert outcome(check_all, view, t=t, props=props) == outcome(check_all, events, t=t, props=props), (props, t)
+
+
+@settings(max_examples=100, deadline=None)
+@given(payload_runs())
+@example(run_simulation(SPECS[1], 1, [WorkloadOp("write", 1, p) for p in ('a"b', "c\\d", "\xe9", "\x00\n\t", "", "\U0001f600")]
+                        + [WorkloadOp("read", 2)], Schedule("fair", seed=5, crash_plan=((3, 4),))))
+def test_a_record_line_is_the_encoding_of_its_rendering(sim):
+    """`record_line` writes what the C encoder writes of `render`, for
+    every record shape: all seven kinds, sends with and without a
+    value, and payloads that need escaping or are None."""
+    records = sim.records
+    assert {kind for _, kind, _, _, _ in records} == set(KINDS)
+    sends = [b for _, kind, _, _, b in records if kind == "send"]
+    assert any(msg.value is None for msg in sends) and any(msg.value is not None for msg in sends)
+    for record in records:
+        assert record_line(record) == json.dumps(render(record), separators=(",", ":"))
+    with tempfile.TemporaryDirectory() as tmp:  # a function-scoped tmp_path would be shared by every example
+        assert_view_reads_as_its_list(sim, tmp)
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_a_run_read_from_its_records_reads_as_its_events(tmp_path, seed):
+    """As above on the fuzz-style runs, some of which leave ops pending."""
+    assert_view_reads_as_its_list(RUNS[seed], tmp_path)
+
+
+def test_some_runs_leave_ops_pending():
+    assert any(h["response"] is None for run in RUNS for h in history_from_trace(run.trace))
+
+
 def test_trace_lines_raise_what_the_encoder_raised():
     """A value JSON cannot hold raises json.dumps' TypeError, and a
     cyclic event RecursionError; neither leaves anything behind for the
@@ -451,8 +512,9 @@ def _raising():
         (lambda: [READ] * 5000 + [{**READ, "payload": {"value": {1, 2}}}], TypeError),
         (lambda: [READ] * 5000 + [_cyclic()], RecursionError),
         (_raising, KeyError),
+        (lambda: RecordTrace([(0, "invoke", 2, 0, None)] * 5000 + [(1, "send", 2, "2.1", None)]), TypeError),
     ],
-    ids=["unencodable", "cyclic", "trace-raises"],
+    ids=["unencodable", "cyclic", "trace-raises", "record-unencodable"],
 )
 def test_a_failed_emit_leaves_an_empty_file(tmp_path, make, error):
     """A trace whose last event fails to encode, or that raises itself,
