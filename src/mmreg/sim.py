@@ -137,10 +137,11 @@ class Simulator:
     has (see `trace.render` for a and b by kind).  `trace` is a
     `trace.RecordTrace`, a read-only view of them that renders each
     dict event as it is read; it is not a list, and `list(sim.trace)`
-    is one.  `trace_lines`, `emit_trace`, `project` (so
-    `history_from_trace` and `check_all`) and `schedule_from_trace`
-    read the records behind the view, rendering nothing; only a caller
-    that reads the events themselves pays for the dicts, one at a time.
+    is one.  `trace_lines`, `emit_trace` and `project` (so
+    `history_from_trace` and `check_all`) read the records behind the
+    view, rendering nothing; only a caller that reads the events
+    themselves, `schedule_from_trace` among them, pays for the dicts,
+    one at a time.
 
     The scheduler-facing surface is `enabled()` / `apply(event)`.
     Events are small tuples: ("invoke", op_index), ("hstep", pid),

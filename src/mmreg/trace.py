@@ -212,9 +212,9 @@ class RecordTrace:
     turn; so an event changed by its reader changes nothing else, and a
     record appended to the list shows in the next read.  `len` is the
     count of records.  A view equals a list, or another view, of equal
-    events in the same order.  `trace_lines`, `emit_trace`, `project`
-    and `schedule_from_trace` read the records behind a view, not its
-    events; `list(view)` is the events as a list."""
+    events in the same order.  `trace_lines`, `emit_trace` and
+    `project` read the records behind a view, not its events;
+    `list(view)` is the events as a list."""
 
     __slots__ = ("records",)
 
@@ -236,6 +236,9 @@ class RecordTrace:
         if not isinstance(other, (list, RecordTrace)):
             return NotImplemented
         return len(self) == len(other) and all(map(eq, self, other))
+
+    def __repr__(self) -> str:
+        return f"RecordTrace({list(self)!r})"
 
 
 def _unknown_kind(i: int, kind) -> TraceError:
@@ -434,15 +437,8 @@ def history_from_trace(trace) -> list[dict]:
 def schedule_from_trace(trace) -> tuple:
     """The replayable choice sequence of a completed trace: an invoke
     gives ("invoke", op), a deliver ("deliver", id), and a reg-read or
-    reg-write ("hstep", actor).  A `RecordTrace` is read from its
-    records, with no event rendered.  Of any other trace, an invoke
-    whose op is not an integer, or a deliver whose id is not a string,
-    raises TraceError."""
-    if type(trace) is RecordTrace:
-        return tuple(
-            ("invoke", a) if kind == "invoke" else ("deliver", a) if kind == "deliver" else ("hstep", actor)
-            for _, kind, actor, a, _ in trace.records
-            if kind == "deliver" or kind == "reg-read" or kind == "reg-write" or kind == "invoke")
+    reg-write ("hstep", actor).  An invoke whose op is not an integer,
+    or a deliver whose id is not a string, raises TraceError."""
     script = []
     for i, kind, ev in _of_kind(trace, ("invoke", "deliver", "reg-read", "reg-write")):
         if kind == "invoke":

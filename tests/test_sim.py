@@ -814,6 +814,12 @@ class TestTraceView:
         with pytest.raises(TypeError):
             hash(sim.trace)
 
+    def test_repr_shows_the_events(self, fig1_spec):
+        """A failed comparison prints the events, as it did of a list."""
+        sim = run_simulation(fig1_spec, 3, write_then_read(2), Schedule("fair", seed=1))
+        assert repr(sim.trace) == f"RecordTrace({list(sim.trace)!r})"
+        assert repr(Simulator(fig1_spec, 3, []).trace) == "RecordTrace([])"
+
     def test_trace_cannot_be_rebound(self, msg3_spec):
         sim = Simulator(msg3_spec, 1, [])
         with pytest.raises(AttributeError):
