@@ -139,7 +139,9 @@ class Simulator:
     dict event as it is read; it is not a list, and `list(sim.trace)`
     is one.  `trace_lines`, `emit_trace` and `project` (so
     `history_from_trace` and `check_all`) read the records behind the
-    view, rendering nothing; only a caller that reads the events
+    view, rendering nothing; the two writers share one pass over them,
+    which encodes each message's payload once, at its send, and reuses
+    the text at its deliver.  Only a caller that reads the events
     themselves, `schedule_from_trace` among them, pays for the dicts,
     one at a time.
 
@@ -424,7 +426,10 @@ class Simulator:
             self._route((done.value,))
 
     def _deliver(self, no: int) -> None:
-        """Deliver the message whose send record is records[no]."""
+        """Deliver the message whose send record is records[no].  p is
+        re-indexed only when the delivery changes its entries: a W or R
+        starts its scan, or an ack completes its op.  Any other ack
+        leaves its scan None and its op pending or already done."""
         _, _, _, mid, msg = self.records[no]
         p = msg.dest
         del self.network[mid], self._inbox[p][mid]
@@ -432,13 +437,16 @@ class Simulator:
         del deliverable[bisect_left(deliverable, no)]
         self.records.append((self.step, "deliver", p, mid, msg))
         self.step += 1
-        sends, value = self.procs[p].deliver(msg)
+        core = self.procs[p]
+        sends, value = core.deliver(msg)
         if value is not None:  # the op at the head of p's queue responds; it sent nothing
             idx = self._queue[p].popleft()
             self.ops[idx].response_step = self.step
             self.records.append((self.step, "respond", p, idx, value))
             self.step += 1
-        self._sync(p)
+            self._sync(p)
+        elif core.scan is not None:  # a W or R: p was open, so this delivery started the scan
+            self._sync(p)
         self._route(sends)
 
     def is_quiescent(self) -> bool:

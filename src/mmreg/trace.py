@@ -9,18 +9,21 @@ event holding the objects it already has, and `render` is the one
 statement of the dict event a record stands for.  `Simulator.trace` is
 a `RecordTrace`, a read-only view of the records that renders each
 event as it is read and holds no dict.  The passes read the records
-behind a view directly: `record_line` writes a record's line with no
-dict built, and `project` of a view is `project_records` of its
-records.  Any other iterable of events, such as a file's, is encoded
-by the C encoder, the reference `record_line` is tested against.
+behind a view directly: `_record_lines` writes a run's lines from its
+records, for `trace_lines` and `emit_trace` alike, encoding each
+message's payload once for its send and its deliver; and `project` of
+a view is `project_records` of its records.  Any other iterable of
+events, such as a file's, is encoded by the C encoder, the reference
+`_record_lines` is tested against.
 `emit_trace` writes each event as it encodes it, `load_trace` yields a
 file's events one at a time, and `project` reads any iterable of events
 once, building all its parts together: the op records, the per-register
 monotonicity result and the crashed set.  `project_records` builds the
 same Projection from a simulator's records, by the same op-record and
 monotonicity rules, without rendering an event.  So writing a trace
-file holds one line, and checking one O(ops + registers), not every
-event.  A trace is outside input: the reader holds each line, and
+file holds one line, besides, from records, the payload texts of the
+messages not yet delivered, and checking one O(ops + registers), not
+every event.  A trace is outside input: the reader holds each line, and
 `project` each event and op record (`check_record`), to its rule.  The
 first malformed line or event raises, naming it (event i is line i of
 a file written by `emit_trace`) or its op, and nothing after it is
@@ -90,10 +93,10 @@ _DECODE = json.JSONDecoder().raw_decode
 
 def _lines(trace):
     """The lines of `trace`, one per event, as an iterator: a view's
-    from its records by `record_line`, any other iterable's by the C
+    from its records by `_record_lines`, any other iterable's by the C
     encoder."""
     if type(trace) is RecordTrace:
-        return map(record_line, trace.records)
+        return _record_lines(trace.records)
     return map("".join, map(_ENCODE, trace, repeat(0)))
 
 
@@ -105,7 +108,8 @@ def emit_trace(trace, path) -> None:
     """Newline-delimited JSON, one event per line, stable field order:
     the lines of `trace_lines`, each ended by "\\n".  Each event is
     written as it is encoded, so the writer holds one line, not all of
-    them.  If an event fails to encode, or `trace` itself raises, the
+    them, and, for a view, the payload texts of undelivered messages.
+    If an event fails to encode, or `trace` itself raises, the
     exception propagates and a file (anything seekable) is left empty."""
     with open(Path(path), "w", encoding="utf-8") as f:
         write = f.write
@@ -163,45 +167,53 @@ def render(record: tuple) -> dict:
     return {"step": step, "kind": kind, "actor": actor, "payload": payload}
 
 
-# The line of each record shape: the C encoding of its `render`, with
-# ints written by %d and strings by encode_basestring_ascii, as the
-# encoder writes them.  A kind is one of KINDS, which need no escape.
-_MESSAGE = '{"step":%d,"kind":"%s","actor":%d,"payload":{"id":%s,"type":%s,"from":%d,"to":%d,"sn":%d}}'
-_MESSAGE_VALUE = ('{"step":%d,"kind":"%s","actor":%d,"payload":'
-                  '{"id":%s,"type":%s,"from":%d,"to":%d,"sn":%d,"value":[%d,%s]}}')
-_REGISTER = '{"step":%d,"kind":"%s","actor":%d,"payload":{"register":[%d,%d],"value":[%d,%s]}}'
-_INVOKE_READ = '{"step":%d,"kind":"invoke","actor":%d,"payload":{"op":%d,"kind":"read"}}'
-_INVOKE_WRITE = '{"step":%d,"kind":"invoke","actor":%d,"payload":{"op":%d,"kind":"write","value":[%d,%s]}}'
-_RESPOND = '{"step":%d,"kind":"respond","actor":%d,"payload":{"op":%d,"value":[%d,%s]}}'
-_CRASH = '{"step":%d,"kind":"crash","actor":%d,"payload":{}}'
+def _record_lines(records):
+    """The trace lines of a simulator's records, as a generator: each
+    the C encoding of `render(record)`, by one f-string per record
+    shape with no dict built.  Strings go through
+    encode_basestring_ascii and a None payload is null; a kind is one
+    of KINDS, which needs no escape.
 
-
-def record_line(record: tuple) -> str:
-    """The trace line of one simulator record: the C encoding of
-    `render(record)`, written from one template per record shape with
-    no dict built.  A payload string or message id goes through
-    encode_basestring_ascii and a None payload is null."""
-    step, kind, actor, a, b = record
+    A message's payload past its id is the same at its send and its
+    deliver: the send makes the text and keeps it, keyed on the
+    `Message`, until a deliver of that Message pops it.  The text is a
+    function of the Message's fields, so an equal Message may read it
+    too; a deliver with none kept, its send outside `records`, makes
+    it by the same f-string.  So only undelivered messages' texts are
+    held."""
     string = encode_basestring_ascii
-    if kind == "send" or kind == "deliver":
-        mkind, sender, dest, sn, value = b
-        if value is None:
-            return _MESSAGE % (step, kind, actor, string(a), string(mkind), sender, dest, sn)
-        sn_v, payload = value
-        return _MESSAGE_VALUE % (step, kind, actor, string(a), string(mkind), sender, dest, sn,
-                                 sn_v, "null" if payload is None else string(payload))
-    if kind == "reg-read" or kind == "reg-write":
-        sn_v, payload = b
-        return _REGISTER % (step, kind, actor, a[0], a[1], sn_v, "null" if payload is None else string(payload))
-    if kind == "invoke":
-        if b is None:
-            return _INVOKE_READ % (step, actor, a)
-        sn_v, payload = b
-        return _INVOKE_WRITE % (step, actor, a, sn_v, "null" if payload is None else string(payload))
-    if kind == "respond":
-        sn_v, payload = b
-        return _RESPOND % (step, actor, a, sn_v, "null" if payload is None else string(payload))
-    return _CRASH % (step, actor)
+    sent = {}  # Message -> its payload text past the id
+    for step, kind, actor, a, b in records:
+        if kind == "reg-read" or kind == "reg-write":
+            sn, payload = b
+            yield (f'{{"step":{step},"kind":"{kind}","actor":{actor},"payload":'
+                   f'{{"register":[{a[0]},{a[1]}],"value":[{sn},{"null" if payload is None else string(payload)}]}}}}')
+        elif kind == "send" or kind == "deliver":
+            text = sent.pop(b, None) if kind == "deliver" else None
+            if text is None:
+                mkind, sender, dest, sn, value = b
+                if value is None:
+                    text = f'"type":{string(mkind)},"from":{sender},"to":{dest},"sn":{sn}}}}}'
+                else:
+                    sn_v, payload = value
+                    text = (f'"type":{string(mkind)},"from":{sender},"to":{dest},"sn":{sn},'
+                            f'"value":[{sn_v},{"null" if payload is None else string(payload)}]}}}}')
+                if kind == "send":
+                    sent[b] = text
+            yield f'{{"step":{step},"kind":"{kind}","actor":{actor},"payload":{{"id":{string(a)},{text}'
+        elif kind == "invoke":
+            if b is None:
+                yield f'{{"step":{step},"kind":"invoke","actor":{actor},"payload":{{"op":{a},"kind":"read"}}}}'
+            else:
+                sn, payload = b
+                yield (f'{{"step":{step},"kind":"invoke","actor":{actor},"payload":'
+                       f'{{"op":{a},"kind":"write","value":[{sn},{"null" if payload is None else string(payload)}]}}}}')
+        elif kind == "respond":
+            sn, payload = b
+            yield (f'{{"step":{step},"kind":"respond","actor":{actor},"payload":'
+                   f'{{"op":{a},"value":[{sn},{"null" if payload is None else string(payload)}]}}}}')
+        else:  # crash
+            yield f'{{"step":{step},"kind":"crash","actor":{actor},"payload":{{}}}}'
 
 
 class RecordTrace:
@@ -213,7 +225,9 @@ class RecordTrace:
     record appended to the list shows in the next read.  `len` is the
     count of records.  A view equals a list, or another view, of equal
     events in the same order.  `trace_lines`, `emit_trace` and
-    `project` read the records behind a view, not its events;
+    `project` read the records behind a view, not its events: the two
+    writers by one pass of `_record_lines`, which makes a message's
+    payload text at its send and reuses it at its deliver.
     `list(view)` is the events as a list."""
 
     __slots__ = ("records",)

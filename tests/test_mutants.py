@@ -14,7 +14,17 @@ No W but p1's own is ever delivered, so the write never completes, and
 neither does a read's write-back.  Fair fuzz kills neither mutant on
 these systems; the real protocol, withheld its write-back, stalls
 without a violation.
+
+The phase rule of ROADMAP item 1, stage 1, differs in its read phases:
+each delivers only the messages sent during that phase between side
+members, W included, so a read's write-back completes inside its side
+and messages of earlier phases stay withheld.  Under it, both orders of
+the two readers and every side of at least n - t processes that holds
+its reader are enumerated: the real protocol completes both reads
+cleanly on each, and each mutant breaks atomicity on some.
 """
+
+from itertools import combinations, permutations
 
 import pytest
 
@@ -31,9 +41,10 @@ def fire_while(sim, allowed) -> None:
         sim.apply(ev)
 
 
-def side_schedule(spec, t, reads) -> Simulator:
+def side_schedule(spec, t, reads, phase_sends_only=False) -> Simulator:
     """Run write(p1) and then one read per (reader, side) of `reads`,
-    each phase as the module docstring says."""
+    each phase as the module docstring says: by the fixed schedule's
+    rule, or, with `phase_sends_only`, by stage 1's."""
     sim = Simulator(spec, t, [WorkloadOp("write", 1, "a"), *(WorkloadOp("read", p) for p, _ in reads)])
 
     def own_write(kind, x):
@@ -45,10 +56,11 @@ def side_schedule(spec, t, reads) -> Simulator:
     fire_while(sim, own_write)
     for op, (_, side) in enumerate(reads, 1):
 
-        def inside(kind, x, op=op, side=side):
+        def inside(kind, x, op=op, side=side, earlier=set(sim.network)):  # earlier: ids sent before this phase
             if kind == "deliver":
                 msg = sim.network[x]
-                return msg.kind != W and msg.sender in side and msg.dest in side
+                allowed = x not in earlier if phase_sends_only else msg.kind != W
+                return allowed and msg.sender in side and msg.dest in side
             return x == op if kind == "invoke" else x in side
 
         fire_while(sim, inside)
@@ -91,3 +103,52 @@ def test_the_real_protocol_stalls_clean_under_the_same_schedule(system, steps):
     assert sim.step == steps
     assert violations(sim) == []
     assert {r[3] for r in sim.records if r[1] == "respond"} == set()  # neither the write nor a read
+
+
+def sides(n, t, reader):
+    """Every set of at least n - t of the processes 1..n that holds
+    `reader`."""
+    others = [p for p in range(1, n + 1) if p != reader]
+    return [{reader, *rest} for k in range(n - t - 1, n) for rest in combinations(others, k)]
+
+
+def stage_one(system):
+    """(reads, sim) for each stage-1 schedule of `system`: both orders
+    of its two readers, and every side for each."""
+    spec, t, fixed = SYSTEMS[system]
+    for first, second in permutations(reader for reader, _ in fixed):
+        for side1 in sides(spec.n, t, first):
+            for side2 in sides(spec.n, t, second):
+                reads = ((first, side1), (second, side2))
+                yield reads, side_schedule(spec, t, reads, phase_sends_only=True)
+
+
+def test_stage_one_sides_complete_both_reads_cleanly():
+    """Under the real protocol, each stage-1 schedule completes both
+    reads, write-backs included, and breaks no property: 18 schedules
+    on the n = 3 singletons at t = 1, 98 on the 4-path edge bag at t = 2."""
+    count = 0
+    for system in SYSTEMS:
+        for reads, sim in stage_one(system):
+            count += 1
+            assert {r[3] for r in sim.records if r[1] == "respond"} == {1, 2}, reads
+            assert violations(sim) == [], reads
+    assert count == 18 + 98
+
+
+@pytest.mark.parametrize(
+    "mutant, kills", [("no-write-back", {"singletons-3": 4, "path-4-edges": 7}), ("naive-fast", {"singletons-3": 0, "path-4-edges": 4})]
+)
+def test_stage_one_sides_kill_each_mutant(monkeypatch, mutant, kills):
+    """Each mutant breaks atomicity on at least one stage-1 schedule,
+    always as Property 2 on ops (1, 2): the second read returns an
+    older value than the first.  The killing schedules are counted by
+    system."""
+    monkeypatch.setattr(protocol, "_read", MUTANTS[mutant])
+    found = dict.fromkeys(SYSTEMS, 0)
+    for system in SYSTEMS:
+        for reads, sim in stage_one(system):
+            if broken := violations(sim):
+                assert broken == [("P2", (1, 2))], reads
+                found[system] += 1
+    assert found == kills

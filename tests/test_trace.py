@@ -18,13 +18,15 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import trace_oracle as oracle
-from mmreg import Schedule, bag_of, build_e3, check_all, check_property1, emit_trace, find_witness, history_from_trace, load_trace, make_spec, run_simulation
+from mmreg import (
+    Graph, Schedule, bag_of, build_e3, check_all, check_property1, emit_trace, find_witness, history_from_trace, load_trace, make_spec,
+    run_simulation)
 from mmreg.checker import PROPERTIES
 from mmreg.cli import main, random_crash_plan, random_workload
 from mmreg.protocol import Message, TaggedValue
 from mmreg.sim import WorkloadOp
 from mmreg.trace import (
-    KINDS, HistoryError, RecordTrace, TraceError, project, project_records, record_line, render, schedule_from_trace, trace_lines)
+    KINDS, HistoryError, RecordTrace, TraceError, project, project_records, render, schedule_from_trace, trace_lines)
 from test_sim import sim_cases
 
 SPECS = [
@@ -455,17 +457,85 @@ def assert_view_reads_as_its_list(sim, tmp):
 @example(run_simulation(SPECS[1], 1, [WorkloadOp("write", 1, p) for p in ('a"b', "c\\d", "\xe9", "\x00\n\t", "", "\U0001f600")]
                         + [WorkloadOp("read", 2)], Schedule("fair", seed=5, crash_plan=((3, 4),))))
 def test_a_record_line_is_the_encoding_of_its_rendering(sim):
-    """`record_line` writes what the C encoder writes of `render`, for
-    every record shape: all seven kinds, sends with and without a
-    value, and payloads that need escaping or are None."""
+    """Each line `trace_lines` writes of a view is what the C encoder
+    writes of `render` of its record, for every record shape: all seven
+    kinds, sends with and without a value, and payloads that need
+    escaping or are None."""
     records = sim.records
     assert {kind for _, kind, _, _, _ in records} == set(KINDS)
     sends = [b for _, kind, _, _, b in records if kind == "send"]
     assert any(msg.value is None for msg in sends) and any(msg.value is not None for msg in sends)
-    for record in records:
-        assert record_line(record) == json.dumps(render(record), separators=(",", ":"))
+    assert_lines_encode_renders(sim.trace)
     with tempfile.TemporaryDirectory() as tmp:  # a function-scoped tmp_path would be shared by every example
         assert_view_reads_as_its_list(sim, tmp)
+
+
+def assert_lines_encode_renders(view):
+    lines = trace_lines(view)
+    assert len(lines) == len(view.records)
+    for line, record in zip(lines, view.records):
+        assert line == json.dumps(render(record), separators=(",", ":"))
+
+
+def _path_run():
+    """A fair run on the uniform 40-process path at t = 19 with four
+    crashes, early enough to strand messages at them."""
+    n = 40
+    spec = make_spec(graph=Graph.from_edges(n, [(p, p + 1) for p in range(1, n)]), writer=1)
+    workload = [WorkloadOp("write", 1, f'w"{k}\u00e9') for k in range(3)] + [WorkloadOp("read", p) for p in (7, 23, 38)]
+    return run_simulation(spec, 19, workload, Schedule("fair", seed=11, crash_plan=((5, 300), (12, 900), (30, 1500), (33, 40))))
+
+
+PATH_RUN = _path_run()
+
+
+def _equal_messages(records):
+    """`records` with each deliver's Message replaced by an equal one
+    that is not the object its send holds."""
+    return [(s, k, actor, a, Message(*b) if k == "deliver" else b) for s, k, actor, a, b in records]
+
+
+def _parts(records) -> dict:
+    """How a message's send and deliver part in `records`: sends never
+    delivered, delivers out of send order, delivers with no send in
+    view, and delivers holding an equal Message that is not the object
+    their send holds."""
+    sends = {a: b for _, kind, _, a, b in records if kind == "send"}
+    delivers = [(a, b) for _, kind, _, a, b in records if kind == "deliver"]
+    met = [a for a, _ in delivers if a in sends]
+    order = {a: i for i, a in enumerate(sends)}
+    return {
+        "stranded": len(sends) - len(met),
+        "reordered": sum(order[x] > order[y] for x, y in zip(met, met[1:])),
+        "unsent": len(delivers) - len(met),
+        "copies": sum(a in sends and sends[a] == b and sends[a] is not b for a, b in delivers),
+    }
+
+
+_MSG = (0, "send", 2, "2.1", Message("W", 2, 3, 1, TaggedValue(1, "a")))
+
+
+@pytest.mark.parametrize(
+    "records, shows",
+    [
+        (PATH_RUN.records, ("stranded", "reordered")),
+        (PATH_RUN.records[len(PATH_RUN.records) // 2:], ("unsent",)),
+        (_equal_messages(PATH_RUN.records), ("copies",)),
+        # Two equal Messages in flight together, delivered in the other order.
+        ([_MSG, (1, "send", 2, "2.2", Message(*_MSG[4])), (2, "deliver", 3, "2.2", Message(*_MSG[4])), (3, "deliver", 3, "2.1", _MSG[4])],
+         ("reordered", "copies")),
+    ],
+    ids=["path-40-crashes", "tail-slice", "equal-messages", "equal-in-flight"],
+)
+def test_record_lines_whether_or_not_a_deliver_meets_its_send(records, shows):
+    """As above where a message's send and deliver part: on a 40-process
+    run with crashes, which strands messages and delivers out of send
+    order; over the tail of its records, where some delivers have no
+    send in view; and where a deliver holds an equal but distinct
+    Message."""
+    parts = _parts(records)
+    assert all(parts[part] for part in shows), parts
+    assert_lines_encode_renders(RecordTrace(records))
 
 
 @pytest.mark.parametrize("seed", range(16))
