@@ -140,10 +140,13 @@ class Simulator:
     is one.  `trace_lines`, `emit_trace` and `project` (so
     `history_from_trace` and `check_all`) read the records behind the
     view, rendering nothing; the two writers share one pass over them,
-    which encodes each message's payload once, at its send, and reuses
-    the text at its deliver.  Only a caller that reads the events
-    themselves, `schedule_from_trace` among them, pays for the dicts,
-    one at a time.
+    which builds each line from its step and text encoded once per
+    register head (kind, actor, register), value and send or deliver
+    head (kind, actor): the records share these objects, so each is
+    encoded about once a run.  A message's payload text is made at its
+    send, kept under its id, and reused at its deliver.  Only a caller
+    that reads the events themselves, `schedule_from_trace` among
+    them, pays for the dicts, one at a time.
 
     The scheduler-facing surface is `enabled()` / `apply(event)`.
     Events are small tuples: ("invoke", op_index), ("hstep", pid),

@@ -10,10 +10,12 @@ statement of the dict event a record stands for.  `Simulator.trace` is
 a `RecordTrace`, a read-only view of the records that renders each
 event as it is read and holds no dict.  The passes read the records
 behind a view directly: `_record_lines` writes a run's lines from its
-records, for `trace_lines` and `emit_trace` alike, encoding each
-message's payload once for its send and its deliver; and `project` of
-a view is `project_records` of its records.  Any other iterable of
-events, such as a file's, is encoded by the C encoder, the reference
+records, for `trace_lines` and `emit_trace` alike, joining each line's
+step to text encoded once per pass for each register head (kind,
+actor, register), value and send or deliver head (kind, actor), and
+once for a message's send and its deliver; and `project` of a view is
+`project_records` of its records.  Any other iterable of events, such
+as a file's, is encoded by the C encoder, the reference
 `_record_lines` is tested against.
 `emit_trace` writes each event as it encodes it, `load_trace` yields a
 file's events one at a time, and `project` reads any iterable of events
@@ -21,10 +23,11 @@ once, building all its parts together: the op records, the per-register
 monotonicity result and the crashed set.  `project_records` builds the
 same Projection from a simulator's records, by the same op-record and
 monotonicity rules, without rendering an event.  So writing a trace
-file holds one line, besides, from records, the payload texts of the
-messages not yet delivered, and checking one O(ops + registers), not
-every event.  A trace is outside input: the reader holds each line, and
-`project` each event and op record (`check_record`), to its rule.  The
+file holds one line, besides, from records, the texts of the distinct
+heads and values and the payload texts of the messages not yet
+delivered, and checking one O(ops + registers), not every event.  A
+trace is outside input: the reader holds each line, and `project` each
+event and op record (`check_record`), to its rule.  The
 first malformed line or event raises, naming it (event i is line i of
 a file written by `emit_trace`) or its op, and nothing after it is
 read.  Records are the simulator's own, so only their op records are
@@ -108,7 +111,8 @@ def emit_trace(trace, path) -> None:
     """Newline-delimited JSON, one event per line, stable field order:
     the lines of `trace_lines`, each ended by "\\n".  Each event is
     written as it is encoded, so the writer holds one line, not all of
-    them, and, for a view, the payload texts of undelivered messages.
+    them, and, for a view, the texts of its distinct heads and values
+    and the payload texts of undelivered messages.
     If an event fails to encode, or `trace` itself raises, the
     exception propagates and a file (anything seekable) is left empty."""
     with open(Path(path), "w", encoding="utf-8") as f:
@@ -127,11 +131,13 @@ def emit_trace(trace, path) -> None:
 def load_trace(path):
     """The events of a JSONL trace file, yielded as its lines are read.
     A line ends at "\n" and holds one JSON object, or only whitespace,
-    once decoded as UTF-8; any other line raises TraceError."""
+    once decoded as UTF-8; any other line raises TraceError.  Whitespace
+    is JSON's, " \t\r\n": a line that `json.loads` refuses, such as
+    one with U+00A0 around its object, is refused here too."""
     with open(Path(path), "rb") as f:
         for lineno, line in enumerate(f, 1):
             try:
-                line = line.decode("utf-8").strip()
+                line = line.decode("utf-8").strip(" \t\r\n")
                 if not line:
                     continue
                 ev, end = _DECODE(line)
@@ -174,33 +180,54 @@ def _record_lines(records):
     encode_basestring_ascii and a None payload is null; a kind is one
     of KINDS, which needs no escape.
 
-    A message's payload past its id is the same at its send and its
-    deliver: the send makes the text and keeps it, keyed on the
-    `Message`, until a deliver of that Message pops it.  The text is a
-    function of the Message's fields, so an equal Message may read it
-    too; a deliver with none kept, its send outside `records`, makes
-    it by the same f-string.  So only undelivered messages' texts are
-    held."""
+    A line's fixed parts are encoded once per pass, each kept beside
+    the objects it was made from and reused only for those very
+    objects (`is`), since equal fields of another type, 1 and 1.0, are
+    written apart.  A register access is its step, a head made once
+    per (kind, actor, register) and a tail made once per `TaggedValue`;
+    a send or deliver is its step, a head made once per (kind, actor)
+    and the message's payload text, id included.  The send makes that
+    text and keeps it, keyed on the message id, until the deliver of
+    that id pops it; a deliver with no text kept for its own `Message`
+    (its send outside `records`, or an equal copy) makes it by the same
+    f-string.  So the pass holds one text per distinct head and value,
+    and the payload texts of undelivered messages."""
     string = encode_basestring_ascii
-    sent = {}  # Message -> its payload text past the id
+    reads, writes = {}, {}  # (actor, register) -> (actor, register, head)
+    sends, delivers = {}, {}  # actor -> (actor, head)
+    tails = {}  # TaggedValue -> (it, its tail)
+    sent = {}  # message id -> (its Message, its payload text)
     for step, kind, actor, a, b in records:
         if kind == "reg-read" or kind == "reg-write":
-            sn, payload = b
-            yield (f'{{"step":{step},"kind":"{kind}","actor":{actor},"payload":'
-                   f'{{"register":[{a[0]},{a[1]}],"value":[{sn},{"null" if payload is None else string(payload)}]}}}}')
+            heads = reads if kind == "reg-read" else writes
+            head = heads.get((actor, a))
+            if head is None or head[0] is not actor or head[1] is not a:
+                head = heads[actor, a] = (
+                    actor, a, f',"kind":"{kind}","actor":{actor},"payload":{{"register":[{a[0]},{a[1]}],"value":[')
+            tail = tails.get(b)
+            if tail is None or tail[0] is not b:
+                sn, payload = b
+                tail = tails[b] = (b, f'{sn},{"null" if payload is None else string(payload)}]}}}}')
+            yield f'{{"step":{step}{head[2]}{tail[1]}'
         elif kind == "send" or kind == "deliver":
-            text = sent.pop(b, None) if kind == "deliver" else None
-            if text is None:
+            heads = sends if kind == "send" else delivers
+            head = heads.get(actor)
+            if head is None or head[0] is not actor:
+                head = heads[actor] = (actor, f',"kind":"{kind}","actor":{actor},"payload":{{"id":')
+            kept = sent.pop(a, None) if kind == "deliver" else None
+            if kept is not None and kept[0] is b:
+                text = kept[1]
+            else:
                 mkind, sender, dest, sn, value = b
                 if value is None:
-                    text = f'"type":{string(mkind)},"from":{sender},"to":{dest},"sn":{sn}}}}}'
+                    text = f'{string(a)},"type":{string(mkind)},"from":{sender},"to":{dest},"sn":{sn}}}}}'
                 else:
                     sn_v, payload = value
-                    text = (f'"type":{string(mkind)},"from":{sender},"to":{dest},"sn":{sn},'
+                    text = (f'{string(a)},"type":{string(mkind)},"from":{sender},"to":{dest},"sn":{sn},'
                             f'"value":[{sn_v},{"null" if payload is None else string(payload)}]}}}}')
                 if kind == "send":
-                    sent[b] = text
-            yield f'{{"step":{step},"kind":"{kind}","actor":{actor},"payload":{{"id":{string(a)},{text}'
+                    sent[a] = (b, text)
+            yield f'{{"step":{step}{head[1]}{text}'
         elif kind == "invoke":
             if b is None:
                 yield f'{{"step":{step},"kind":"invoke","actor":{actor},"payload":{{"op":{a},"kind":"read"}}}}'
@@ -226,8 +253,9 @@ class RecordTrace:
     count of records.  A view equals a list, or another view, of equal
     events in the same order.  `trace_lines`, `emit_trace` and
     `project` read the records behind a view, not its events: the two
-    writers by one pass of `_record_lines`, which makes a message's
-    payload text at its send and reuses it at its deliver.
+    writers by one pass of `_record_lines`, which makes the text of
+    each register head, value and send or deliver head once, and a
+    message's payload text at its send, reusing it at its deliver.
     `list(view)` is the events as a list."""
 
     __slots__ = ("records",)

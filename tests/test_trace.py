@@ -292,6 +292,7 @@ DAMAGE = [
     lambda line, k: "\ufeff" + line,
     lambda line, k: "   ",
     lambda line, k: "\t" + line + " ",
+    lambda line, k: "\xa0" + line,
     lambda line, k: line.replace('"kind"', '"kin', 1),
     lambda line, k: line.replace(":", "::", 1),
     lambda line, k: line[:k % (len(line) + 1)] + "\udcff" + line[k % (len(line) + 1):],  # not UTF-8 once written
@@ -330,6 +331,10 @@ def test_load_trace_yields_events_lazily(tmp_path):
         '{"a": }',
         "{",
         "\ufeff{}",
+        # Whitespace that str.strip removes but JSON does not allow.
+        "\xa0{}",
+        "{}\x1c",
+        "\u2028{}",
         "nul",
         pytest.param(b"\xff", id="not-utf8"),
         pytest.param("[" * 200_000 + "]" * 200_000, id="nested-too-deep"),
@@ -349,6 +354,16 @@ def test_a_bad_line_raises_what_json_loads_raises(tmp_path, line):
     assert str(raised.value) == "trace line 2 is not a JSON object"
     old_events, old_error = oracle.read_trace(path)
     assert old_events == [good] and str(old_error) == str(raised.value)
+
+
+def test_json_whitespace_around_a_line_is_accepted(tmp_path):
+    """Space, tab and carriage return around an object, or alone on a
+    line, are JSON whitespace: `load_trace` and the oracle read past them."""
+    good = {"kind": "crash", "actor": 1, "step": 0, "payload": {}}
+    path = tmp_path / "trace.jsonl"
+    path.write_bytes(b" \t" + json.dumps(good).encode() + b"\r\n \t\r\n")
+    assert list(load_trace(path)) == [good]
+    assert oracle.read_trace(path) == ([good], None)
 
 
 def test_the_runs_have_every_kind():
@@ -495,11 +510,19 @@ def _equal_messages(records):
     return [(s, k, actor, a, Message(*b) if k == "deliver" else b) for s, k, actor, a, b in records]
 
 
+def _retyped(records) -> int:
+    """How many of the actors, a and b fields in `records` equal the
+    same field of an earlier record but are written differently: 2.0
+    after 2, TaggedValue(1.0, "a") after TaggedValue(1, "a")."""
+    first = {}
+    return sum(repr(first.setdefault((i, record[i]), record[i])) != repr(record[i]) for record in records for i in (2, 3, 4))
+
+
 def _parts(records) -> dict:
     """How a message's send and deliver part in `records`: sends never
     delivered, delivers out of send order, delivers with no send in
     view, and delivers holding an equal Message that is not the object
-    their send holds."""
+    their send holds; and how many fields are `_retyped`."""
     sends = {a: b for _, kind, _, a, b in records if kind == "send"}
     delivers = [(a, b) for _, kind, _, a, b in records if kind == "deliver"]
     met = [a for a, _ in delivers if a in sends]
@@ -509,10 +532,29 @@ def _parts(records) -> dict:
         "reordered": sum(order[x] > order[y] for x, y in zip(met, met[1:])),
         "unsent": len(delivers) - len(met),
         "copies": sum(a in sends and sends[a] == b and sends[a] is not b for a, b in delivers),
+        "retyped": _retyped(records),
     }
 
 
-_MSG = (0, "send", 2, "2.1", Message("W", 2, 3, 1, TaggedValue(1, "a")))
+_VALUE = TaggedValue(1, "a")
+_MSG = (0, "send", 2, "2.1", Message("W", 2, 3, 1, _VALUE))
+_TWIN = Message(*_MSG[4])  # equal to _MSG's, another object
+# A value, a register and an actor each used again beside an equal one
+# of another type, the other fields the same objects, on register
+# accesses and on a send and its deliver.
+_RETYPED = [
+    (1, "reg-read", 2, (1, 2), _VALUE),
+    (2, "reg-read", 2, (1, 2), TaggedValue(1.0, "a")),
+    (3, "reg-read", 2, (1, 2), _VALUE),
+    (4, "reg-read", 2, (1.0, 2), _VALUE),
+    (5, "reg-read", 2, (1, 2), _VALUE),
+    (6, "reg-read", 2.0, (1, 2), _VALUE),
+    (7, "reg-write", 2, (1, 2), _VALUE),
+    _MSG,
+    (6, "send", 2.0, "2.2", _TWIN),
+    (7, "deliver", 3, "2.1", _MSG[4]),
+    (8, "deliver", 3.0, "2.2", _TWIN),
+]
 
 
 @pytest.mark.parametrize(
@@ -524,15 +566,29 @@ _MSG = (0, "send", 2, "2.1", Message("W", 2, 3, 1, TaggedValue(1, "a")))
         # Two equal Messages in flight together, delivered in the other order.
         ([_MSG, (1, "send", 2, "2.2", Message(*_MSG[4])), (2, "deliver", 3, "2.2", Message(*_MSG[4])), (3, "deliver", 3, "2.1", _MSG[4])],
          ("reordered", "copies")),
+        # Equal Messages under three ids, the first and last the same
+        # object, each delivered with its send's own object, the last
+        # two in the other order.
+        ([_MSG, (1, "send", 2, "2.2", _TWIN), (2, "send", 2, "2.3", _MSG[4]),
+          (3, "deliver", 3, "2.1", _MSG[4]), (4, "deliver", 3, "2.3", _MSG[4]), (5, "deliver", 3, "2.2", _TWIN)],
+         ("reordered",)),
+        (_RETYPED, ("retyped",)),
+        # A deliver holding an equal Message whose sn, or value's sn, is a float.
+        ([_MSG, (1, "deliver", 3, "2.1", _MSG[4]._replace(sn=1.0)),
+          (2, "send", 2, "2.2", _MSG[4]), (3, "deliver", 3, "2.2", _MSG[4]._replace(value=TaggedValue(1.0, "a")))],
+         ("copies", "retyped")),
     ],
-    ids=["path-40-crashes", "tail-slice", "equal-messages", "equal-in-flight"],
+    ids=["path-40-crashes", "tail-slice", "equal-messages", "equal-in-flight", "equal-ids", "retyped-fields", "retyped-message"],
 )
 def test_record_lines_whether_or_not_a_deliver_meets_its_send(records, shows):
     """As above where a message's send and deliver part: on a 40-process
     run with crashes, which strands messages and delivers out of send
     order; over the tail of its records, where some delivers have no
-    send in view; and where a deliver holds an equal but distinct
-    Message."""
+    send in view; where a deliver holds an equal but distinct Message;
+    and where equal Messages travel under distinct ids.  Also where an
+    actor, a register, a value or a Message is used again beside an
+    equal one of another type, which a text made from one must not
+    stand for."""
     parts = _parts(records)
     assert all(parts[part] for part in shows), parts
     assert_lines_encode_renders(RecordTrace(records))

@@ -29,14 +29,14 @@ from mmreg.trace import KINDS, TraceError, check_record
 def read_trace(path) -> tuple[list[dict], TraceError | None]:
     """The events of a JSONL trace file before its first bad line, and
     the TraceError of that line (None if every line is good): a line,
-    read as bytes up to "\n", is bad unless it is blank or json.loads
-    of its UTF-8 text gives an object."""
+    read as bytes up to "\n", is bad unless it is only JSON whitespace
+    or json.loads of its UTF-8 text gives an object."""
     out = []
     with open(Path(path), "rb") as f:
         for lineno, line in enumerate(f, 1):
             try:
-                text = line.decode("utf-8").strip()
-                if not text:
+                text = line.decode("utf-8")
+                if not text.strip(" \t\r\n"):
                     continue
                 ev = json.loads(text)
             except (ValueError, RecursionError):
