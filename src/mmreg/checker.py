@@ -18,13 +18,14 @@ pair listed.  Their output is identical to the pairwise definitions
 (kept as the test oracle in tests/checker_oracle.py): the same
 violations, in the same order, with the same messages.
 
-`check_all` reads a trace once, through `trace.project`, which builds
-the history, the monotonicity result and the crashed set together, so
-a trace file is checked as it is read and rejected at its first
-malformed line or event.  In place of a trace it takes a `Projection`
-already built, as `cli.fuzz` passes `trace.project_records` of a run's
-records.  A history handed to the checks is held to
-`trace.check_record`, which `project` applies as it reads a trace.
+`check_all` takes a trace only: a run's view (`Simulator.trace`), a
+list or any iterable of events, such as a file's.  It reads it once,
+through `trace.project`, which builds the history, the monotonicity
+result and the crashed set together, from a view's records with no
+event rendered, so a trace file is checked as it is read and rejected
+at its first malformed line or event.  A history handed to the checks
+is held to `trace.check_record`, which `project` applies as it reads a
+trace.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from itertools import accumulate
 from math import inf
 from typing import NamedTuple
 
-from .trace import HistoryError, Projection, _Validated, check_record, project
+from .trace import HistoryError, _Validated, check_record, project
 
 
 class Violation(NamedTuple):
@@ -249,14 +250,11 @@ PROPERTIES = ("1", "2", "mono", "live")
 def check_all(trace, history=None, crashed=None, t: int | None = None, props=PROPERTIES) -> Verdict:
     """The selected properties over one run: "1" and "2" are Property 1
     and Property 2, "mono" register monotonicity, and "live" completion.
-    The trace is read once, through `project`, unless it is a
-    `Projection` already, which is read in its place and its history
-    held to `check_record` unless `project` or `project_records` built
-    and checked it; a `history` or `crashed` given here is used in place
-    of the trace's.  Errors come in a fixed order, whatever the
-    selection: a malformed selection's or t's, then the first malformed
-    line or event's, or the Projection history's HistoryError, then a
-    given history's HistoryError, then each property's as above."""
+    The trace is read once, through `project`; a `history` or `crashed`
+    given here is used in place of the trace's.  Errors come in a fixed
+    order, whatever the selection: a malformed selection's or t's, then
+    the first malformed line or event's, then a given history's
+    HistoryError, then each property's as above."""
     if isinstance(props, str):
         raise HistoryError(f"properties {props!r} is a string, not a sequence of names from {','.join(PROPERTIES)}")
     try:
@@ -266,13 +264,8 @@ def check_all(trace, history=None, crashed=None, t: int | None = None, props=PRO
     if not chosen or not chosen <= set(PROPERTIES):
         raise HistoryError(f"properties {props!r} not a selection from {','.join(PROPERTIES)}")
     _check_tolerance(t)
-    if type(trace) is Projection:
-        projection = trace
-        checked = _validate(trace.history)
-    else:
-        projection = project(trace)
-        checked = projection.history
-    history = checked if history is None else _validate(history)
+    projection = project(trace)
+    history = projection.history if history is None else _validate(history)
     violations: list[Violation] = []
     if "1" in chosen:
         violations += check_property1(history).violations

@@ -18,7 +18,7 @@ from .model import load_spec
 from .protocol import ProtocolError, ack_quorum
 from .sim import Schedule, SimError, WorkloadOp, collector_paused, run_simulation
 from .tolerance import BRIDGE_LIMIT, DIRECT_LIMIT, t_bridge, t_direct
-from .trace import emit_trace, load_trace, project_records
+from .trace import emit_trace, load_trace
 
 # Bound here only so that bench/run.py can wrap them on this module by name.
 from .checker import check_completion, check_monotonicity, check_property1, check_property2  # noqa: F401
@@ -73,12 +73,12 @@ def fuzz(spec, runs: int, base_seed: int, crashes: int | None = None, t: int | N
     many processes as the t it runs with.  Crash plans stay within the
     tolerated budget unless overridden.
 
-    Each run is checked from its records (`trace.project_records`), so
-    the batch renders no dict event.  The loop of runs, from each
-    workload to its recorded issues, runs under `collector_paused`.
-    Every run dies inside it, freed by reference counting when the next
-    replaces it, so no collection ever walks a run's records;
-    `t_bridge` and the summary stay outside."""
+    Each run is checked through its view, `check_all(sim.trace)`, which
+    reads the records behind it, so the batch renders no dict event.
+    The loop of runs, from each workload to its recorded issues, runs
+    under `collector_paused`.  Every run dies inside it, freed by
+    reference counting when the next replaces it, so no collection ever
+    walks a run's records; `t_bridge` and the summary stay outside."""
     for name, value in (("runs", runs), ("base_seed", base_seed)):
         if type(value) is not int:  # bool is an int subclass
             raise SimError(f"{name} must be an integer, got {value!r}")
@@ -106,7 +106,7 @@ def fuzz(spec, runs: int, base_seed: int, crashes: int | None = None, t: int | N
             sim = run_simulation(spec, threshold, workload, Schedule("fair", seed=seed, crash_plan=plan))
             total_steps += sim.step
             props = PROPERTIES if n_crashes <= threshold else ("1", "2", "mono")
-            verdict = check_all(project_records(sim.records), t=threshold, props=props)
+            verdict = check_all(sim.trace, t=threshold, props=props)
             starved += sum(1 for v in verdict.violations if v.prop == "LIVE")
             if not verdict.ok:
                 issues.append({"seed": seed, "violations": verdict.as_dicts()})

@@ -34,7 +34,7 @@ from .checker import check_property1
 from .model import Bag, SystemSpec
 from .sim import Schedule, Simulator, WorkloadOp
 from .tolerance import Witness, reach_masks, require_covered, smallest_failing_pair, verify_witness
-from .trace import project_records
+from .trace import project
 
 PAYLOAD = "v-new"  # the value the adversarial write stores
 
@@ -132,7 +132,7 @@ def demo(spec: SystemSpec, t: int) -> dict:
     elif spec.writer not in p_side:
         spec = replace(spec, writer=min(p_side))
     sim = build_e3(spec, t, (p_side, p_prime))
-    history, _, crashed = project_records(sim.records)
+    history, _, crashed = project(sim.trace)
     verdict = check_property1(history)
 
     write, read = history  # ops 0 and 1, both invoked by the construction

@@ -137,16 +137,12 @@ class Simulator:
     has (see `trace.render` for a and b by kind).  `trace` is a
     `trace.RecordTrace`, a read-only view of them that renders each
     dict event as it is read; it is not a list, and `list(sim.trace)`
-    is one.  `trace_lines`, `emit_trace` and `project` (so
-    `history_from_trace` and `check_all`) read the records behind the
-    view, rendering nothing; the two writers share one pass over them,
-    which builds each line from its step and text encoded once per
-    register head (kind, actor, register), value and send or deliver
-    head (kind, actor): the records share these objects, so each is
-    encoded about once a run.  A message's payload text is made at its
-    send, kept under its id, and reused at its deliver.  Only a caller
-    that reads the events themselves, `schedule_from_trace` among
-    them, pays for the dicts, one at a time.
+    is one.  A run is read through this view: `trace_lines`,
+    `emit_trace`, `project`, `history_from_trace` and `check_all` take
+    it as they take any trace and read the records behind it, rendering
+    nothing.  Only a caller that reads the events themselves,
+    `schedule_from_trace` among them, pays for the dicts, one at a
+    time.
 
     The scheduler-facing surface is `enabled()` / `apply(event)`.
     Events are small tuples: ("invoke", op_index), ("hstep", pid),

@@ -6,33 +6,35 @@ holds one per line, as {"step", "kind", "actor", "payload"}, with the
 kinds and payload fields listed in the README.  The simulator keeps a
 run's trace as records, one flat tuple (step, kind, actor, a, b) per
 event holding the objects it already has, and `render` is the one
-statement of the dict event a record stands for.  `Simulator.trace` is
-a `RecordTrace`, a read-only view of the records that renders each
-event as it is read and holds no dict.  The passes read the records
-behind a view directly: `_record_lines` writes a run's lines from its
-records, for `trace_lines` and `emit_trace` alike, joining each line's
-step to text encoded once per pass for each register head (kind,
-actor, register), value and send or deliver head (kind, actor), and
-once for a message's send and its deliver; and `project` of a view is
-`project_records` of its records.  Any other iterable of events, such
-as a file's, is encoded by the C encoder, the reference
-`_record_lines` is tested against.
+statement of the dict event a record stands for.
+
+A run is read through its view, `Simulator.trace`: a `RecordTrace`
+that holds no dict and renders each event as it is read.  Every pass
+takes a view where it takes any other iterable of events, such as a
+file's, and only this module tells the two apart: `_record_lines`
+writes a view's lines from its records, for `trace_lines` and
+`emit_trace` alike, joining each line's step to text encoded once per
+pass for each register head (kind, actor, register), value and send
+or deliver head (kind, actor), and once for a message's send and its
+deliver; and `project` of a view is `_project_records` of its
+records, by the same op-record and monotonicity rules, with no event
+rendered.  Any other iterable is encoded by the C encoder, the
+reference `_record_lines` is tested against, and projected event by
+event.
 `emit_trace` writes each event as it encodes it, `load_trace` yields a
-file's events one at a time, and `project` reads any iterable of events
-once, building all its parts together: the op records, the per-register
-monotonicity result and the crashed set.  `project_records` builds the
-same Projection from a simulator's records, by the same op-record and
-monotonicity rules, without rendering an event.  So writing a trace
-file holds one line, besides, from records, the texts of the distinct
-heads and values and the payload texts of the messages not yet
-delivered, and checking one O(ops + registers), not every event.  A
-trace is outside input: the reader holds each line, and `project` each
-event and op record (`check_record`), to its rule.  The
-first malformed line or event raises, naming it (event i is line i of
-a file written by `emit_trace`) or its op, and nothing after it is
-read.  Records are the simulator's own, so only their op records are
-checked, each once.  The history either pass builds is marked checked,
-so `checker` does not check it again.
+file's events one at a time, and `project` reads any trace once,
+building all its parts together: the op records, the per-register
+monotonicity result and the crashed set.  So writing a trace file
+holds one line, besides, for a view, the texts of the distinct heads
+and values and the payload texts of the messages not yet delivered,
+and checking one O(ops + registers), not every event.  A trace is
+outside input: the reader holds each line, and `project` each event
+and op record (`check_record`), to its rule.  The first malformed line
+or event raises, naming it (event i is line i of a file written by
+`emit_trace`) or its op, and nothing after it is read.  Records are
+the simulator's own, so only their op records are checked, each once.
+The history either way builds is marked checked, so `checker` does not
+check it again.
 """
 
 from __future__ import annotations
@@ -58,24 +60,29 @@ class HistoryError(ValueError):
 def check_record(h, i: int | None = None) -> None:
     """The rule for one op record, raising HistoryError: a dict with
     integer steps, a response after its invocation and, on a completed
-    read, a value; a value is [sn, payload] with an integer sn.  i is
-    the record's position in its history, named if it is not a dict."""
+    read, a value; a value is [sn, payload] with an integer sn; the
+    kind is "read" or "write" and the proc an integer.  i is the
+    record's position in its history, named if it is not a dict."""
     if not isinstance(h, dict):
         raise HistoryError(f"history[{i}] is {h!r}, not an op record (a dict)")
-    invoke, response, value = h.get("invoke"), h.get("response"), h.get("value")
+    invoke, response, value, kind = h.get("invoke"), h.get("response"), h.get("value"), h.get("kind")
     if type(invoke) is not int:
         if invoke is None and response is not None:
             raise HistoryError(f"op {h.get('op')} has a response but no invocation")
         raise HistoryError(f"op {h.get('op')} has invoke step {invoke!r}, not an integer")
     if response is not None:
         if type(response) is not int:
-            raise HistoryError(f"op {h['op']} has response step {response!r}, not an integer")
+            raise HistoryError(f"op {h.get('op')} has response step {response!r}, not an integer")
         if response <= invoke:
-            raise HistoryError(f"op {h['op']} responds at or before its invocation")
-        if value is None and h["kind"] == "read":
-            raise HistoryError(f"completed read {h['op']} has no value")
+            raise HistoryError(f"op {h.get('op')} responds at or before its invocation")
+        if value is None and kind == "read":
+            raise HistoryError(f"completed read {h.get('op')} has no value")
     if value is not None and not (isinstance(value, (list, tuple)) and value and type(value[0]) is int):
-        raise HistoryError(f"op {h['op']} has value {value!r}, not [sn, payload] with an integer sn")
+        raise HistoryError(f"op {h.get('op')} has value {value!r}, not [sn, payload] with an integer sn")
+    if kind != "read" and kind != "write":
+        raise HistoryError(f'op {h.get("op")} has kind {kind!r}, not "read" or "write"')
+    if type(h.get("proc")) is not int:  # bool is an int subclass
+        raise HistoryError(f"op {h.get('op')} has proc {h.get('proc')!r}, not an integer")
 
 
 # One C encoder for every event, built once (JSONEncoder.encode builds one
@@ -392,13 +399,13 @@ def _register_write(i: int, kind: str, ev: dict) -> tuple:
 
 class _Validated(list):
     """A history whose op records were all held to `check_record`, by
-    `project`, `project_records` or `checker`, so the checks do not
-    hold it to the rule again.  Change a record, and copy the list."""
+    `project` or `checker`, so the checks do not hold it to the rule
+    again.  Change a record, and copy the list."""
 
 
 class Projection(NamedTuple):
     """The parts of a trace, as `project` builds them from its events
-    and `project_records` from a simulator's records:
+    and, for a view, from its records:
 
     - history: the op records, sorted by op: op, kind, proc, invoke and
       response steps, and value;
@@ -418,9 +425,9 @@ def project(trace) -> Projection:
     object and bad fields, an op invoked or responding twice, responding
     before any invoke, with no value or no step, or leaving a record
     that breaks `check_record`.  A `RecordTrace` is projected from its
-    records by `project_records`, with no event rendered."""
+    records by `_project_records`, with no event rendered."""
     if type(trace) is RecordTrace:
-        return project_records(trace.records)
+        return _project_records(trace.records)
     ops, last, decreases, crashed = {}, {}, [], set()
     for i, ev in enumerate(trace, 1):
         if type(ev) is not dict:
@@ -440,7 +447,7 @@ def project(trace) -> Projection:
     return Projection(_Validated(ops[k] for k in sorted(ops)), decreases, crashed)
 
 
-def project_records(records) -> Projection:
+def _project_records(records) -> Projection:
     """The Projection of a simulator's records: `project` of their
     rendering, built from the records without rendering an event, by
     `project`'s op-record rules (`_open`, `_close`, `check_record`) and
@@ -468,11 +475,11 @@ def project_records(records) -> Projection:
 
 def history_from_trace(trace) -> list[dict]:
     """The run's operation records (see Projection), rebuilt from its
-    invoke and respond events by `project`.  A trace file and the
-    simulator's records that it was rendered from give the same history
-    (`project_records`), so the checker sees a run and its emitted
-    trace alike.  It is a plain list, not marked checked: a caller may
-    change its records, and the checks then hold them to the rule."""
+    invoke and respond events by `project`.  A trace file and the view
+    it was written from give the same history, so the checker sees a
+    run and its emitted trace alike.  It is a plain list, not marked
+    checked: a caller may change its records, and the checks then hold
+    them to the rule."""
     return list(project(trace).history)
 
 

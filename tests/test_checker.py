@@ -23,6 +23,9 @@ from mmreg import (
 import mmreg.checker
 from mmreg.checker import HistoryError
 
+# A field value that means the field is left out of the record.
+MISSING = object()
+
 
 class TestProperty1:
     def test_flags_initial_value_after_completed_write(self):
@@ -89,11 +92,19 @@ class TestProperty1:
             ({"value": []}, "value []"),
             ({"value": ["1", "a"]}, "value ['1', 'a']"),
             ({"value": None}, "completed read 0 has no value"),
+            ({"op": MISSING, "response": "x"}, "op None has response step 'x', not an integer"),
+            ({"kind": MISSING, "value": None}, 'op 0 has kind None, not "read" or "write"'),
+            ({"kind": "banana"}, "op 0 has kind 'banana'"),
+            ({"proc": MISSING}, "op 0 has proc None, not an integer"),
+            ({"proc": [2]}, "op 0 has proc [2], not an integer"),
+            ({"proc": True}, "op 0 has proc True, not an integer"),
         ],
     )
     def test_malformed_fields_rejected(self, fields, message):
-        history = [{"op": 0, "kind": "read", "proc": 1, "invoke": 1, "response": 5, "value": [0, None], **fields}]
-        for check in (check_property1, check_property2, lambda h: check_completion(h, set())):
+        record = {"op": 0, "kind": "read", "proc": 1, "invoke": 1, "response": 5, "value": [0, None], **fields}
+        history = [{k: v for k, v in record.items() if v is not MISSING}]
+        checks = (check_property1, check_property2, lambda h: check_completion(h, set()), lambda h: check_all([], history=h))
+        for check in checks:
             with pytest.raises(HistoryError, match=re.escape(message)):
                 check(history)
 

@@ -21,7 +21,7 @@ from mmreg.cli import fuzz, main
 from mmreg.model import spec_from_dict
 from mmreg.protocol import ProtocolError
 from mmreg.tolerance import BRIDGE_LIMIT
-from mmreg.trace import KINDS, check_record, project_records, render, trace_lines
+from mmreg.trace import KINDS, _project_records, check_record, render, trace_lines
 from test_trace import SELECTIONS
 
 
@@ -294,6 +294,11 @@ class TestSimulateCheckPipeline:
             ([json.dumps(READ_INVOKE), json.dumps(READ_RESPOND), json.dumps({**READ_RESPOND, "step": 5})],
              "op 0 responds twice"),
             ([json.dumps(READ_INVOKE), json.dumps({**READ_RESPOND, "payload": {"op": 0}})], "op 0 responds with no value"),
+            ([json.dumps(READ_INVOKE), json.dumps({**READ_INVOKE, "step": 1, "payload": {"op": 0, "kind": "banana"}})],
+             "op 0 is invoked twice"),
+            ([json.dumps(READ_INVOKE), json.dumps(READ_RESPOND), json.dumps({**READ_RESPOND, "step": 5, "payload": {"op": 0}})],
+             "op 0 responds twice"),
+            ([json.dumps({**READ_RESPOND, "payload": {"op": 0}})], "op 0 responds but was never invoked"),
         ],
         ids=[
             "list-line",
@@ -311,6 +316,9 @@ class TestSimulateCheckPipeline:
             "crash-actor-list",
             "responds-twice",
             "respond-without-value",
+            "invoked-twice-banana",
+            "responds-twice-without-value",
+            "respond-without-invoke-or-value",
         ],
     )
     def test_malformed_trace_is_usage_error(self, tmp_path, capsys, lines, message):
@@ -621,9 +629,9 @@ class TestFuzz:
         assert len(list(runs[-1].trace)) == len(rendered) == len(runs[-1].records) > 0
 
     def test_a_batch_checks_each_op_record_once(self, monkeypatch):
-        """The history that `project_records` builds is checked as it is
-        built, each op record once, and `check_all` does not check it
-        again.  Runs with pending ops are included: crashes go up to
+        """The history that `project` builds from a run's view is checked
+        as it is built, each op record once, and `check_all` does not
+        check it again.  Runs with pending ops are included: crashes go up to
         t_L, so some ops never respond."""
         checked = []
 
@@ -634,13 +642,13 @@ class TestFuzz:
         histories = []
 
         def kept(records):
-            projection = project_records(records)
+            projection = _project_records(records)
             histories.append(projection.history)
             return projection
 
         monkeypatch.setattr("mmreg.trace.check_record", counted)
         monkeypatch.setattr("mmreg.checker.check_record", counted)
-        monkeypatch.setattr("mmreg.cli.project_records", kept)
+        monkeypatch.setattr("mmreg.trace._project_records", kept)
         assert fuzz(spec_from_dict(FIG1), 40, 3)["runs"] == len(histories) == 40
         records = [h for history in histories for h in history]
         assert any(h["response"] is None for h in records)

@@ -21,18 +21,20 @@ members, W included, so a read's write-back completes inside its side
 and messages of earlier phases stay withheld.  Under it, every ordered
 pair of distinct readers and every side of at least n - t processes
 that holds its reader are enumerated, on the two systems above and on
-an n = 5 system: the real protocol completes both reads cleanly on
-each, and each mutant breaks atomicity on some, except naive fast at
-n = 5, which no schedule of this class kills.
+two n = 5 systems: the real protocol completes both reads cleanly on
+each, and each mutant breaks atomicity on some.  Naive fast dies only
+where t > (n - 1) // 2: at or below it any two quorums of n - t
+processes intersect, and a process in both reports to the later read
+at least the sn it reported to the earlier one, since it scans the
+same monotone registers for both.
 """
 
 from itertools import combinations, permutations
 
 import pytest
 
-from mmreg import Simulator, WorkloadOp, bag_of, check_all, make_spec, protocol
+from mmreg import Graph, Simulator, WorkloadOp, bag_of, check_all, make_spec, protocol
 from mmreg.protocol import W
-from mmreg.trace import project_records
 from protocol_mutants import MUTANTS
 
 
@@ -78,16 +80,18 @@ SYSTEMS = {
 
 
 # (system, t, the readers) of the stage-1 search: the two systems above
-# with their two readers, and the n = 5 edges of a path plus {1} and
-# {5} at t = 2 = t_L, with every process but the writer a reader.
+# with their two readers, the n = 5 edges of a path plus {1} and {5} at
+# t = 2 = t_L, and the README's uniform system of the Fig. 1 graph at
+# t = 3 = t_L; at n = 5 every process but the writer is a reader.
 STAGE_ONE = {
     **{system: (spec, t, tuple(reader for reader, _ in reads)) for system, (spec, t, reads) in SYSTEMS.items()},
     "path-5-edges-ends": (make_spec(bag=bag_of(5, [1, 2], [2, 3], [3, 4], [4, 5], [1], [5]), writer=1), 2, (2, 3, 4, 5)),
+    "readme-fig1": (make_spec(graph=Graph.from_edges(5, [(1, 2), (2, 3), (3, 4), (3, 5)]), writer=1), 3, (2, 3, 4, 5)),
 }
 
 
 def violations(sim):
-    verdict = check_all(project_records(sim.records), props=("1", "2", "mono"))
+    verdict = check_all(sim.trace, props=("1", "2", "mono"))
     return [(v.prop, v.ops) for v in verdict.violations]
 
 
@@ -137,24 +141,26 @@ def stage_one(system):
 def test_stage_one_sides_complete_both_reads_cleanly():
     """Under the real protocol, each stage-1 schedule completes both
     reads, write-backs included, and breaks no property: 18 schedules
-    on the n = 3 singletons at t = 1, 98 on the 4-path edge bag at t = 2
-    and 1452 on the n = 5 path edges plus {1}, {5} at t = 2."""
+    on the n = 3 singletons at t = 1, 98 on the 4-path edge bag at t = 2,
+    1452 on the n = 5 path edges plus {1}, {5} at t = 2 and 2700 on the
+    README system at t = 3."""
     count = 0
     for system in STAGE_ONE:
         for reads, sim in stage_one(system):
             count += 1
             assert {r[3] for r in sim.records if r[1] == "respond"} == {1, 2}, reads
             assert violations(sim) == [], reads
-    assert count == 18 + 98 + 1452
+    assert count == 18 + 98 + 1452 + 2700
 
 
 @pytest.mark.parametrize(
     "mutant, kills",
     [
-        ("no-write-back", {"singletons-3": 4, "path-4-edges": 7, "path-5-edges-ends": 93}),
-        # No stage-1 schedule at n = 5 kills naive fast: a gap of the
-        # search, not a pass of the mutant.
-        ("naive-fast", {"singletons-3": 0, "path-4-edges": 4, "path-5-edges-ends": 0}),
+        ("no-write-back", {"singletons-3": 4, "path-4-edges": 7, "path-5-edges-ends": 93, "readme-fig1": 88}),
+        # Naive fast survives where t <= (n - 1) // 2, on the singletons
+        # and on the n = 5 path edges plus ends, because two quorums of
+        # n - t intersect there (module docstring).
+        ("naive-fast", {"singletons-3": 0, "path-4-edges": 4, "path-5-edges-ends": 0, "readme-fig1": 64}),
     ],
 )
 def test_stage_one_sides_kill_each_mutant(monkeypatch, mutant, kills):

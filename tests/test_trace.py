@@ -26,7 +26,7 @@ from mmreg.cli import main, random_crash_plan, random_workload
 from mmreg.protocol import Message, TaggedValue
 from mmreg.sim import WorkloadOp
 from mmreg.trace import (
-    KINDS, HistoryError, RecordTrace, TraceError, project, project_records, render, schedule_from_trace, trace_lines)
+    KINDS, HistoryError, RecordTrace, TraceError, project, render, schedule_from_trace, trace_lines)
 from test_sim import sim_cases
 
 SPECS = [
@@ -128,15 +128,14 @@ def projected(projection, log):
 
 
 def assert_records_check_as_rendered(records, events):
-    """`project_records` of the records gives `project` of their
-    rendering, and `check_all` of that projection gives, for every
-    selection and t, the verdict or error of `check_all` of the events."""
-    expected = projected(project, events)
-    assert projected(project_records, records) == expected
+    """`project` of a view of the records gives `project` of their
+    rendering, and `check_all` of the view gives, for every selection
+    and t, the verdict or error of `check_all` of the events."""
+    view = RecordTrace(records)
+    assert projected(project, view) == projected(project, events)
     for props in SELECTIONS:
         for t in (None, 0, 1, 3):
-            via_records = outcome(lambda: check_all(project_records(records), t=t, props=props))
-            assert via_records == outcome(check_all, events, t=t, props=props), (props, t)
+            assert outcome(check_all, view, t=t, props=props) == outcome(check_all, events, t=t, props=props), (props, t)
 
 
 @settings(max_examples=100, deadline=None)
@@ -187,16 +186,6 @@ def record_logs(draw):
 @example([(0, "invoke", 2, 0, None), (1, "respond", 2, 0, TaggedValue(0, None)), (2, "respond", 2, 0, TaggedValue(0, None))])
 def test_records_in_any_order_project_as_their_rendering(records):
     assert_records_check_as_rendered(records, [render(r) for r in records])
-
-
-def test_a_projection_given_to_check_all_has_its_history_checked():
-    """check_all holds a Projection's history to check_record, as it
-    does a history given beside a trace."""
-    good = project(PENDING_MONO_CRASH)
-    assert check_all(good) == check_all(PENDING_MONO_CRASH)
-    bad = good._replace(history=[{**good.history[0], "invoke": "0"}])
-    with pytest.raises(HistoryError, match="^op 0 has invoke step '0', not an integer$"):
-        check_all(bad)
 
 
 def test_a_history_from_a_trace_is_checked_again_once_changed():
