@@ -37,6 +37,7 @@ from itertools import accumulate
 from math import inf
 from typing import NamedTuple
 
+from .protocol import INITIAL_VALUE
 from .trace import HistoryError, _Validated, check_record, project
 
 
@@ -80,10 +81,35 @@ def _completed_reads(history):
     return [h for h in history if h["kind"] == "read" and h["response"] is not None]
 
 
+_INITIAL = list(INITIAL_VALUE)
+
+
+def _same_value(returned, written) -> bool:
+    """Whether a read that returned `returned` returned `written`: the
+    two are equal as lists, or one of them is a bare [sn] and the sns
+    are equal."""
+    if returned == written:
+        return True
+    if len(returned) == 1 or len(written) == 1:
+        return returned[0] == written[0]
+    return list(returned) == list(written)
+
+
+def _never_written(r: dict) -> Violation:
+    """The violation of a read whose sn was written, or is the initial
+    value's, with another payload."""
+    sn, *payload = r["value"]
+    return Violation(
+        "P1", (r["op"],), f"read {r['op']} returned a value never written (sn={sn}, payload={', '.join(map(repr, payload))})"
+    )
+
+
 def check_property1(history) -> Verdict:
     """Every completed read returns the immediately preceding or a
     concurrent write's value, or the initial value when no write
-    precedes it.
+    precedes it.  A value is the whole [sn, payload]: a read whose sn
+    was written, or is 0, with another payload returned a value never
+    written; a bare [sn] stands for any value with that sn.
 
     The writes are sorted by invocation, with the least response of each
     suffix (a pending write's counts as +inf), so whether some write
@@ -108,9 +134,12 @@ def check_property1(history) -> Verdict:
 
     violations = []
     for r in _completed_reads(history):
-        sn = r["value"][0]
+        value = r["value"]
+        sn = value[0]
         if sn == 0:
-            if suffix_min[0] < r["invoke"]:
+            if not _same_value(value, _INITIAL):
+                violations.append(_never_written(r))
+            elif suffix_min[0] < r["invoke"]:
                 prior = next(w for w in writes if _precedes(w, r))
                 violations.append(
                     Violation(
@@ -126,6 +155,8 @@ def check_property1(history) -> Verdict:
             violations.append(
                 Violation("P1", (r["op"],), f"read {r['op']} returned a value never written (sn={sn})")
             )
+        elif not _same_value(value, w["value"]):
+            violations.append(_never_written(r))
         elif _precedes(w, r):
             # Immediate unless some write invoked after w responds before r.
             if suffix_min[bisect_right(invokes, w["response"])] < r["invoke"]:

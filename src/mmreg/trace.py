@@ -22,17 +22,21 @@ rendered.  Any other iterable is encoded by the C encoder, the
 reference `_record_lines` is tested against, and projected event by
 event.
 `emit_trace` writes each event as it encodes it, `load_trace` yields a
-file's events one at a time, and `project` reads any trace once,
-building all its parts together: the op records, the per-register
-monotonicity result and the crashed set.  So writing a trace file
-holds one line, besides, for a view, the texts of the distinct heads
-and values and the payload texts of the messages not yet delivered,
-and checking one O(ops + registers), not every event.  A trace is
+file's events one at a time, reading the file in blocks of whole lines
+(each decoded as UTF-8 at once, split at "\\n", and each line decoded
+by the C scanner), and `project` reads any trace once, building all
+its parts together: the op records, the per-register monotonicity
+result and the crashed set.  So writing a trace file holds one line,
+besides, for a view, the texts of the distinct heads and values and
+the payload texts of the messages not yet delivered, and checking one
+block of lines and O(ops + registers), not every event.  A trace is
 outside input: the reader holds each line, and `project` each event
 and op record (`check_record`), to its rule.  The first malformed line
 or event raises, naming it (event i is line i of a file written by
-`emit_trace`) or its op, and nothing after it is read.  Records are
-the simulator's own, so only their op records are checked, each once.
+`emit_trace`) or its op, and no event after it is yielded.  Each op
+record is held to `check_record` once, at its response or, pending, at
+the end, and at its invocation only if that breaks the rule.  Records
+are the simulator's own, so only their op records are checked.
 The history either way builds is marked checked, so `checker` does not
 check it again.
 """
@@ -96,9 +100,14 @@ _ENCODE = c_make_encoder(
     None, _ENCODER.default, encode_basestring_ascii, None, _ENCODER.key_separator,
     _ENCODER.item_separator, _ENCODER.sort_keys, _ENCODER.skipkeys, _ENCODER.allow_nan)
 
-# One decoder for every line: json.loads adds a Python-level wrapper and
-# two whitespace matches to each call, and a stripped line needs neither.
-_DECODE = json.JSONDecoder().raw_decode
+# One scanner for every line: json.loads adds a Python-level wrapper and
+# two whitespace matches to each call, and raw_decode a wrapper that turns
+# the scanner's StopIteration into a JSONDecodeError; a stripped line
+# needs none of them.
+_SCAN = json.JSONDecoder().scan_once
+
+# The size of a read of a trace file.
+_BLOCK = 1 << 16
 
 
 def _lines(trace):
@@ -135,24 +144,60 @@ def emit_trace(trace, path) -> None:
             raise
 
 
+def _runs(f):
+    """The bytes of binary file f in runs of whole lines, each a read of
+    `_BLOCK` bytes cut after its last "\\n", joined to what the read
+    before left; the last run is what follows the file's last "\\n", if
+    anything.  A line longer than a block is collected read by read and
+    joined once, so no byte is copied again for each further read."""
+    parts = []
+    while block := f.read(_BLOCK):
+        cut = block.rfind(b"\n") + 1
+        if not cut:
+            parts.append(block)
+            continue
+        parts.append(block if cut == len(block) else block[:cut])
+        yield b"".join(parts) if len(parts) > 1 else parts[0]
+        parts = [block[cut:]] if cut < len(block) else []
+    if parts:
+        yield b"".join(parts)
+
+
 def load_trace(path):
-    """The events of a JSONL trace file, yielded as its lines are read.
-    A line ends at "\n" and holds one JSON object, or only whitespace,
-    once decoded as UTF-8; any other line raises TraceError.  Whitespace
-    is JSON's, " \t\r\n": a line that `json.loads` refuses, such as
-    one with U+00A0 around its object, is refused here too."""
+    """The events of a JSONL trace file, yielded one at a time.  A line
+    ends at "\\n" and holds one JSON object, or only whitespace, once
+    decoded as UTF-8; any other line raises TraceError, after every
+    event before it is yielded.  Whitespace is JSON's, " \t\r\n": a line
+    that `json.loads` refuses, such as one with U+00A0 around its
+    object, is refused here too.
+    The file is read in blocks of `_BLOCK` bytes, each cut after its
+    last "\\n": each run of whole lines is decoded as UTF-8 at once and
+    split at "\\n", and each line is decoded by the C scanner.  A run
+    that is not UTF-8 yields the events of its lines before the first
+    bad byte, then raises naming that byte's line."""
+    lineno = 0
     with open(Path(path), "rb") as f:
-        for lineno, line in enumerate(f, 1):
+        for run in _runs(f):
             try:
-                line = line.decode("utf-8").strip(" \t\r\n")
+                text, bad = run.decode("utf-8"), False
+            except UnicodeDecodeError as e:  # the lines before the bad byte's are UTF-8
+                text, bad = run[:run.rfind(b"\n", 0, e.start) + 1].decode("utf-8"), True
+            lines = text.split("\n")
+            if not lines[-1]:  # what follows a final "\n" is no line
+                lines.pop()
+            for lineno, line in enumerate(lines, lineno + 1):
+                line = line.strip(" \t\r\n")
                 if not line:
                     continue
-                ev, end = _DECODE(line)
-            except (ValueError, RecursionError):  # not UTF-8, not JSON, or nested too deep
-                end = None
-            if end != len(line) or not isinstance(ev, dict):
-                raise TraceError(f"trace line {lineno} is not a JSON object")
-            yield ev
+                try:
+                    ev, end = _SCAN(line, 0)
+                except (ValueError, StopIteration, RecursionError):  # not JSON, or nested too deep
+                    end = None
+                if end != len(line) or type(ev) is not dict:
+                    raise TraceError(f"trace line {lineno} is not a JSON object")
+                yield ev
+            if bad:
+                raise TraceError(f"trace line {lineno + 1} is not a JSON object")
 
 
 def render(record: tuple) -> dict:
@@ -360,43 +405,6 @@ def _written(last: dict, decreases: list, step, reg: tuple, sn: int) -> None:
     last[reg] = sn
 
 
-def _op_event(ops: dict, i: int, kind: str, ev: dict) -> None:
-    """Fold one invoke or respond event into its op record and check
-    it, in a fixed order: the op index, the op's rule (`_open` or
-    `_close`), the event's other fields, then `check_record`."""
-    payload, step = _payload(i, kind, ev), ev.get("step")
-    op = payload.get("op")
-    if type(op) is not int:
-        raise _bad(i, kind, "op", op, "an integer")
-    if kind == "invoke":
-        op_kind = payload.get("kind")
-        rec = _open(ops, op, op_kind, ev.get("actor"), step, payload.get("value"))
-        if op_kind != "read" and op_kind != "write":
-            raise TraceError(f'op {op} has kind {op_kind!r}, not "read" or "write"')
-        _actor(i, kind, ev)
-    else:
-        rec = _close(ops, op, step, payload.get("value"))
-        if "value" not in payload:
-            raise TraceError(f"op {op} responds with no value")
-        if step is None:
-            raise TraceError(f"op {op} responds with no step")
-    check_record(rec)
-
-
-def _register_write(i: int, kind: str, ev: dict) -> tuple:
-    """(step, register, sn) of a reg-write event, the register as a
-    (set index, owner) tuple, once its actor is checked too; the step
-    is not read as a number."""
-    payload = _payload(i, kind, ev)
-    reg, value = payload.get("register"), payload.get("value")
-    if not (isinstance(reg, (list, tuple)) and len(reg) == 2 and type(reg[0]) is int and type(reg[1]) is int):
-        raise _bad(i, kind, "register", reg, "[set index, owner]")
-    if not (isinstance(value, (list, tuple)) and value and type(value[0]) is int):
-        raise _bad(i, kind, "value", value, "[sn, payload] with an integer sn")
-    _actor(i, kind, ev)
-    return ev.get("step"), (reg[0], reg[1]), value[0]
-
-
 class _Validated(list):
     """A history whose op records were all held to `check_record`, by
     `project` or `checker`, so the checks do not hold it to the rule
@@ -418,13 +426,27 @@ class Projection(NamedTuple):
     crashed: set[int]
 
 
+def _history(ops: dict) -> _Validated:
+    """The op records of `ops`, sorted by op, once each still pending is
+    held to `check_record`; each other was, at its response."""
+    history = _Validated(ops[k] for k in sorted(ops))
+    for rec in history:
+        if rec["response"] is None:
+            check_record(rec)
+    return history
+
+
 def project(trace) -> Projection:
     """One pass over the events of `trace`, any iterable, building every
     part of the Projection together.  The first malformed event raises,
     and the pass reads no further: besides an event that is not an
     object and bad fields, an op invoked or responding twice, responding
     before any invoke, with no value or no step, or leaving a record
-    that breaks `check_record`.  A `RecordTrace` is projected from its
+    that breaks `check_record`.  The fields of each event are checked
+    inline, in a fixed order; an op record meets `check_record` at its
+    response or, pending, at the end, and at its invoke only if the
+    invoke's step or value breaks it, so the first error is the one of
+    a check after every event.  A `RecordTrace` is projected from its
     records by `_project_records`, with no event rendered."""
     if type(trace) is RecordTrace:
         return _project_records(trace.records)
@@ -433,18 +455,51 @@ def project(trace) -> Projection:
         if type(ev) is not dict:
             raise _not_object(i, ev)
         kind = ev.get("kind")
-        if kind == "reg-write":
-            step, reg, sn = _register_write(i, kind, ev)
-            _written(last, decreases, step, reg, sn)
-        elif kind == "invoke" or kind == "respond":
-            _op_event(ops, i, kind, ev)
-        elif kind == "send" or kind == "deliver" or kind == "reg-read":
+        if kind == "send" or kind == "deliver" or kind == "reg-read":
             continue  # no part reads these
-        elif kind == "crash":
+        if kind == "crash":
             crashed.add(_actor(i, kind, ev))
-        else:
+            continue
+        if kind != "reg-write" and kind != "invoke" and kind != "respond":
             raise _unknown_kind(i, kind)
-    return Projection(_Validated(ops[k] for k in sorted(ops)), decreases, crashed)
+        payload, step = ev.get("payload"), ev.get("step")
+        if type(payload) is not dict:
+            raise _bad(i, kind, "payload", payload, "an object")
+        if kind == "reg-write":  # checked in the order register, value, actor; the step is not read as a number
+            reg, value = payload.get("register"), payload.get("value")
+            if not (isinstance(reg, (list, tuple)) and len(reg) == 2 and type(reg[0]) is int and type(reg[1]) is int):
+                raise _bad(i, kind, "register", reg, "[set index, owner]")
+            if not (isinstance(value, (list, tuple)) and value and type(value[0]) is int):
+                raise _bad(i, kind, "value", value, "[sn, payload] with an integer sn")
+            if type(ev.get("actor")) is not int:
+                raise _bad(i, kind, "actor", ev.get("actor"), "an integer")
+            reg, sn = (reg[0], reg[1]), value[0]
+            prev = last.get(reg)  # the rule of `_written`
+            if prev is not None and sn < prev:
+                decreases.append((step, reg, prev, sn))
+            last[reg] = sn
+            continue
+        op = payload.get("op")
+        if type(op) is not int:
+            raise _bad(i, kind, "op", op, "an integer")
+        if kind == "invoke":  # the op's rule, then its kind and actor
+            op_kind, actor, value = payload.get("kind"), ev.get("actor"), payload.get("value")
+            rec = _open(ops, op, op_kind, actor, step, value)
+            if op_kind != "read" and op_kind != "write":
+                raise TraceError(f'op {op} has kind {op_kind!r}, not "read" or "write"')
+            if type(actor) is not int:
+                raise _bad(i, kind, "actor", actor, "an integer")
+            if type(step) is not int or value is not None and not (
+                    isinstance(value, (list, tuple)) and value and type(value[0]) is int):
+                check_record(rec)  # the only rules an open record can break
+        else:  # the op's rule, then the event's value and step
+            rec = _close(ops, op, step, payload.get("value"))
+            if "value" not in payload:
+                raise TraceError(f"op {op} responds with no value")
+            if step is None:
+                raise TraceError(f"op {op} responds with no step")
+            check_record(rec)
+    return Projection(_history(ops), decreases, crashed)
 
 
 def _project_records(records) -> Projection:
@@ -466,11 +521,7 @@ def _project_records(records) -> Projection:
             check_record(_close(ops, a, step, list(b)))
         elif kind == "crash":
             crashed.add(actor)
-    history = _Validated(ops[k] for k in sorted(ops))
-    for rec in history:
-        if rec["response"] is None:
-            check_record(rec)
-    return Projection(history, decreases, crashed)
+    return Projection(_history(ops), decreases, crashed)
 
 
 def history_from_trace(trace) -> list[dict]:

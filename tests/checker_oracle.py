@@ -1,7 +1,8 @@
 """Test-only oracle: Property 1 and Property 2 by their pairwise
 definitions, as the checker computed them before it moved to sorted
-order queries.  Quadratic; the differential tests in test_checker.py
-hold the library's checks to exactly these verdicts."""
+order queries, with Property 1 comparing whole values, not sns alone.
+Quadratic; the differential tests in test_checker.py hold the
+library's checks to exactly these verdicts."""
 
 from mmreg.checker import HistoryError, Verdict, Violation, _completed_reads, _precedes, _validate, _writes
 
@@ -10,10 +11,19 @@ def _concurrent(a: dict, b: dict) -> bool:
     return not _precedes(a, b) and not _precedes(b, a)
 
 
+def _same(a, b) -> bool:
+    """Values a and b are one value: equal as lists, or equal in sn when
+    either is a bare [sn]."""
+    if len(a) == 1 or len(b) == 1:
+        return a[0] == b[0]
+    return list(a) == list(b)
+
+
 def check_property1(history) -> Verdict:
     """Every completed read returns the immediately preceding or a
-    concurrent write's value, or the initial value when no write
-    precedes it."""
+    concurrent write's value, or the initial value [0, None] when no
+    write precedes it.  A read that returns a written sn, or sn 0, with
+    another payload returns a value never written."""
     _validate(history)
     writes = _writes(history)
     by_sn: dict[int, dict] = {}
@@ -28,10 +38,15 @@ def check_property1(history) -> Verdict:
     for r in _completed_reads(history):
         if r["value"] is None:
             raise HistoryError(f"completed read {r['op']} has no value")
-        sn = r["value"][0]
+        sn, *payload = r["value"]
+        never_written = Violation(
+            "P1", (r["op"],), f"read {r['op']} returned a value never written (sn={sn}, payload={', '.join(map(repr, payload))})"
+        )
         if sn == 0:
             prior = [w for w in writes if _precedes(w, r)]
-            if prior:
+            if not _same(r["value"], [0, None]):
+                violations.append(never_written)
+            elif prior:
                 violations.append(
                     Violation(
                         "P1",
@@ -46,6 +61,8 @@ def check_property1(history) -> Verdict:
             violations.append(
                 Violation("P1", (r["op"],), f"read {r['op']} returned a value never written (sn={sn})")
             )
+        elif not _same(r["value"], w["value"]):
+            violations.append(never_written)
         elif _precedes(w, r):
             # Immediate unless some other write fits strictly between.
             mid = next(

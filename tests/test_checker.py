@@ -64,6 +64,29 @@ class TestProperty1:
         read = {"op": 1, "kind": "read", "proc": 2, "invoke": 0, "response": 10, "value": [1, "a"]}
         assert not check_property1([write, read]).ok
 
+    @pytest.mark.parametrize(
+        "returned, reason",
+        [
+            ([1, "zzz"], "read 1 returned a value never written (sn=1, payload='zzz')"),
+            ([0, "bogus"], "read 1 returned a value never written (sn=0, payload='bogus')"),
+            ([1, "a"], None),
+            ([1], None),
+            ([0, None], None),
+            ([0], None),
+        ],
+    )
+    def test_a_read_returns_a_whole_written_value(self, returned, reason):
+        """A read is held to the whole value it returns: a written sn,
+        or the initial sn 0, with another payload was never written.  A
+        bare [sn] stands for the value with that sn.  The write is
+        concurrent with the read, so it justifies either value."""
+        write = {"op": 0, "kind": "write", "proc": 1, "invoke": 0, "response": 20, "value": [1, "a"]}
+        read = {"op": 1, "kind": "read", "proc": 2, "invoke": 5, "response": 10, "value": returned}
+        for check in (check_property1, oracle.check_property1):
+            verdict = check([write, read])
+            assert [v.reason for v in verdict.violations] == ([] if reason is None else [reason])
+            assert [v.ops for v in verdict.violations] == ([] if reason is None else [(1,)])
+
     def test_malformed_history_rejected(self):
         with pytest.raises(HistoryError):
             check_property1([{"op": 0, "kind": "read", "proc": 1, "invoke": None, "response": 5, "value": [0, None]}])
@@ -266,11 +289,12 @@ def _outcome(check, history):
 @st.composite
 def small_histories(draw):
     """0-12 ops, some pending, with writes numbered 1, 2, ... and reads
-    returning sn 0 to one past the last write.  In half the histories
-    each write is invoked no earlier than the one before it responds.
-    Three histories in seven then get one fault: a write's sn replaced
-    (a duplicate or 0), a completed read with no value, or a response
-    at or before its invocation."""
+    returning sn 0 to one past the last write, sn k with payload vk and
+    sn 0 with None.  In half the histories each write is invoked no
+    earlier than the one before it responds.  Four histories in eight
+    then get one fault: a write's sn replaced (a duplicate or 0), a
+    completed read with no value, a response at or before its
+    invocation, or a payload replaced."""
     kinds = draw(st.lists(st.sampled_from(["write", "read"]), max_size=12))
     n_writes = kinds.count("write")
     sequential = draw(st.booleans())
@@ -284,13 +308,15 @@ def small_histories(draw):
             sn = written
         else:
             sn = draw(st.integers(0, n_writes + 1))
-        history.append({"op": op, "kind": kind, "proc": 1 if kind == "write" else 2, "invoke": invoke, "response": response, "value": [sn, f"v{sn}"]})
-    fault = draw(st.sampled_from([None, None, None, None, "sn", "no-value", "not-after"]))
+        history.append({"op": op, "kind": kind, "proc": 1 if kind == "write" else 2, "invoke": invoke, "response": response, "value": [sn, f"v{sn}" if sn else None]})
+    fault = draw(st.sampled_from([None, None, None, None, "sn", "no-value", "not-after", "payload"]))
     if fault and history:
         h = history[draw(st.integers(0, len(history) - 1))]
         if fault == "sn":
             sn = draw(st.integers(0, n_writes))
-            h["value"] = [sn, f"v{sn}"]
+            h["value"] = [sn, f"v{sn}" if sn else None]
+        elif fault == "payload":
+            h["value"] = [h["value"][0], "zzz"]
         elif fault == "no-value":
             h["value"] = None
         else:
@@ -317,18 +343,19 @@ class TestAgainstOracle:
         writes = {h["value"][0]: h for h in history if h["kind"] == "write"}
         # Stale read: two later writes both complete before the read starts.
         stale = next(r for r in reads if r["value"][0] >= 3 and writes[r["value"][0]]["response"] < r["invoke"])
-        stale["value"] = [stale["value"][0] - 2, "stale"]
+        stale["value"] = list(writes[stale["value"][0] - 2]["value"])
         # Read inversion: two reads inside one write, the earlier one
         # returning its value and the later one the value before it.
         w = next(w for w in writes.values() if w["value"][0] >= 2 and w["response"] - w["invoke"] >= 4)
         sn = w["value"][0]
-        history.append({"op": len(history), "kind": "read", "proc": 3, "invoke": w["invoke"], "response": w["invoke"] + 1, "value": [sn, "new"]})
-        history.append({"op": len(history), "kind": "read", "proc": 4, "invoke": w["invoke"] + 2, "response": w["response"], "value": [sn - 1, "old"]})
+        history.append({"op": len(history), "kind": "read", "proc": 3, "invoke": w["invoke"], "response": w["invoke"] + 1, "value": list(w["value"])})
+        history.append({"op": len(history), "kind": "read", "proc": 4, "invoke": w["invoke"] + 2, "response": w["response"], "value": list(writes[sn - 1]["value"])})
 
         p1, p2 = check_property1(history), check_property2(history)
         assert p1 == oracle.check_property1(history)
         assert p2 == oracle.check_property2(history)
-        assert stale["op"] in p1.violations[0].ops
+        assert stale["op"] in p1.violations[0].ops and "fully separates" in p1.violations[0].reason
+        assert len(p1.violations) == 1
         assert (len(history) - 2, len(history) - 1) in [v.ops for v in p2.violations]
 
     def test_listing_costs_a_bounded_number_of_lines_per_pair(self):

@@ -8,6 +8,7 @@ import copy
 import io
 import json
 import random
+import re
 import tempfile
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
@@ -309,6 +310,108 @@ def test_load_trace_yields_events_lazily(tmp_path):
     events = load_trace(path)
     assert next(events)["kind"] == "crash"
     with pytest.raises(TraceError, match="trace line 2 is not a JSON object"):
+        next(events)
+
+
+def _op_lines(payload: str) -> list[bytes]:
+    """The UTF-8 lines, unescaped, of a clean trace: a write of [1,
+    payload], one register write of it, and a read returning it."""
+    value = [1, payload]
+    events = [
+        {"step": 0, "kind": "invoke", "actor": 1, "payload": {"op": 0, "kind": "write", "value": value}},
+        {"step": 1, "kind": "reg-write", "actor": 1, "payload": {"register": [1, 1], "value": value}},
+        {"step": 2, "kind": "respond", "actor": 1, "payload": {"op": 0, "value": value}},
+        {"step": 3, "kind": "invoke", "actor": 2, "payload": {"op": 1, "kind": "read"}},
+        {"step": 4, "kind": "respond", "actor": 2, "payload": {"op": 1, "value": value}},
+    ]
+    return [json.dumps(ev, ensure_ascii=False).encode() for ev in events]
+
+
+def _padded_to(lines: list[bytes], offset: int) -> bytes:
+    """`lines`, each ended by "\\n", with spaces after the last object so
+    that the file so far ends `offset` bytes into a 64-byte block."""
+    text = b"\n".join(lines)
+    return text + b" " * ((offset - len(text) - 1) % 64) + b"\n"
+
+
+_SHORT = _op_lines("a")
+# Every line of the written value holds multi-byte characters, so some
+# character straddles a block edge at every block size tried.
+_WIDE = _op_lines("é€😀" * 5)
+
+BLOCK_CASES = {
+    "crlf": b"".join(line + b"\r\n" for line in _SHORT),
+    "blank-lines": b"\n \t\n".join(_SHORT) + b"\n\n\r\n   \n",
+    "no-final-newline": b"\n".join(_SHORT),
+    "empty": b"",
+    "multibyte-across-edges": b"\n".join(_WIDE) + b"\n",
+    "line-of-several-blocks": b"\n".join(_op_lines("x" * 300)) + b"\n",
+    # The first bad line comes after a block, and its block's one run
+    # holds a line before it that the scanner or `project` refuses.
+    "not-utf8-after-bad-json": _padded_to(_SHORT[:2], 10) + b"{\n" + b"\xff\n" + b"\n".join(_SHORT[2:]) + b"\n",
+    "not-utf8-after-bad-event": _padded_to(_SHORT[:2], 10) + b'{"kind": "crash"}\n\xe2\x82\n' + b"\n".join(_SHORT[2:]) + b"\n",
+}
+
+
+def read_all(path) -> tuple[list[dict], str | None]:
+    """The events `load_trace` yields from `path`, and the message of
+    the TraceError it raises after them, if any."""
+    events = []
+    try:
+        for ev in load_trace(path):
+            events.append(ev)
+    except TraceError as e:
+        return events, str(e)
+    return events, None
+
+
+@pytest.mark.parametrize("block", [1, 7, 64])
+@pytest.mark.parametrize("name", sorted(BLOCK_CASES))
+def test_block_edges_read_as_lines(tmp_path, monkeypatch, name, block):
+    """At any read size, a file's blocks read as its lines: the same
+    events and error, naming the same line, as the line-by-line oracle,
+    and `mmreg check` prints what it prints of the file."""
+    path = tmp_path / "trace.jsonl"
+    path.write_bytes(BLOCK_CASES[name])
+    monkeypatch.setattr("mmreg.trace._BLOCK", block)
+    events, error = oracle.read_trace(path)
+    assert read_all(path) == (events, None if error is None else str(error))
+    assert check_file(path) == oracle_check_file(path)
+
+
+def test_block_cases_reach_their_paths(tmp_path):
+    """The cases above hold what their names say: the clean ones read
+    as five events and long lines span blocks; in the last two, a bad
+    line of each kind comes first, and the line after it, not UTF-8,
+    sits in the same 64-byte block past the first."""
+    path = tmp_path / "trace.jsonl"
+    for name in ("crlf", "blank-lines", "no-final-newline", "multibyte-across-edges", "line-of-several-blocks"):
+        path.write_bytes(BLOCK_CASES[name])
+        assert len(oracle.read_trace(path)[0]) == 5 and check_file(path)[0] == 0
+    assert min(map(len, BLOCK_CASES["line-of-several-blocks"].split(b"\n")[:3])) > 4 * 64
+    for name, error in (("not-utf8-after-bad-json", "trace line 3 is not a JSON object"),
+                        ("not-utf8-after-bad-event", "crash event 3 has actor None, not an integer")):
+        text = BLOCK_CASES[name]
+        before, bad, not_utf8 = [m.start() for m in re.finditer(b"\n", text)][1:4]  # the ends of lines 2, 3 and 4
+        assert 64 <= before and before // 64 == bad // 64 == not_utf8 // 64
+        path.write_bytes(text)
+        assert oracle.read_trace(path)[1] is not None
+        assert oracle_check_file(path) == (2, "", f"error: {error}\n")
+
+
+def test_a_bad_byte_raises_after_every_event_before_it(tmp_path, monkeypatch):
+    """With 64-byte reads, a byte that is not UTF-8 in a file's third
+    block raises only once every event before its line is yielded, the
+    one in its own block's run among them."""
+    lines = [json.dumps({"step": step, "kind": "crash", "actor": 1, "payload": {}}).encode() for step in range(3)]
+    text = b"\n".join(lines) + b"\n" + b'"\xff"\n' + lines[0] + b"\n"
+    assert 64 <= text.index(lines[2]) < 128 <= text.index(b"\xff") < 192
+    path = tmp_path / "trace.jsonl"
+    path.write_bytes(text)
+    monkeypatch.setattr("mmreg.trace._BLOCK", 64)
+    events = load_trace(path)
+    assert [next(events)["step"] for _ in range(3)] == [0, 1, 2]
+    with pytest.raises(TraceError, match="^trace line 4 is not a JSON object$"):
         next(events)
 
 
