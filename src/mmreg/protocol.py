@@ -1,15 +1,12 @@
-"""The register emulation protocol: four procedures, each a generator.
+"""The register emulation protocol, its runs held as plain records.
 
 Every process runs the same four: the writer's fan-out write, the read
 with write-back, and the two message handlers that touch the shared
-registers.  `_write` and `_read` yield the sends of each event, are
-sent the next ack, and return the value written or read: they know
-sequence numbers and values, never which workload op they serve.
-`_w_handler` and `_r_handler` are sent the simulator at each register
-access and return their ack.  `ProcessCore` holds the running ones and
-drives the operations; the simulator resumes a running handler itself,
-one atomic step at a time, so each shared-register access is its own
-step, never batched with another.
+registers.  An operation is an `Op`, the round it waits on, which
+`ProcessCore.deliver` completes at quorum or turns from a read into its
+write-back, as `_write_back` says.  A handler is a `Scan` of its
+process's registers that the simulator steps, each access its own
+atomic step.
 
 A process sends W/R messages to itself through the network like to
 anyone else, so quorum counting is uniform.  The W handler is the same
@@ -19,6 +16,7 @@ it replies to the actual sender.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import NamedTuple
 
 W = "W"
@@ -71,9 +69,10 @@ class Message(NamedTuple):
     value: TaggedValue | None = None  # payload of W, reply of ACK-R
 
 
-# The protocol builds its sends as _new(Message, (all five fields)): the
-# same class and values as Message(...), without the NamedTuple's
-# Python-level __new__, which takes about 1.7x as long.
+# The protocol and the simulator's handler step build sends as
+# _new(Message, (all five fields)): the same class and values as
+# Message(...), without the NamedTuple's Python-level __new__, which
+# takes about 1.7x as long.
 _new = tuple.__new__
 
 
@@ -87,56 +86,37 @@ def ack_quorum(n: int, t: int) -> int:
     return q
 
 
-def _round(kind: str, pid: int, n: int, quorum: int, sn: int, value: TaggedValue | None = None):
-    """Send `kind` (W or R) with sn to every process and yield the sends,
-    then nothing on each ack sent in, until `quorum` distinct senders
-    have acked it echoing sn; return each one's first reply by sender.
-    Any other ack is stale and ignored."""
-    ack, replies = (ACK_W if kind == W else ACK_R), {}
-    msg = yield [_new(Message, (kind, pid, dest, sn, value)) for dest in range(1, n + 1)]
-    while True:
-        if msg.kind == ack and msg.sn == sn:
-            replies.setdefault(msg.sender, msg.value)
-            if len(replies) >= quorum:
-                return replies
-        msg = yield ()
+def _write_back(replies: dict) -> tuple[TaggedValue, bool]:
+    """The value a read returns from its quorum of replies, by sender,
+    and whether it writes that value back first: the freshest reply,
+    always written back, with its own sequence number."""
+    return max_tagged(replies.values()), True
 
 
-def _write(pid: int, n: int, quorum: int, value: TaggedValue):
-    """Fan value out as W, wait for n - t ACK-Ws echoing its sn, and
-    return the value written."""
-    yield from _round(W, pid, n, quorum, value.sn, value)
-    return value
+@dataclass(slots=True)
+class Op:
+    """The round an in-flight operation waits on: each ack of kind
+    `ack` echoing sn adds its sender's first reply to `replies`.
+    `value` is what a W round writes, None in a read's R round."""
+
+    ack: str
+    sn: int
+    value: TaggedValue | None
+    replies: dict
 
 
-def _read(pid: int, n: int, quorum: int, sn: int):
-    """Fan out R, wait for n - t ACK-Rs echoing sn, then write the freshest
-    reply back with its own sequence number: no new number is minted.
-    Returns the value read."""
-    replies = yield from _round(R, pid, n, quorum, sn)
-    return (yield from _write(pid, n, quorum, max_tagged(replies.values())))
+@dataclass(slots=True)
+class Scan:
+    """A W or R handler in progress: `msg` started it, `regs[next]` is
+    its next register to read.  An R folds what it reads into `best`,
+    its `due` None.  A W's `due` is False, or the register it last read
+    older than its value, which it writes before it reads on."""
 
-
-def _w_handler(pid: int, regs: tuple, msg: Message):
-    """Store msg's value in each register of regs holding an older one.
-    Sent the simulator at each access; returns the ACK-W."""
-    for reg in regs:
-        if msg.value.sn > (yield).read(reg, pid).sn:
-            (yield).write(reg, pid, msg.value)
-    return _new(Message, (ACK_W, pid, msg.sender, msg.sn, None))
-
-
-def _r_handler(pid: int, regs: tuple, msg: Message):
-    """Read each register of regs.  Sent the simulator at each access;
-    returns the ACK-R carrying the freshest value read."""
-    best = None
-    for reg in regs:
-        v = (yield).read(reg, pid)
-        if best is None or v.sn > best.sn:
-            best = v
-        elif v.sn == best.sn and v.payload != best.payload:
-            _fresher(best, v)  # raises
-    return _new(Message, (ACK_R, pid, msg.sender, msg.sn, best))
+    msg: Message
+    regs: tuple
+    due: tuple | bool | None
+    next: int = 0
+    best: TaggedValue | None = None
 
 
 class ProcessCore:
@@ -144,17 +124,16 @@ class ProcessCore:
 
     Pure with respect to scheduling: each entry point maps the current
     state and one event to a new state plus its sends, a sequence that
-    is empty when there are none.  The simulator, which holds the
-    shared registers, resumes `scan` itself, sending it the simulator
-    at each access, so that every access is one observable step.
+    is empty when there are none.
 
-    `pending` is the running `_write` or `_read` generator of the one
-    in-flight local operation, `scan` the running `_w_handler` or
-    `_r_handler` generator; each is None when there is none.  Neither
-    holds the core or the simulator, so a run that a crash leaves
-    mid-operation holds no reference cycle.  The core does not know
-    which workload op is running; the simulator keeps that op at the
-    head of the process's queue until `deliver` returns its value.
+    `pending` is the `Op` of the one in-flight local operation and
+    `scan` the `Scan` of the running handler, each None when there is
+    none: plain records that hold neither the core nor the simulator,
+    so a run left mid-operation holds no reference cycle, and
+    `copy.deepcopy` copies it.  The simulator steps `scan` itself, one
+    register access per step.  The core does not know which workload
+    op is running; the simulator keeps that op at the head of the
+    process's queue until `deliver` returns its value.
     """
 
     def __init__(self, pid: int, spec, quorum: int):
@@ -168,41 +147,52 @@ class ProcessCore:
         self.pending = None
         self.scan = None
 
+    def _fan_out(self, kind: str, sn: int, value: TaggedValue | None = None) -> list:
+        """Make `kind` (W or R) with sn the pending round; return its fan-out."""
+        self.pending = Op(ACK_W if kind == W else ACK_R, sn, value, {})
+        return [_new(Message, (kind, self.pid, dest, sn, value)) for dest in range(1, self.n + 1)]
+
     def invoke_write(self, payload: str | None):
         if self.pending is not None:
             raise ProtocolError(f"p{self.pid}: operation invoked while another is pending")
         self.sn_w += 1
-        self.pending = _write(self.pid, self.n, self.quorum, TaggedValue(self.sn_w, payload))
-        return next(self.pending)
+        return self._fan_out(W, self.sn_w, TaggedValue(self.sn_w, payload))
 
     def invoke_read(self):
         if self.pending is not None:
             raise ProtocolError(f"p{self.pid}: operation invoked while another is pending")
         self.sn_r += 1
-        self.pending = _read(self.pid, self.n, self.quorum, self.sn_r)
-        return next(self.pending)
+        return self._fan_out(R, self.sn_r)
 
     def deliver(self, msg: Message):
         """Handle one delivered message.
 
         Returns (sends, value): value is None until an ack completes the
         pending operation, and then the value it wrote or read.  W and R
-        start a scan and must not arrive while another scan is active;
-        an ack goes to the pending operation, if any.
+        start a scan and must not arrive while another scan is active.
+        An ack counts toward the pending round if its kind and sn match
+        and its sender is new; any other ack is stale and ignored.  At
+        quorum a write round completes its op, and a read's R round
+        completes it or starts its write-back, as `_write_back` says.
         """
-        if msg.kind in (W, R):
+        kind = msg.kind
+        if kind in (W, R):
             if self.scan is not None:
                 raise ProtocolError(f"p{self.pid}: delivery while a handler is mid-scan")
-            handler, regs = (_w_handler, self.writable) if msg.kind == W else (_r_handler, self.readable)
-            self.scan = handler(self.pid, regs, msg)
-            next(self.scan)  # up to the first access, which touches nothing yet
+            self.scan = Scan(msg, self.writable, False) if kind == W else Scan(msg, self.readable, None)
             return (), None
-        if msg.kind not in (ACK_W, ACK_R):
-            raise ProtocolError(f"unknown message kind {msg.kind!r}")
-        if self.pending is None:
-            return (), None  # stale ack
-        try:
-            return self.pending.send(msg), None
-        except StopIteration as done:
-            self.pending = None
-            return (), done.value
+        if kind not in (ACK_W, ACK_R):
+            raise ProtocolError(f"unknown message kind {kind!r}")
+        op = self.pending
+        if op is None or kind != op.ack or msg.sn != op.sn:
+            return (), None
+        op.replies.setdefault(msg.sender, msg.value)
+        if len(op.replies) < self.quorum:
+            return (), None
+        value = op.value
+        if value is None:
+            value, back = _write_back(op.replies)
+            if back:
+                return self._fan_out(W, value.sn, value), None
+        self.pending = None
+        return (), value

@@ -22,7 +22,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .model import SystemSpec
-from .protocol import INITIAL_VALUE, Message, ProcessCore, TaggedValue, ack_quorum
+from .protocol import ACK_R, ACK_W, INITIAL_VALUE, W, Message, ProcessCore, _fresher, _new, ack_quorum
 from .trace import RecordTrace
 
 # Bound here only for bench/, which calls and wraps them on this module
@@ -147,12 +147,12 @@ class Simulator:
     The scheduler-facing surface is `enabled()` / `apply(event)`.
     Events are small tuples: ("invoke", op_index), ("hstep", pid),
     ("deliver", msg_id).  Each kind has its transition, `_invoke`,
-    `_hstep` and `_deliver`, which resumes the protocol and appends
-    each record where its event happens, with no helper between: an
-    access in `read` or `write`, a send in `_route`, the others in the
-    transition.  `run` drives the run under a policy: the fair and
-    fifo policies draw off the indexes and call the transition of the
-    band they drew from, with no event tuple built.  `step_within`
+    `_hstep` and `_deliver`, which steps the protocol and appends each
+    record where its event happens, with no helper between: a send in
+    `_route`, any other in the transition.  `run` drives the run under
+    a policy: the fair and fifo policies draw off the indexes and call
+    the transition of the band they drew from, with no event tuple
+    built.  `step_within`
     calls the transition of the first enabled event inside a set of
     processes, the lower-bound run's step.  `apply` is the one checked
     way to fire an event tuple, and scripted replay goes through it.
@@ -245,26 +245,7 @@ class Simulator:
         read returns new dicts and sees every record appended so far."""
         return RecordTrace(self.records)
 
-    def read(self, reg, by: int) -> TaggedValue:
-        """R_i[q]'s value, for a member `by` of S_i; else AccessError."""
-        if by not in self._readers.get(reg, ()):
-            raise AccessError(f"p{by} cannot read R_{reg[0]}[p{reg[1]}]")
-        value = self.registers[reg]
-        self.records.append((self.step, "reg-read", by, reg, value))
-        self.step += 1
-        return value
-
-    def write(self, reg, by: int, value: TaggedValue) -> None:
-        """Set R_i[q] to value, for its owner `by` = q; else AccessError."""
-        if not (reg in self._readers and reg[1] == by):
-            raise AccessError(f"p{by} cannot write R_{reg[0]}[p{reg[1]}]")
-        self.registers[reg] = value
-        self.records.append((self.step, "reg-write", by, reg, value))
-        self.step += 1
-
     def _route(self, msgs) -> None:
-        if not msgs:
-            return
         send_seq, network, inbox, mode, deliverable = (
             self._send_seq, self.network, self._inbox, self._mode, self._deliverable)
         records, step = self.records, self.step
@@ -412,17 +393,44 @@ class Simulator:
         self._route(sends)
 
     def _hstep(self, p: int) -> None:
-        """Send p's scan the simulator, whose `read` or `write` records
-        the access.  A step within a scan changes no index and sends
-        nothing; only the step that ends the scan goes on, to route the
-        ack."""
-        core = self.procs[p]
-        try:
-            core.scan.send(self)
-        except StopIteration as done:
-            core.scan = None
-            self._sync(p)
-            self._route((done.value,))
+        """One access of p's scan, checked by the access rule, then its
+        handler's rule: a W writes its value to each register it reads
+        older, an R folds what it reads into the freshest value; a read
+        of the very object the scan holds, as most are, changes nothing.
+        Only the step that ends the scan changes an index and sends."""
+        scan = self.procs[p].scan
+        due, i, step = scan.due, scan.next, self.step
+        if due:  # the write the W's last read found due
+            if not (due in self._readers and due[1] == p):
+                raise AccessError(f"p{p} cannot write R_{due[0]}[p{due[1]}]")
+            value = self.registers[due] = scan.msg.value
+            self.records.append((step, "reg-write", p, due, value))
+            self.step = step + 1
+            scan.due = False
+        else:
+            reg = scan.regs[i]
+            if p not in self._readers.get(reg, ()):
+                raise AccessError(f"p{p} cannot read R_{reg[0]}[p{reg[1]}]")
+            value = self.registers[reg]
+            self.records.append((step, "reg-read", p, reg, value))
+            self.step = step + 1
+            scan.next = i = i + 1
+            if due is not None:  # a W's read: an R's due is always None
+                if (mine := scan.msg.value) is not value and mine.sn > value.sn:
+                    scan.due = reg
+                    return
+            elif (best := scan.best) is not value:
+                if best is None or value.sn > best.sn:
+                    scan.best = value
+                elif value.sn == best.sn and value.payload != best.payload:
+                    _fresher(best, value)  # raises
+        if i < len(scan.regs):
+            return
+        msg = scan.msg
+        self.procs[p].scan = None
+        self._sync(p)
+        ack = (ACK_W, p, msg.sender, msg.sn, None) if msg.kind == W else (ACK_R, p, msg.sender, msg.sn, scan.best)
+        self._route((_new(Message, ack),))
 
     def _deliver(self, no: int) -> None:
         """Deliver the message whose send record is records[no].  p is
@@ -444,9 +452,10 @@ class Simulator:
             self.records.append((self.step, "respond", p, idx, value))
             self.step += 1
             self._sync(p)
+        elif sends:  # a read's quorum of ACK-Rs: its write-back's fan-out
+            self._route(sends)
         elif core.scan is not None:  # a W or R: p was open, so this delivery started the scan
             self._sync(p)
-        self._route(sends)
 
     def is_quiescent(self) -> bool:
         """Nothing is enabled, and no timed invocation is still to come."""

@@ -33,7 +33,7 @@ from itertools import combinations, permutations
 
 import pytest
 
-from mmreg import Graph, Simulator, WorkloadOp, bag_of, check_all, make_spec, protocol
+from mmreg import Graph, Simulator, WorkloadOp, bag_of, check_all, make_spec
 from mmreg.protocol import W
 from protocol_mutants import MUTANTS
 
@@ -103,7 +103,7 @@ def test_a_side_schedule_kills_the_mutant(monkeypatch, system, mutant, steps):
     """Both reads complete, and the second returns an older value than
     the first: Property 2 fails on ops (1, 2)."""
     spec, t, reads = SYSTEMS[system]
-    monkeypatch.setattr(protocol, "_read", MUTANTS[mutant])
+    monkeypatch.setattr(*MUTANTS[mutant])
     sim = side_schedule(spec, t, reads)
     assert sim.step == steps
     assert violations(sim) == [("P2", (1, 2))]
@@ -161,6 +161,13 @@ def test_stage_one_sides_complete_both_reads_cleanly():
         # and on the n = 5 path edges plus ends, because two quorums of
         # n - t intersect there (module docstring).
         ("naive-fast", {"singletons-3": 0, "path-4-edges": 4, "path-5-edges-ends": 0, "readme-fig1": 64}),
+        # Short quorum dies once, on the singletons.  Each phase fires
+        # the first enabled event, so messages arrive in send order: a
+        # fan-out reaches every side member, n - t or more, before the
+        # ack that ends its round is delivered.  That it survives
+        # elsewhere is a gap of this schedule class (ROADMAP item 1),
+        # not a proof that the mutant is sound.
+        ("short-quorum", {"singletons-3": 1, "path-4-edges": 0, "path-5-edges-ends": 0, "readme-fig1": 0}),
     ],
 )
 def test_stage_one_sides_kill_each_mutant(monkeypatch, mutant, kills):
@@ -168,7 +175,7 @@ def test_stage_one_sides_kill_each_mutant(monkeypatch, mutant, kills):
     always as Property 2 on ops (1, 2): the second read returns an
     older value than the first.  The killing schedules are counted by
     system."""
-    monkeypatch.setattr(protocol, "_read", MUTANTS[mutant])
+    monkeypatch.setattr(*MUTANTS[mutant])
     found = dict.fromkeys(STAGE_ONE, 0)
     for system in STAGE_ONE:
         for reads, sim in stage_one(system):

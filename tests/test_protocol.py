@@ -15,14 +15,15 @@ def registers_of(spec):
 
 def reg_step(core, sim):
     """One atomic register access of core's active scan, on sim's
-    registers, as the simulator's handler step makes it.  Returns the
-    sends: the ack once the scan ends, else nothing."""
-    try:
-        core.scan.send(sim)
-    except StopIteration as done:
-        core.scan = None
-        return [done.value]
-    return []
+    registers, made by the simulator's handler step `_hstep` with core
+    standing in for sim's process core.pid.  Returns the sends that
+    `_hstep` passes to its router: the ack once the scan ends, else
+    nothing."""
+    sends = []
+    sim.procs[core.pid] = core
+    sim._route = sends.extend  # an instance attribute: the ack is returned, not sent
+    sim._hstep(core.pid)
+    return sends
 
 
 def drain_scan(core, sim):

@@ -1,3 +1,4 @@
+import copy
 import gc
 import random
 import re
@@ -13,6 +14,7 @@ import lowerbound_oracle
 import sim_oracle as oracle
 from mmreg import (
     Graph,
+    Message,
     Schedule,
     SimError,
     Simulator,
@@ -29,6 +31,7 @@ from mmreg import (
     run_simulation,
     schedule_from_trace,
 )
+from mmreg.protocol import R, W
 from mmreg.sim import AccessError, ScriptError
 from mmreg.trace import KINDS, render, trace_lines
 
@@ -180,13 +183,23 @@ class TestCrashes:
 
 
 class TestAccessControl:
+    """A handler step checks its access against the access rule; each
+    scan here is given a register list its process may not scan."""
+
     def test_read_outside_sharing_set_rejected(self, fig1_spec):
-        with pytest.raises(AccessError):
-            Simulator(fig1_spec, 3, []).read((1, 1), by=4)  # S_1 = {1, 2}
+        sim = Simulator(fig1_spec, 3, [])
+        sim.procs[4].deliver(Message(R, 1, 4, 1))
+        sim.procs[4].scan.regs = ((1, 1),)  # S_1 = {1, 2}
+        with pytest.raises(AccessError, match=r"^p4 cannot read R_1\[p1\]$"):
+            sim._hstep(4)
 
     def test_write_by_non_owner_rejected(self, fig1_spec):
-        with pytest.raises(AccessError):
-            Simulator(fig1_spec, 3, []).write((1, 1), by=2, value=TaggedValue(1, "x"))
+        sim = Simulator(fig1_spec, 3, [])
+        sim.procs[2].deliver(Message(W, 1, 2, 1, TaggedValue(1, "x")))
+        sim.procs[2].scan.regs = ((1, 1),)  # p2 in S_1 may read R_1[p1], and finds it older
+        sim._hstep(2)
+        with pytest.raises(AccessError, match=r"^p2 cannot write R_1\[p1\]$"):
+            sim._hstep(2)
 
 
 class TestTraceRoundTrip:
@@ -219,6 +232,23 @@ class TestTraceRoundTrip:
         )
         assert history_from_trace(replay.trace) == history_from_trace(original.trace)
         assert trace_lines(replay.trace) == trace_lines(original.trace)
+
+    def test_deepcopy_mid_scan_and_mid_op_continues_alike(self, fig1_spec):
+        """A run copied by `copy.deepcopy` while a scan and an operation
+        are in progress: the copy and the original each finish the rest
+        of the script of the uninterrupted run, and make its records."""
+        wl = write_then_read(5)
+        whole = run_simulation(fig1_spec, 3, wl, Schedule("fair", seed=21))
+        script = schedule_from_trace(whole.trace)
+        sim = Simulator(fig1_spec, 3, wl)
+        for cut, (kind, x) in enumerate(script, 1):  # up to a handler step that leaves its scan going
+            sim.apply((kind, x))
+            if kind == "hstep" and sim.procs[x].scan is not None and any(c.pending is not None for c in sim.procs.values()):
+                break
+        fork = copy.deepcopy(sim)
+        for run in (sim, fork):
+            run.run(Schedule("scripted", script=script[cut:]))
+        assert fork.records == sim.records == whole.records
 
     def test_history_matches_trace_projection(self, fig1_spec):
         wl = [
